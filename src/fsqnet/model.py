@@ -7,6 +7,10 @@ The classifier head replaces the usual conv10 with global average pooling
 followed by two dense layers and a softmax, which keeps the parameter count
 small while still producing per-class probabilities.
 
+Each layer kind is one class that owns its parameter shapes, output shape,
+forward and backward; ``layer_plan`` lists the layers in call order, and the
+parameter table, layer summary, forward and backward passes all loop over it.
+
 Parameters live in a flat name -> array dict using ``<layer>/weight`` and
 ``<layer>/bias`` keys, fully determined by the config, which is what lets
 checkpoints validate shapes on load.
@@ -15,12 +19,14 @@ checkpoints validate shapes on load.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import ConfigError, ModelError, ShapeError, StateError
 from .ops import (
     ConvSpec,
+    LayerGrads,
     channel_concat,
     channel_split,
     conv2d_backward,
@@ -134,69 +140,225 @@ def tiny_config(num_classes: int = 3, input_size: int = 32) -> ModelConfig:
     )
 
 
-@dataclass(frozen=True)
-class _Step:
-    kind: str
+def _store_grads(grads: dict[str, np.ndarray], name: str, g: LayerGrads) -> np.ndarray:
+    grads[f"{name}/weight"] = g.d_weight
+    grads[f"{name}/bias"] = g.d_bias
+    return g.d_input
+
+
+@dataclass
+class Layer:
+    """One step of the network.
+
+    ``forward(params, x, dropout_seed)`` returns the output and a tape holding
+    what ``backward(params, tape, d, grads)`` needs; backward stores the
+    layer's parameter gradients into ``grads`` and returns the gradient at
+    its input.  ``out_shape`` maps a channel-first shape without the batch
+    dim through the layer.
+    """
+
     name: str
-    conv: ConvSpec | None = None
-    fire: FireSpec | None = None
-    in_channels: int = 0
-    in_features: int = 0
-    units: int = 0
-    apply_relu: bool = False
+    kind: ClassVar[str]
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        return {}
+
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        return shape
+
+    def _weights(self, params) -> tuple[np.ndarray, ...]:
+        shapes = self.param_shapes()
+        if any(n not in params or params[n].shape != s for n, s in shapes.items()):
+            raise ModelError(f"layer {self.name!r} needs parameters shaped {shapes}")
+        return tuple(params[n] for n in shapes)
 
 
-def layer_plan(config: ModelConfig) -> list[_Step]:
+@dataclass
+class Conv(Layer):
+    """Convolution followed by ReLU, as every conv in SqueezeNet is."""
+
+    conv: ConvSpec
+    kind: ClassVar[str] = "conv"
+
+    def param_shapes(self):
+        c = self.conv
+        return {
+            f"{self.name}/weight": (c.out_channels, c.in_channels, c.kernel_h, c.kernel_w),
+            f"{self.name}/bias": (c.out_channels,),
+        }
+
+    def out_shape(self, shape):
+        return (self.conv.out_channels, *self.conv.out_hw(*shape[1:]))
+
+    def linear(self, params, x):
+        """The convolution alone, before the ReLU."""
+        w, b = self._weights(params)
+        return conv2d_forward(x, w, b, self.conv)
+
+    def forward(self, params, x, dropout_seed):
+        z = self.linear(params, x)
+        return relu(z), (x, z)
+
+    def backward(self, params, tape, d, grads):
+        x, z = tape
+        g = conv2d_backward(x, params[f"{self.name}/weight"], self.conv, relu_backward(z, d))
+        return _store_grads(grads, self.name, g)
+
+
+@dataclass
+class Fire(Layer):
+    """relu(squeeze) into parallel relu(expand1x1), relu(expand3x3), concatenated."""
+
+    fire: FireSpec
+    in_channels: int
+    kind: ClassVar[str] = "fire"
+
+    def __post_init__(self):
+        f = self.fire
+        self.squeeze = Conv(f"{self.name}_squeeze", ConvSpec(f.squeeze_1x1, self.in_channels, 1, 1))
+        self.expand1x1 = Conv(f"{self.name}_expand1x1", ConvSpec(f.expand_1x1, f.squeeze_1x1, 1, 1))
+        self.expand3x3 = Conv(
+            f"{self.name}_expand3x3", ConvSpec(f.expand_3x3, f.squeeze_1x1, 3, 3, pad=1)
+        )
+
+    def param_shapes(self):
+        return {
+            **self.squeeze.param_shapes(),
+            **self.expand1x1.param_shapes(),
+            **self.expand3x3.param_shapes(),
+        }
+
+    def out_shape(self, shape):
+        return (self.fire.out_channels, *shape[1:])
+
+    def forward(self, params, x, dropout_seed):
+        s, s_tape = self.squeeze.forward(params, x, dropout_seed)
+        z1 = self.expand1x1.linear(params, s)
+        z3 = self.expand3x3.linear(params, s)
+        return channel_concat(relu(z1), relu(z3)), (s_tape, (s, z1), (s, z3))
+
+    def backward(self, params, tape, d, grads):
+        s_tape, e1_tape, e3_tape = tape
+        d1, d3 = channel_split(d, self.fire.expand_1x1)
+        d_s = self.expand1x1.backward(params, e1_tape, d1, grads)
+        d_s = d_s + self.expand3x3.backward(params, e3_tape, d3, grads)
+        return self.squeeze.backward(params, s_tape, d_s, grads)
+
+
+@dataclass
+class Pool(Layer):
+    """3/2 max pool."""
+
+    kind: ClassVar[str] = "pool"
+
+    def out_shape(self, shape):
+        c, h, w = shape
+        if POOL_KERNEL > h or POOL_KERNEL > w:
+            raise ShapeError(f"pool window {POOL_KERNEL} larger than {h}x{w}")
+        return (c, (h - POOL_KERNEL) // POOL_STRIDE + 1, (w - POOL_KERNEL) // POOL_STRIDE + 1)
+
+    def forward(self, params, x, dropout_seed):
+        return maxpool2d(x, POOL_KERNEL, POOL_STRIDE), x
+
+    def backward(self, params, tape, d, grads):
+        return maxpool2d_backward(tape, POOL_KERNEL, POOL_STRIDE, d)
+
+
+@dataclass
+class GlobalAvgPool(Layer):
+    kind: ClassVar[str] = "gap"
+
+    def out_shape(self, shape):
+        return shape[:1]
+
+    def forward(self, params, x, dropout_seed):
+        return global_avg_pool(x), x.shape[2:]
+
+    def backward(self, params, tape, d, grads):
+        return global_avg_pool_backward(d, *tape)
+
+
+@dataclass
+class Dense(Layer):
+    in_features: int
+    units: int
+    apply_relu: bool
+    kind: ClassVar[str] = "dense"
+
+    def param_shapes(self):
+        return {
+            f"{self.name}/weight": (self.in_features, self.units),
+            f"{self.name}/bias": (self.units,),
+        }
+
+    def out_shape(self, shape):
+        return (self.units,)
+
+    def forward(self, params, x, dropout_seed):
+        w, b = self._weights(params)
+        z = dense_forward(x, w, b)
+        return (relu(z) if self.apply_relu else z), (x, z)
+
+    def backward(self, params, tape, d, grads):
+        x, z = tape
+        if self.apply_relu:
+            d = relu_backward(z, d)
+        return _store_grads(grads, self.name, dense_backward(x, params[f"{self.name}/weight"], d))
+
+
+@dataclass
+class Dropout(Layer):
+    """Inverted dropout; the identity unless a dropout_seed is given."""
+
+    rate: float
+    kind: ClassVar[str] = "dropout"
+
+    def forward(self, params, x, dropout_seed):
+        if dropout_seed is None or self.rate == 0.0:
+            return x, None
+        mask = dropout_mask(x.shape, self.rate, dropout_seed)
+        return x * mask, mask
+
+    def backward(self, params, tape, d, grads):
+        return d if tape is None else d * tape
+
+
+@dataclass
+class Softmax(Layer):
+    kind: ClassVar[str] = "softmax"
+
+    def forward(self, params, x, dropout_seed):
+        return softmax(x), None
+
+    def backward(self, params, tape, d, grads):
+        return d  # gradient arrives at the logits, softmax is fused into the loss
+
+
+def layer_plan(config: ModelConfig) -> list[Layer]:
     """Ordered layer list implied by the config."""
-    steps = [
-        _Step("conv", "conv1", conv=ConvSpec(STEM_CHANNELS, 3, 3, 3, stride=2), apply_relu=True),
-        _Step("pool", "pool1"),
-    ]
+    layers: list[Layer] = [Conv("conv1", ConvSpec(STEM_CHANNELS, 3, 3, 3, stride=2)), Pool("pool1")]
     channels = STEM_CHANNELS
     pools = 1
     for i, fire in enumerate(config.fire_specs, start=1):
-        steps.append(_Step("fire", f"fire{i}", fire=fire, in_channels=channels))
+        layers.append(Fire(f"fire{i}", fire, channels))
         channels = fire.out_channels
         if i in POOL_AFTER_FIRES and i < len(config.fire_specs):
             pools += 1
-            steps.append(_Step("pool", f"pool{pools}"))
-    steps.append(_Step("gap", "gap"))
-    steps.append(
-        _Step("dense", "dense1", in_features=channels, units=config.head_hidden, apply_relu=True)
-    )
-    steps.append(_Step("dropout", "dropout"))
-    steps.append(_Step("dense", "dense2", in_features=config.head_hidden, units=config.num_classes))
-    steps.append(_Step("softmax", "softmax"))
-    return steps
+            layers.append(Pool(f"pool{pools}"))
+    return layers + [
+        GlobalAvgPool("gap"),
+        Dense("dense1", channels, config.head_hidden, apply_relu=True),
+        Dropout("dropout", config.dropout_rate),
+        Dense("dense2", config.head_hidden, config.num_classes, apply_relu=False),
+        Softmax("softmax"),
+    ]
 
 
-def _fire_conv_specs(spec: FireSpec, in_channels: int) -> dict[str, ConvSpec]:
-    return {
-        "squeeze": ConvSpec(spec.squeeze_1x1, in_channels, 1, 1),
-        "expand1x1": ConvSpec(spec.expand_1x1, spec.squeeze_1x1, 1, 1),
-        "expand3x3": ConvSpec(spec.expand_3x3, spec.squeeze_1x1, 3, 3, pad=1),
-    }
-
-
-def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape for every parameter the config implies, in build order."""
     shapes: dict[str, tuple[int, ...]] = {}
-    for step in layer_plan(config):
-        if step.kind == "conv":
-            c = step.conv
-            shapes[f"{step.name}/weight"] = (c.out_channels, c.in_channels, c.kernel_h, c.kernel_w)
-            shapes[f"{step.name}/bias"] = (c.out_channels,)
-        elif step.kind == "fire":
-            for part, c in _fire_conv_specs(step.fire, step.in_channels).items():
-                shapes[f"{step.name}_{part}/weight"] = (
-                    c.out_channels,
-                    c.in_channels,
-                    c.kernel_h,
-                    c.kernel_w,
-                )
-                shapes[f"{step.name}_{part}/bias"] = (c.out_channels,)
-        elif step.kind == "dense":
-            shapes[f"{step.name}/weight"] = (step.in_features, step.units)
-            shapes[f"{step.name}/bias"] = (step.units,)
+    for layer in layer_plan(config):
+        shapes.update(layer.param_shapes())
     return shapes
 
 
@@ -205,38 +367,13 @@ def layer_summary(config: ModelConfig) -> list[dict]:
 
     Raises ConfigError when the pooling stack shrinks the input below 1x1.
     """
-    shapes = _param_shapes(config)
     rows = []
-    h = w = config.input_size
-    channels = 3
-    features = 0
+    shape: tuple[int, ...] = (3, config.input_size, config.input_size)
     try:
-        for step in layer_plan(config):
-            if step.kind == "conv":
-                h, w = step.conv.out_hw(h, w)
-                channels = step.conv.out_channels
-                out_shape = (channels, h, w)
-            elif step.kind == "pool":
-                if POOL_KERNEL > h or POOL_KERNEL > w:
-                    raise ShapeError(f"pool window {POOL_KERNEL} larger than {h}x{w}")
-                h = (h - POOL_KERNEL) // POOL_STRIDE + 1
-                w = (w - POOL_KERNEL) // POOL_STRIDE + 1
-                out_shape = (channels, h, w)
-            elif step.kind == "fire":
-                channels = step.fire.out_channels
-                out_shape = (channels, h, w)
-            elif step.kind == "gap":
-                features = channels
-                out_shape = (features,)
-            elif step.kind == "dense":
-                features = step.units
-                out_shape = (features,)
-            else:  # dropout, softmax
-                out_shape = (features,)
-            count = sum(
-                int(np.prod(s)) for n, s in shapes.items() if n.split("/")[0].startswith(step.name)
-            )
-            rows.append({"name": step.name, "output_shape": list(out_shape), "params": count})
+        for layer in layer_plan(config):
+            shape = layer.out_shape(shape)
+            count = sum(int(np.prod(s)) for s in layer.param_shapes().values())
+            rows.append({"name": layer.name, "output_shape": list(shape), "params": count})
     except ShapeError as exc:
         raise ConfigError(f"input_size {config.input_size} too small for the pooling stack: {exc}")
     return rows
@@ -263,7 +400,7 @@ def build_model(config: ModelConfig, seed: int) -> Model:
     """He-initialized model; bit-identical for identical (config, seed)."""
     layer_summary(config)  # validates the pooling stack up front
     params: dict[str, np.ndarray] = {}
-    for index, (name, shape) in enumerate(_param_shapes(config).items()):
+    for index, (name, shape) in enumerate(expected_param_shapes(config).items()):
         if name.endswith("/weight"):
             fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
             params[name] = he_init(shape, fan_in, derive_seed(seed, index))
@@ -276,60 +413,9 @@ def parameter_count(model: Model) -> int:
     return sum(p.size for p in model.params.values())
 
 
-def _get_params(params, layer: str) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return params[f"{layer}/weight"], params[f"{layer}/bias"]
-    except KeyError:
-        raise ModelError(f"missing parameters for layer {layer!r}")
-
-
-def _fire_forward_cached(x, spec: FireSpec, params, prefix: str):
-    convs = _fire_conv_specs(spec, x.shape[1])
-    sw, sb = _get_params(params, f"{prefix}_squeeze")
-    if sw.shape != (spec.squeeze_1x1, x.shape[1], 1, 1):
-        raise ModelError(
-            f"{prefix} squeeze weight shape {sw.shape} does not match input {x.shape[1]} channels"
-        )
-    sq_z = conv2d_forward(x, sw, sb, convs["squeeze"])
-    sq_a = relu(sq_z)
-    e1w, e1b = _get_params(params, f"{prefix}_expand1x1")
-    e3w, e3b = _get_params(params, f"{prefix}_expand3x3")
-    e1_z = conv2d_forward(sq_a, e1w, e1b, convs["expand1x1"])
-    e3_z = conv2d_forward(sq_a, e3w, e3b, convs["expand3x3"])
-    out = channel_concat(relu(e1_z), relu(e3_z))
-    return out, (x, sq_z, sq_a, e1_z, e3_z)
-
-
 def fire_forward(x: np.ndarray, spec: FireSpec, params, prefix: str = "fire") -> np.ndarray:
-    """relu(squeeze) into parallel relu(expand1x1), relu(expand3x3), concatenated.
-
-    Spatial dims are preserved; output has spec.out_channels channels.
-    """
-    out, _ = _fire_forward_cached(x, spec, params, prefix)
-    return out
-
-
-def _fire_backward(cache, spec: FireSpec, params, prefix: str, d_out):
-    x, sq_z, sq_a, e1_z, e3_z = cache
-    convs = _fire_conv_specs(spec, x.shape[1])
-    grads: dict[str, np.ndarray] = {}
-
-    d_e1, d_e3 = channel_split(d_out, spec.expand_1x1)
-    e1w, _ = _get_params(params, f"{prefix}_expand1x1")
-    e3w, _ = _get_params(params, f"{prefix}_expand3x3")
-    g1 = conv2d_backward(sq_a, e1w, convs["expand1x1"], relu_backward(e1_z, d_e1))
-    g3 = conv2d_backward(sq_a, e3w, convs["expand3x3"], relu_backward(e3_z, d_e3))
-    grads[f"{prefix}_expand1x1/weight"] = g1.d_weight
-    grads[f"{prefix}_expand1x1/bias"] = g1.d_bias
-    grads[f"{prefix}_expand3x3/weight"] = g3.d_weight
-    grads[f"{prefix}_expand3x3/bias"] = g3.d_bias
-
-    d_sq_a = g1.d_input + g3.d_input
-    sw, _ = _get_params(params, f"{prefix}_squeeze")
-    gs = conv2d_backward(x, sw, convs["squeeze"], relu_backward(sq_z, d_sq_a))
-    grads[f"{prefix}_squeeze/weight"] = gs.d_weight
-    grads[f"{prefix}_squeeze/bias"] = gs.d_bias
-    return gs.d_input, grads
+    """One fire module on x; spatial dims are preserved, output has spec.out_channels channels."""
+    return Fire(prefix, spec, x.shape[1]).forward(params, x, None)[0]
 
 
 def model_forward(
@@ -340,47 +426,20 @@ def model_forward(
 ) -> np.ndarray:
     """Probabilities [N, num_classes] for an NCHW batch at the configured size.
 
-    With training=True intermediate activations are retained on the model for
+    With training=True the layer tapes are retained on the model for
     model_backward.  Dropout fires only when training and a dropout_seed is
     given, so evaluation passes stay deterministic.
     """
     size = model.config.input_size
     if batch.ndim != 4 or batch.shape[1:] != (3, size, size):
         raise ShapeError(f"batch shape {batch.shape}, expected [N,3,{size},{size}]")
-    cache: list = []
+    seed = dropout_seed if training else None
+    tapes: list = []
     x = batch
-    for step in layer_plan(model.config):
-        if step.kind == "conv":
-            w, b = _get_params(model.params, step.name)
-            z = conv2d_forward(x, w, b, step.conv)
-            cache.append((x, z))
-            x = relu(z) if step.apply_relu else z
-        elif step.kind == "pool":
-            cache.append(x)
-            x = maxpool2d(x, POOL_KERNEL, POOL_STRIDE)
-        elif step.kind == "fire":
-            x, fire_cache = _fire_forward_cached(x, step.fire, model.params, step.name)
-            cache.append(fire_cache)
-        elif step.kind == "gap":
-            cache.append(x.shape[2:])
-            x = global_avg_pool(x)
-        elif step.kind == "dense":
-            w, b = _get_params(model.params, step.name)
-            z = dense_forward(x, w, b)
-            cache.append((x, z))
-            x = relu(z) if step.apply_relu else z
-        elif step.kind == "dropout":
-            rate = model.config.dropout_rate
-            if training and dropout_seed is not None and rate > 0.0:
-                mask = dropout_mask(x.shape, rate, dropout_seed)
-                cache.append(mask)
-                x = x * mask
-            else:
-                cache.append(None)
-        else:  # softmax
-            cache.append(None)
-            x = softmax(x)
-    model._cache = cache if training else None
+    for layer in layer_plan(model.config):
+        x, tape = layer.forward(model.params, x, seed)
+        tapes.append(tape)
+    model._cache = tapes if training else None
     return x
 
 
@@ -388,46 +447,12 @@ def model_backward(model: Model, d_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradient per parameter given the loss gradient at the pre-softmax logits."""
     if model._cache is None:
         raise StateError("model_backward needs a preceding forward pass with training=True")
-    steps = layer_plan(model.config)
     grads: dict[str, np.ndarray] = {}
     d = d_logits
-    for step, cached in zip(reversed(steps), reversed(model._cache)):
-        if step.kind == "softmax":
-            continue  # gradient arrives at the logits, softmax is fused into the loss
-        if step.kind == "dense":
-            x, z = cached
-            if step.apply_relu:
-                d = relu_backward(z, d)
-            g = dense_backward(x, model.params[f"{step.name}/weight"], d)
-            grads[f"{step.name}/weight"] = g.d_weight
-            grads[f"{step.name}/bias"] = g.d_bias
-            d = g.d_input
-        elif step.kind == "dropout":
-            if cached is not None:
-                d = d * cached
-        elif step.kind == "gap":
-            h, w = cached
-            d = global_avg_pool_backward(d, h, w)
-        elif step.kind == "fire":
-            d, fire_grads = _fire_backward(cached, step.fire, model.params, step.name, d)
-            grads.update(fire_grads)
-        elif step.kind == "pool":
-            d = maxpool2d_backward(cached, POOL_KERNEL, POOL_STRIDE, d)
-        elif step.kind == "conv":
-            x, z = cached
-            if step.apply_relu:
-                d = relu_backward(z, d)
-            g = conv2d_backward(x, model.params[f"{step.name}/weight"], step.conv, d)
-            grads[f"{step.name}/weight"] = g.d_weight
-            grads[f"{step.name}/bias"] = g.d_bias
-            d = g.d_input
+    for layer, tape in zip(reversed(layer_plan(model.config)), reversed(model._cache)):
+        d = layer.backward(model.params, tape, d, grads)
     return grads
 
 
 def clone_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {name: p.copy() for name, p in params.items()}
-
-
-def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape for every parameter the config implies, in build order."""
-    return _param_shapes(config)

@@ -231,8 +231,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise probabilities; subtracts the row max before exponentiating."""
     if logits.ndim != 2 or logits.shape[1] < 2:
         raise ShapeError(f"softmax needs [N,m] with m >= 2, got {logits.shape}")
-    if np.isnan(logits).any():
-        raise NumericError("softmax input contains NaN")
+    if not np.isfinite(logits).all():
+        raise NumericError("softmax input contains NaN or Inf")
     z = logits.astype(np.float64)
     z -= z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -245,16 +245,3 @@ def dropout_mask(shape, rate: float, seed: int) -> np.ndarray:
         raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
     keep = rng_from_seed(seed).random(shape) >= rate
     return (keep / (1.0 - rate)).astype(np.float32)
-
-
-def dropout(x: np.ndarray, rate: float, seed: int, training: bool) -> np.ndarray:
-    """Zero elements with probability rate and rescale survivors (train only).
-
-    Inference mode is the identity, so a deployed forward pass needs no
-    special casing.  Deterministic per (shape, rate, seed).
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    return x * dropout_mask(x.shape, rate, seed)

@@ -5,9 +5,6 @@ Conventions used across the package:
 * A tensor is a C-contiguous ``numpy.ndarray`` of dtype float32 with 1 to 4
   dimensions.  Images and activations use NCHW layout (batch, channel,
   height, width) so inner loops run contiguously over width.
-* Reductions accumulate in float64 in flat index order and round to float32
-  once at the end.  This makes results bit-reproducible and lets tests
-  compare against naive Python-loop references exactly.
 * Randomness comes from numpy's PCG64 generator seeded with an explicit
   64-bit integer; the same seed reproduces the same stream on every
   platform.  ``derive_seed`` folds several integers into one child seed via
@@ -44,40 +41,6 @@ def check_finite(t: np.ndarray, what: str = "tensor") -> np.ndarray:
     if not np.isfinite(t).all():
         raise NumericError(f"{what} contains NaN or Inf")
     return t
-
-
-def tensor_new(shape, fill: float = 0.0) -> np.ndarray:
-    """New float32 tensor of `shape` with every element set to `fill`."""
-    dims = check_shape(shape)
-    return check_finite(np.full(dims, fill, dtype=np.float32))
-
-
-def tensor_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise sum; shapes must match exactly (no broadcasting)."""
-    if a.shape != b.shape:
-        raise ShapeError(f"tensor_add shape mismatch: {a.shape} vs {b.shape}")
-    return check_finite(a + b)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of [m,k] by [k,n].
-
-    Accumulates in float64, adding the k-th partial product of every output
-    element in increasing k order, so the result is bit-identical to a naive
-    triple loop that sums in the same order.
-    """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    acc = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    a64 = a.astype(np.float64)
-    b64 = b.astype(np.float64)
-    tmp = np.empty_like(acc)
-    for k in range(a.shape[1]):
-        np.multiply(a64[:, k, None], b64[None, k, :], out=tmp)
-        np.add(acc, tmp, out=acc)
-    return check_finite(acc.astype(np.float32))
 
 
 def he_init(shape, fan_in: int, seed: int) -> np.ndarray:

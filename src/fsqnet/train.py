@@ -299,8 +299,10 @@ def fit(
     history = history if history is not None else History()
     first = history.last_epoch() + 1
     best_params = clone_params(model.params)
-    best_epoch = history.last_epoch()
-    best_val = -1.0
+    best_epoch, best_val = history.last_epoch(), -1.0
+    for m in history.entries:  # resume keeps the incoming best; the first epoch wins ties
+        if m.val_accuracy > best_val:
+            best_epoch, best_val = m.epoch, m.val_accuracy
     for epoch_index in range(first, first + config.epochs):
         metrics = train_epoch(model, train_set, val_set, config, epoch_index)
         history.append(metrics)

@@ -17,7 +17,17 @@ from fsqnet.model import (
     parameter_count,
     tiny_config,
 )
-from fsqnet.ops import ConvSpec, channel_concat, conv2d_forward, relu
+from fsqnet.ops import (
+    ConvSpec,
+    channel_concat,
+    conv2d_forward,
+    dense_forward,
+    dropout_mask,
+    global_avg_pool,
+    maxpool2d,
+    relu,
+    softmax,
+)
 from fsqnet.train import TrainConfig, cross_entropy, sgd_step
 from oracles import closed_form_param_count
 
@@ -87,6 +97,16 @@ class TestLayerSummary:
         rows = layer_summary(tiny_config())
         widths = [(2, 2, 2), (2, 2, 2)]
         assert sum(r["params"] for r in rows) == closed_form_param_count(3, widths, 32)
+
+    def test_params_not_counted_by_name_prefix(self):
+        # fire1 is a name prefix of fire10 and fire11; each row counts its own layer only
+        config = ModelConfig(num_classes=3, input_size=64, fire_specs=(FireSpec(2, 2, 2),) * 11,
+                             head_hidden=32)
+        rows = {r["name"]: r["params"] for r in layer_summary(config)}
+        assert sum(rows.values()) == parameter_count(build_model(config, 0))
+        own = [s for n, s in expected_param_shapes(config).items() if n.startswith("fire1_")]
+        assert rows["fire1"] == sum(int(np.prod(s)) for s in own)
+        assert rows["fire2"] == rows["fire10"]  # same widths, same input channels
 
     def test_pool_rows_present(self):
         names = [r["name"] for r in layer_summary(ModelConfig())]
@@ -199,6 +219,25 @@ class TestModelForward:
             model_forward(model, np.zeros((1, 3, 16, 16), np.float32))
         with pytest.raises(ShapeError):
             model_forward(model, np.zeros((1, 1, 32, 32), np.float32))
+
+    def test_matches_op_composition(self):
+        model = build_model(tiny_config(), 4)
+        p = model.params
+        x = _batch(np.random.default_rng(8), 2)
+
+        def conv(name, h, spec):
+            return relu(conv2d_forward(h, p[f"{name}/weight"], p[f"{name}/bias"], spec))
+
+        h = maxpool2d(conv("conv1", x, ConvSpec(64, 3, 3, 3, stride=2)), 3, 2)
+        for name, c_in in (("fire1", 64), ("fire2", 4)):
+            s = conv(f"{name}_squeeze", h, ConvSpec(2, c_in, 1, 1))
+            h = channel_concat(conv(f"{name}_expand1x1", s, ConvSpec(2, 2, 1, 1)),
+                               conv(f"{name}_expand3x3", s, ConvSpec(2, 2, 3, 3, pad=1)))
+        h = relu(dense_forward(global_avg_pool(h), p["dense1/weight"], p["dense1/bias"]))
+        dropped = h * dropout_mask(h.shape, 0.5, 5)
+        for hidden, kwargs in ((h, {}), (dropped, {"training": True, "dropout_seed": 5})):
+            expected = softmax(dense_forward(hidden, p["dense2/weight"], p["dense2/bias"]))
+            assert np.array_equal(model_forward(model, x, **kwargs), expected)
 
     def test_dropout_only_with_seed(self):
         model = build_model(tiny_config(), 3)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsqnet.errors import ConfigError, NumericError, ShapeError
+from fsqnet.model import Dropout
 from fsqnet.ops import (
     ConvSpec,
     channel_concat,
@@ -14,7 +15,6 @@ from fsqnet.ops import (
     conv2d_forward,
     dense_backward,
     dense_forward,
-    dropout,
     dropout_mask,
     global_avg_pool,
     global_avg_pool_backward,
@@ -24,7 +24,7 @@ from fsqnet.ops import (
     relu_backward,
     softmax,
 )
-from oracles import fd_gradient, naive_conv2d, rel_error
+from oracles import fd_gradient, naive_conv2d, naive_matmul, rel_error
 
 FD_TOL = 1e-3
 
@@ -271,6 +271,12 @@ class TestDense:
             dense_forward(np.zeros((2, 3), np.float32), np.zeros((4, 5), np.float32),
                           np.zeros(5, np.float32))
 
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_matches_naive_matmul_bit_exactly(self, n, k, m, seed):
+        rng = np.random.default_rng(seed)
+        x, w = _randn(rng, n, k), _randn(rng, k, m)
+        assert np.array_equal(dense_forward(x, w, np.zeros(m, np.float32)), naive_matmul(x, w))
+
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_match_fd(self, seed):
         rng = np.random.default_rng(seed)
@@ -317,8 +323,9 @@ class TestSoftmax:
         assert np.array_equal(p.argmax(axis=1), z.argmax(axis=1))
 
     def test_nan_rejected(self):
-        with pytest.raises(NumericError):
-            softmax(np.array([[np.nan, 0.0]], np.float32))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NumericError):
+                softmax(np.array([[bad, 0.0]], np.float32))
 
     def test_needs_two_classes(self):
         with pytest.raises(ShapeError):
@@ -332,22 +339,21 @@ class TestSoftmax:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = np.random.default_rng(13).standard_normal((3, 3)).astype(np.float32)
-        assert np.array_equal(dropout(x, 0.0, seed=1, training=True), x)
+        assert np.array_equal(x * dropout_mask(x.shape, 0.0, seed=1), x)
 
     def test_inference_identity(self):
         x = np.random.default_rng(14).standard_normal((3, 3)).astype(np.float32)
-        assert np.array_equal(dropout(x, 0.9, seed=1, training=False), x)
+        out, tape = Dropout("dropout", 0.9).forward({}, x, dropout_seed=None)
+        assert out is x and tape is None
 
     def test_statistical_mean(self):
         x = np.ones(100_000, dtype=np.float32)
-        out = dropout(x, 0.5, seed=42, training=True)
+        out = x * dropout_mask(x.shape, 0.5, seed=42)
         assert abs(out.mean() - 1.0) < 0.02
 
     def test_deterministic_per_seed(self):
-        x = np.ones((10, 10), dtype=np.float32)
-        a = dropout(x, 0.3, seed=7, training=True)
-        b = dropout(x, 0.3, seed=7, training=True)
-        assert np.array_equal(a, b)
+        a = dropout_mask((10, 10), 0.3, seed=7)
+        assert np.array_equal(a, dropout_mask((10, 10), 0.3, seed=7))
 
     def test_mask_values(self):
         mask = dropout_mask((1000,), 0.25, seed=3)
@@ -355,7 +361,7 @@ class TestDropout:
 
     def test_rate_one_rejected(self):
         with pytest.raises(ConfigError):
-            dropout(np.ones(3, np.float32), 1.0, seed=0, training=True)
+            dropout_mask((3,), 1.0, seed=0)
 
 
 class TestPurity:

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from fsqnet.errors import NumericError, ShapeError
 from fsqnet.tensor import (
@@ -10,12 +8,8 @@ from fsqnet.tensor import (
     check_shape,
     derive_seed,
     he_init,
-    matmul,
     rng_from_seed,
-    tensor_add,
-    tensor_new,
 )
-from oracles import naive_matmul
 
 
 class TestShape:
@@ -36,54 +30,13 @@ class TestShape:
             check_shape((-1, 3))
 
 
-class TestNewAdd:
-    def test_new_fill(self):
-        t = tensor_new((2, 3), fill=1.5)
-        assert t.dtype == np.float32
-        assert t.shape == (2, 3)
-        assert (t == 1.5).all()
-
-    def test_add(self):
-        a = tensor_new((2, 2), 1.0)
-        b = tensor_new((2, 2), 2.0)
-        assert (tensor_add(a, b) == 3.0).all()
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            tensor_add(tensor_new((2, 2)), tensor_new((2, 3)))
-
+class TestCheckFinite:
     def test_check_finite(self):
         bad = np.array([1.0, np.nan], dtype=np.float32)
         with pytest.raises(NumericError):
             check_finite(bad)
         with pytest.raises(NumericError):
             check_finite(np.array([np.inf], dtype=np.float32))
-
-
-class TestMatmul:
-    def test_hand_example(self):
-        a = np.array([[1, 2], [3, 4]], dtype=np.float32)
-        b = np.array([[5], [6]], dtype=np.float32)
-        assert matmul(a, b).tolist() == [[17.0], [39.0]]
-
-    def test_identity(self):
-        a = np.arange(6, dtype=np.float32).reshape(2, 3)
-        assert np.array_equal(matmul(a, np.eye(3, dtype=np.float32)), a)
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(tensor_new((2, 3)), tensor_new((2, 3)))
-
-    def test_needs_2d(self):
-        with pytest.raises(ShapeError):
-            matmul(tensor_new((2, 3, 1)), tensor_new((3, 2)))
-
-    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
-    def test_matches_naive_loop_bit_exactly(self, n, k, m, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, k)).astype(np.float32)
-        b = rng.standard_normal((k, m)).astype(np.float32)
-        assert np.array_equal(matmul(a, b), naive_matmul(a, b))
 
 
 class TestHeInit:

@@ -362,6 +362,18 @@ class TestFit:
         second = fit(model, train_set, val_set, config, history=first.history)
         assert [m.epoch for m in second.history.entries] == [1, 2, 3, 4]
 
+    def test_resume_keeps_incoming_best(self):
+        train_set, val_set = _split_synthetic(per_class=10)
+        model = build_model(tiny_config(num_classes=2), 8)
+        start = clone_params(model.params)
+        history = History()
+        history.append(EpochMetrics(1, 0.5, 1.0, 1.0, 0.0))
+        config = TrainConfig(learning_rate=0.05, batch_size=4, epochs=1, seed=8)
+        result = fit(model, train_set, val_set, config, history=history)
+        assert result.best_epoch == 1 and result.best_val_accuracy == 1.0
+        for name, param in start.items():
+            assert np.array_equal(result.best_params[name], param)
+
     def test_emit_called_per_epoch(self):
         train_set, val_set = _split_synthetic(per_class=10)
         model = build_model(tiny_config(num_classes=2), 8)

@@ -1,0 +1,71 @@
+"""Byte-identity gate: deterministic artifacts and their SHA-256 hashes.
+
+Writes a small synthetic dataset, runs two `--deterministic` trainings
+(tiny@32 for 3 epochs, v1.1@64 for 1 epoch) and two `inspect --arch-only`
+calls, then prints one `sha256  name` line per checkpoint, metrics file and
+inspect output.  Every path is relative to WORKDIR, so the metrics headers,
+and with them the hashes, are comparable between two checkouts.  The fsqnet
+package is imported from the checkout this script belongs to:
+
+    python3 scripts/determinism_gate.py /tmp/gate-new > new.txt
+    python3 /path/to/other/checkout/scripts/determinism_gate.py /tmp/gate-old > old.txt
+    diff old.txt new.txt
+
+A refactor that should not change behaviour must leave every line equal.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from fsqnet.cli import main as fsqnet_main  # noqa: E402
+from fsqnet.synthetic import write_dataset  # noqa: E402
+
+COMMON = ["--deterministic", "--dropout", "--seed", "42", "--val-fraction", "0.25"]
+TRAINS = {
+    "tiny": ["--arch", "tiny", "--image-size", "32", "--epochs", "3", "--batch", "4",
+             "--lr", "0.05"],
+    "v11": ["--arch", "v11", "--image-size", "64", "--epochs", "1", "--batch", "8",
+            "--lr", "0.01"],
+}
+
+
+def _run(argv: list[str], stdout_path: str | None = None) -> None:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = fsqnet_main(argv)
+    if code != 0:
+        raise SystemExit(f"fsqnet {' '.join(argv)} exited {code}")
+    if stdout_path is not None:
+        Path(stdout_path).write_text(out.getvalue(), encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("workdir", help="directory for the dataset and artifacts (created)")
+    args = parser.parse_args(argv)
+
+    os.makedirs(args.workdir, exist_ok=True)
+    os.chdir(args.workdir)
+    write_dataset("data", num_classes=3, per_class=6, size=40, seed=3)
+    artifacts = []
+    for name, flags in TRAINS.items():
+        _run(["train", "--data", "data", "--out", f"{name}.ckpt", *flags, *COMMON])
+        artifacts += [f"{name}.ckpt", f"{name}.ckpt.metrics.jsonl"]
+    for arch in ("v11", "tiny"):
+        _run(["inspect", "--arch-only", "--arch", arch], f"inspect-{arch}.json")
+        artifacts.append(f"inspect-{arch}.json")
+    for name in artifacts:
+        print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -39,7 +39,6 @@ def main(argv=None) -> int:
         epochs=args.epochs,
         seed=args.seed,
         deterministic=True,
-        prefetch_batches=0,
     )
     result = fit(model, train_set, val_set, config, emit=print)
     best = max(entry.train_accuracy for entry in result.history.entries)

@@ -26,7 +26,7 @@ import zlib
 
 import numpy as np
 
-from .errors import CompatibilityError, ConfigError, CorruptionError, FormatError
+from .errors import CompatibilityError, ConfigError, CorruptionError, FormatError, StateError
 from .model import Model, ModelConfig, expected_param_shapes
 from .train import History
 
@@ -134,7 +134,7 @@ def load_checkpoint(path) -> tuple[Model, History, tuple[float, float, float], l
                 np.float32, copy=True
             )
         history = History.from_jsonable(json.loads(reader.take(reader.u32()).decode("utf-8")))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, ConfigError, StateError) as exc:
         raise FormatError(f"malformed checkpoint structure: {exc}")
     if reader.offset != len(reader.data):
         raise FormatError(f"{len(reader.data) - reader.offset} unexpected trailing bytes")

@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="allow horizontal flips (off: fingerspelling is chirality-sensitive)")
     p_train.add_argument("--dropout", action=argparse.BooleanOptionalAction, default=False)
     p_train.add_argument("--deterministic", action="store_true",
-                         help="sequential execution, zeroed wall times, byte-reproducible outputs")
+                         help="zeroed wall times, byte-reproducible outputs")
     p_train.add_argument("--arch", choices=ARCHES, default="v11")
     p_train.add_argument("--resume", default=None, help="checkpoint to continue from")
     p_train.add_argument("--metrics", default=None,
@@ -164,10 +164,8 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
         dropout_on=args.dropout,
-        val_fraction=args.val_fraction,
-        augment=AugmentConfig(enabled=args.augment, horizontal_flip=args.flip),
+        augment=AugmentConfig(horizontal_flip=args.flip) if args.augment else None,
         deterministic=args.deterministic,
-        prefetch_batches=0 if args.deterministic else 2,
     )
     header = {
         "arch": args.arch,

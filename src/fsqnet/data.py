@@ -80,7 +80,6 @@ class Dataset:
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    enabled: bool = True
     max_rotation_deg: float = 10.0
     scale_jitter: tuple[float, float] = (0.9, 1.0)
     brightness_jitter: float = 0.1
@@ -276,8 +275,6 @@ def augment(img: ImageBuffer, config: AugmentConfig, seed: int) -> ImageBuffer:
     is a pure function of (img, config, seed) and two configs that differ only
     in whether a stage is degenerate still agree on the other stages.
     """
-    if not config.enabled:
-        return img
     rng = rng_from_seed(seed)
     scale = float(rng.uniform(config.scale_jitter[0], config.scale_jitter[1]))
     crop_w = max(1, round(img.width * scale))

@@ -438,7 +438,8 @@ def model_forward(
     x = batch
     for layer in layer_plan(model.config):
         x, tape = layer.forward(model.params, x, seed)
-        tapes.append(tape)
+        if training:
+            tapes.append(tape)
     model._cache = tapes if training else None
     return x
 

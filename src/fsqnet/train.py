@@ -8,16 +8,14 @@ SGD with momentum: v <- mu v + g, theta <- theta - lr v.
 Each epoch reshuffles the training set with seed XOR epoch_index, walks
 mini-batches (last partial batch kept), and reports epoch-mean loss, training
 accuracy as predicted during the epoch, and validation accuracy with dropout
-off.  Batch assembly (augment + normalize + stack) can run ahead of the
-optimizer through a small bounded FIFO queue; deterministic mode forces
-sequential execution and zeroes wall times so runs are byte-reproducible.
+off.  Batches are assembled (augment + normalize + stack) in line, one at a
+time, on the training thread.  Deterministic mode zeroes the wall times, the
+only nondeterministic output, so runs are byte-reproducible.
 """
 
 from __future__ import annotations
 
 import json
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -40,10 +38,8 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 42
     dropout_on: bool = False
-    val_fraction: float = 0.1
     augment: AugmentConfig | None = None
     deterministic: bool = False
-    prefetch_batches: int = 2
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -54,10 +50,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError(f"val_fraction must be in (0,1), got {self.val_fraction}")
-        if self.prefetch_batches < 0:
-            raise ConfigError(f"prefetch_batches must be >= 0, got {self.prefetch_batches}")
 
 
 @dataclass(frozen=True)
@@ -162,7 +154,7 @@ def _assemble_batch(samples, means, augment_cfg, seeds):
     labels = []
     for sample, seed in zip(samples, seeds):
         image = sample.image
-        if augment_cfg is not None and augment_cfg.enabled:
+        if augment_cfg is not None:
             image = augment(image, augment_cfg, seed)
         tensors.append(normalize(image, means))
         labels.append(sample.label)
@@ -178,28 +170,6 @@ def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int):
         yield _assemble_batch(samples, train_set.channel_means, config.augment, seeds)
 
 
-def _prefetched(generator, depth: int):
-    """Run a generator in a worker thread behind a bounded FIFO queue."""
-    q: queue.Queue = queue.Queue(maxsize=depth)
-
-    def worker():
-        try:
-            for item in generator:
-                q.put(("item", item))
-            q.put(("done", None))
-        except BaseException as exc:  # surfaced on the consumer side
-            q.put(("error", exc))
-
-    threading.Thread(target=worker, daemon=True).start()
-    while True:
-        kind, value = q.get()
-        if kind == "done":
-            return
-        if kind == "error":
-            raise value
-        yield value
-
-
 def train_epoch(
     model: Model,
     train_set: Dataset,
@@ -213,17 +183,13 @@ def train_epoch(
     _check_input_sizes(train_set, size, "train")
     _check_input_sizes(val_set, size, "val")
 
-    batches = _batches(train_set, config, epoch_index)
-    if config.prefetch_batches > 0 and not config.deterministic:
-        batches = _prefetched(batches, config.prefetch_batches)
-
     loss_sum = 0.0
     correct = 0
     seen = 0
-    for batch_index, (batch, labels) in enumerate(batches):
-        dropout_seed = None
-        if config.dropout_on and model.config.dropout_rate > 0.0:
-            dropout_seed = derive_seed(config.seed, epoch_index, batch_index, 0xD0)
+    for batch_index, (batch, labels) in enumerate(_batches(train_set, config, epoch_index)):
+        dropout_seed = (
+            derive_seed(config.seed, epoch_index, batch_index, 0xD0) if config.dropout_on else None
+        )
         probs = model_forward(model, batch, training=True, dropout_seed=dropout_seed)
         loss, d_logits = cross_entropy(probs, labels)
         grads = model_backward(model, d_logits)

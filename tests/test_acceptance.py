@@ -293,7 +293,6 @@ def test_criterion_05_end_to_end_overfit():
             epochs=15,
             seed=21,
             deterministic=True,
-            prefetch_batches=0,
         )
         result = fit(model, train_set, val_set, config)
         assert len(result.history.entries) <= 15

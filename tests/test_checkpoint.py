@@ -1,9 +1,12 @@
+import json
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from fsqnet.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
+from fsqnet.cli import main
 from fsqnet.errors import (
     CompatibilityError,
     ConfigError,
@@ -72,6 +75,35 @@ class TestRoundTrip:
         loaded, _, _, _ = load_checkpoint(path)
         for v in loaded.velocity.values():
             assert not v.any()
+
+
+def _forge(path, edit):
+    """Replace a checkpoint's config and history JSON by edit(config, history), with a valid CRC."""
+    data = path.read_bytes()[:-4]
+    header = len(MAGIC) + 4
+    (config_len,) = struct.unpack_from("<I", data, header)
+    config_end = header + 4 + config_len
+    history_start = data.rindex(b"[{")  # the history block is the last field
+    config, history = edit(json.loads(data[header + 4 : config_end]),
+                           json.loads(data[history_start:]))
+    config_block, history_block = json.dumps(config).encode(), json.dumps(history).encode()
+    body = (data[:header] + struct.pack("<I", len(config_block)) + config_block
+            + data[config_end : history_start - 4]
+            + struct.pack("<I", len(history_block)) + history_block)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+MALFORMED = {
+    "config block is a list": lambda c, h: ([c], h),
+    "history entry is not an object": lambda c, h: (c, [1, *h[1:]]),
+    "fire spec has two widths":
+        lambda c, h: (c | {"model": c["model"] | {"fire_specs": [[2, 2], [2, 2, 2]]}}, h),
+    "one class": lambda c, h: (c | {"model": c["model"] | {"num_classes": 1}}, h),
+    "infinite class count":
+        lambda c, h: (c | {"model": c["model"] | {"num_classes": float("inf")}}, h),
+    "accuracy above one": lambda c, h: (c, [h[0] | {"val_acc": 5}, *h[1:]]),
+    "history starts at epoch 2": lambda c, h: (c, [h[0] | {"epoch": 2}, *h[1:]]),
+}
 
 
 class TestValidation:
@@ -151,6 +183,19 @@ class TestValidation:
         model, history, means, _ = _fixture()
         with pytest.raises(ConfigError):
             save_checkpoint(model, history, means, ["a", "b"], tmp_path / "m.fsq")
+
+    @pytest.mark.parametrize("edit", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_structure_is_format_error(self, tmp_path, capsys, edit):
+        model, history, means, labels = _fixture()
+        path = tmp_path / "m.fsq"
+        save_checkpoint(model, history, means, labels, path)
+        _forge(path, lambda c, h: (c, h))
+        load_checkpoint(path)  # an unedited rewrite still loads
+        _forge(path, edit)
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+        assert main(["inspect", "--checkpoint", str(path)]) == 3
+        assert "malformed checkpoint structure" in capsys.readouterr().err
 
 
 class TestAtomicity:

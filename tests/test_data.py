@@ -209,11 +209,6 @@ class TestChannelMeans:
 
 
 class TestAugment:
-    def test_disabled_is_identity(self):
-        img = _random_image(np.random.default_rng(5), 8, 8)
-        out = augment(img, AugmentConfig(enabled=False), seed=1)
-        assert np.array_equal(out.pixels, img.pixels)
-
     def test_deterministic_per_seed(self):
         img = _random_image(np.random.default_rng(6), 12, 12)
         config = AugmentConfig(horizontal_flip=True)

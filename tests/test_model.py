@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,23 @@ class TestModelForward:
         for hidden, kwargs in ((h, {}), (dropped, {"training": True, "dropout_seed": 5})):
             expected = softmax(dense_forward(hidden, p["dense2/weight"], p["dense2/bias"]))
             assert np.array_equal(model_forward(model, x, **kwargs), expected)
+
+    def test_eval_keeps_no_tapes(self):
+        model = build_model(ModelConfig(input_size=64), 1)
+        x = _batch(np.random.default_rng(9), 2, size=64)
+
+        def peak(training):
+            model._cache = None
+            tracemalloc.start()
+            try:
+                model_forward(model, x, training=training)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        eval_peak, train_peak = peak(False), peak(True)
+        assert model._cache is not None
+        assert eval_peak < train_peak
 
     def test_dropout_only_with_seed(self):
         model = build_model(tiny_config(), 3)

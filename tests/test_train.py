@@ -1,6 +1,7 @@
 import json
 import math
 import statistics
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from fsqnet.train import (
     EpochMetrics,
     History,
     TrainConfig,
-    _prefetched,
     cross_entropy,
     evaluate,
     fit,
@@ -50,8 +50,6 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(val_fraction=1.0)
 
     def test_zero_learning_rate_allowed(self):
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
@@ -202,20 +200,6 @@ class TestTrainEpoch:
             runs.append([m.to_json_line() for m in result.history.entries])
         assert runs[0] == runs[1]
 
-    def test_prefetch_matches_sequential(self):
-        train_set, val_set = _split_synthetic()
-        histories = []
-        for prefetch in (0, 3):
-            model = build_model(tiny_config(num_classes=2), 4)
-            config = TrainConfig(learning_rate=0.05, batch_size=4, epochs=2, seed=4,
-                                 prefetch_batches=prefetch)
-            result = fit(model, train_set, val_set, config)
-            histories.append(
-                [(m.epoch, m.train_loss, m.train_accuracy, m.val_accuracy)
-                 for m in result.history.entries]
-            )
-        assert histories[0] == histories[1]
-
     def test_empty_dataset_rejected(self):
         train_set, val_set = _split_synthetic()
         empty = Dataset([], train_set.label_names, (0.5, 0.5, 0.5))
@@ -228,6 +212,15 @@ class TestTrainEpoch:
         model = build_model(tiny_config(num_classes=2, input_size=64), 1)
         with pytest.raises(DataError):
             train_epoch(model, train_set, val_set, TrainConfig(), 1)
+
+    def test_failed_epoch_leaves_no_thread(self):
+        dataset = make_dataset(2, 12, 32, 3)
+        model = build_model(tiny_config(num_classes=2), 1)
+        model.params["dense2/bias"][:] = np.inf
+        threads = threading.active_count()
+        with pytest.raises(NumericError):
+            train_epoch(model, dataset, dataset, TrainConfig(batch_size=2), 1)
+        assert threading.active_count() == threads
 
 
 def _rigged_class0_model() -> Model:
@@ -383,18 +376,3 @@ class TestFit:
             emit=lines.append)
         assert len(lines) == 3
         assert all(json.loads(line)["epoch"] == i + 1 for i, line in enumerate(lines))
-
-
-class TestPrefetch:
-    def test_order_preserved(self):
-        assert list(_prefetched(iter(range(50)), 4)) == list(range(50))
-
-    def test_error_propagates(self):
-        def boom():
-            yield 1
-            raise ValueError("boom")
-
-        out = _prefetched(boom(), 2)
-        assert next(out) == 1
-        with pytest.raises(ValueError):
-            list(out)

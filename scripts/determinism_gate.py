@@ -1,11 +1,13 @@
 """Byte-identity gate: deterministic artifacts and their SHA-256 hashes.
 
 Writes a small synthetic dataset, runs two `--deterministic` trainings
-(tiny@32 for 3 epochs, v1.1@64 for 1 epoch) and two `inspect --arch-only`
-calls, then prints one `sha256  name` line per checkpoint, metrics file and
-inspect output.  Every path is relative to WORKDIR, so the metrics headers,
-and with them the hashes, are comparable between two checkouts.  The fsqnet
-package is imported from the checkout this script belongs to:
+(tiny@32 for 3 epochs, v1.1@64 for 1 epoch) and then, on each checkpoint,
+`inspect --checkpoint`, `eval --confusion` and `predict --top 3` on one
+image, plus two `inspect --arch-only` calls.  It prints one `sha256  name`
+line per checkpoint, metrics file, command output and confusion CSV.  Every
+path is relative to WORKDIR, so the metrics headers, and with them the
+hashes, are comparable between two checkouts.  The fsqnet package is
+imported from the checkout this script belongs to:
 
     python3 scripts/determinism_gate.py /tmp/gate-new > new.txt
     python3 /path/to/other/checkout/scripts/determinism_gate.py /tmp/gate-old > old.txt
@@ -59,6 +61,15 @@ def main(argv=None) -> int:
     for name, flags in TRAINS.items():
         _run(["train", "--data", "data", "--out", f"{name}.ckpt", *flags, *COMMON])
         artifacts += [f"{name}.ckpt", f"{name}.ckpt.metrics.jsonl"]
+    for name in TRAINS:
+        ckpt = ["--checkpoint", f"{name}.ckpt"]
+        _run(["inspect", *ckpt], f"inspect-{name}-ckpt.json")
+        _run(["eval", *ckpt, "--data", "data", "--confusion", f"eval-{name}.csv"],
+             f"eval-{name}.json")
+        _run(["predict", *ckpt, "--image", "data/a/000.ppm", "--top", "3"],
+             f"predict-{name}.json")
+        artifacts += [f"inspect-{name}-ckpt.json", f"eval-{name}.json", f"eval-{name}.csv",
+                      f"predict-{name}.json"]
     for arch in ("v11", "tiny"):
         _run(["inspect", "--arch-only", "--arch", arch], f"inspect-{arch}.json")
         artifacts.append(f"inspect-{arch}.json")

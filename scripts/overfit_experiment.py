@@ -41,7 +41,7 @@ def main(argv=None) -> int:
         deterministic=True,
     )
     result = fit(model, train_set, val_set, config, emit=print)
-    best = max(entry.train_accuracy for entry in result.history.entries)
+    best = max(entry.train_acc for entry in result.history.entries)
     print(f"best train accuracy {best:.3f}, best val accuracy "
           f"{result.best_val_accuracy:.3f} at epoch {result.best_epoch}")
     return 0 if best >= 0.95 else 1

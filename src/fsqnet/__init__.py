@@ -35,7 +35,6 @@ from .model import (
     Model,
     ModelConfig,
     build_model,
-    fire_forward,
     layer_summary,
     model_backward,
     model_forward,

@@ -32,7 +32,6 @@ from .model import (
     build_model,
     layer_summary,
     model_forward,
-    parameter_count,
     tiny_config,
 )
 from .train import History, TrainConfig, evaluate, fit
@@ -167,23 +166,7 @@ def cmd_train(args) -> int:
         augment=AugmentConfig(horizontal_flip=args.flip) if args.augment else None,
         deterministic=args.deterministic,
     )
-    header = {
-        "arch": args.arch,
-        "augment": bool(args.augment),
-        "batch": args.batch,
-        "data": args.data,
-        "deterministic": bool(args.deterministic),
-        "dropout": bool(args.dropout),
-        "epochs": args.epochs,
-        "flip": bool(args.flip),
-        "image_size": args.image_size,
-        "lr": args.lr,
-        "momentum": args.momentum,
-        "out": args.out,
-        "resume": args.resume,
-        "seed": args.seed,
-        "val_fraction": args.val_fraction,
-    }
+    header = {k: v for k, v in vars(args).items() if k not in ("command", "func", "metrics")}
     metrics_path = args.metrics if args.metrics is not None else f"{args.out}.metrics.jsonl"
     with open(metrics_path, "w", encoding="utf-8") as metrics_file:
         header_line = json.dumps({"config": header}, sort_keys=True, separators=(",", ":"))
@@ -248,15 +231,11 @@ def cmd_inspect(args) -> int:
     if (args.checkpoint is None) == (not args.arch_only):
         raise ConfigError("inspect needs exactly one of --checkpoint or --arch-only")
     if args.checkpoint is not None:
-        model, _, _, _ = load_checkpoint(args.checkpoint)
-        config = model.config
-        total = parameter_count(model)
+        config = load_checkpoint(args.checkpoint)[0].config
     else:
         config = _model_config(args.arch, args.classes, args.image_size)
-        total = None
     rows = layer_summary(config)
-    if total is None:
-        total = sum(r["params"] for r in rows)
+    total = sum(r["params"] for r in rows)
     _emit({"variant": config.variant, "layers": rows, "total_params": total})
     return 0
 

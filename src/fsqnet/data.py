@@ -189,6 +189,26 @@ def _round_u8(values: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(values + 0.5), 0.0, 255.0).astype(np.uint8)
 
 
+def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -> np.ndarray:
+    """Bilinear samples of HxWx3 pixels at in-range source coordinates.
+
+    src_x and src_y broadcast against each other to the output grid; each
+    output pixel lerps along x on the two bracketing rows, then along y.
+    """
+    h, w = pixels.shape[:2]
+    x0 = np.floor(src_x).astype(np.intp)
+    y0 = np.floor(src_y).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (src_x - x0)[..., None]
+    fy = (src_y - y0)[..., None]
+
+    src = pixels.astype(np.float64)
+    top = src[y0, x0] * (1.0 - fx) + src[y0, x1] * fx
+    bottom = src[y1, x0] * (1.0 - fx) + src[y1, x1] * fx
+    return _round_u8(top * (1.0 - fy) + bottom * fy)
+
+
 def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
     """Bilinear resample with half-pixel centers, channels independent.
 
@@ -200,20 +220,9 @@ def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
     if out_w == img.width and out_h == img.height:
         return ImageBuffer(img.width, img.height, img.pixels.copy())
 
-    src = img.pixels.astype(np.float64)
     sx = np.clip((np.arange(out_w) + 0.5) * (img.width / out_w) - 0.5, 0.0, img.width - 1.0)
     sy = np.clip((np.arange(out_h) + 0.5) * (img.height / out_h) - 0.5, 0.0, img.height - 1.0)
-    x0 = np.floor(sx).astype(np.intp)
-    y0 = np.floor(sy).astype(np.intp)
-    x1 = np.minimum(x0 + 1, img.width - 1)
-    y1 = np.minimum(y0 + 1, img.height - 1)
-    fx = (sx - x0)[None, :, None]
-    fy = (sy - y0)[:, None, None]
-
-    top = src[np.ix_(y0, x0)] * (1.0 - fx) + src[np.ix_(y0, x1)] * fx
-    bottom = src[np.ix_(y1, x0)] * (1.0 - fx) + src[np.ix_(y1, x1)] * fx
-    out = top * (1.0 - fy) + bottom * fy
-    return ImageBuffer(out_w, out_h, _round_u8(out))
+    return ImageBuffer(out_w, out_h, _sample_bilinear(img.pixels, sx[None, :], sy[:, None]))
 
 
 def normalize(img: ImageBuffer, channel_means) -> np.ndarray:
@@ -254,18 +263,7 @@ def _rotate_edge_clamped(pixels: np.ndarray, angle_deg: float) -> np.ndarray:
     # inverse mapping: rotate destination coords by -angle to find the source
     src_x = np.clip(cos_t * xs[None, :] + sin_t * ys[:, None] + cx, 0.0, w - 1.0)
     src_y = np.clip(-sin_t * xs[None, :] + cos_t * ys[:, None] + cy, 0.0, h - 1.0)
-
-    x0 = np.floor(src_x).astype(np.intp)
-    y0 = np.floor(src_y).astype(np.intp)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = (src_x - x0)[:, :, None]
-    fy = (src_y - y0)[:, :, None]
-
-    src = pixels.astype(np.float64)
-    top = src[y0, x0] * (1.0 - fx) + src[y0, x1] * fx
-    bottom = src[y1, x0] * (1.0 - fx) + src[y1, x1] * fx
-    return _round_u8(top * (1.0 - fy) + bottom * fy)
+    return _sample_bilinear(pixels, src_x, src_y)
 
 
 def augment(img: ImageBuffer, config: AugmentConfig, seed: int) -> ImageBuffer:

@@ -190,13 +190,9 @@ class Conv(Layer):
     def out_shape(self, shape):
         return (self.conv.out_channels, *self.conv.out_hw(*shape[1:]))
 
-    def linear(self, params, x):
-        """The convolution alone, before the ReLU."""
-        w, b = self._weights(params)
-        return conv2d_forward(x, w, b, self.conv)
-
     def forward(self, params, x, dropout_seed):
-        z = self.linear(params, x)
+        w, b = self._weights(params)
+        z = conv2d_forward(x, w, b, self.conv)
         return relu(z), (x, z)
 
     def backward(self, params, tape, d, grads):
@@ -233,9 +229,9 @@ class Fire(Layer):
 
     def forward(self, params, x, dropout_seed):
         s, s_tape = self.squeeze.forward(params, x, dropout_seed)
-        z1 = self.expand1x1.linear(params, s)
-        z3 = self.expand3x3.linear(params, s)
-        return channel_concat(relu(z1), relu(z3)), (s_tape, (s, z1), (s, z3))
+        e1, e1_tape = self.expand1x1.forward(params, s, dropout_seed)
+        e3, e3_tape = self.expand3x3.forward(params, s, dropout_seed)
+        return channel_concat(e1, e3), (s_tape, e1_tape, e3_tape)
 
     def backward(self, params, tape, d, grads):
         s_tape, e1_tape, e3_tape = tape
@@ -392,9 +388,6 @@ class Model:
         )
         self._cache: list | None = None
 
-    def param_names(self) -> list[str]:
-        return list(self.params.keys())
-
 
 def build_model(config: ModelConfig, seed: int) -> Model:
     """He-initialized model; bit-identical for identical (config, seed)."""
@@ -411,11 +404,6 @@ def build_model(config: ModelConfig, seed: int) -> Model:
 
 def parameter_count(model: Model) -> int:
     return sum(p.size for p in model.params.values())
-
-
-def fire_forward(x: np.ndarray, spec: FireSpec, params, prefix: str = "fire") -> np.ndarray:
-    """One fire module on x; spatial dims are preserved, output has spec.out_channels channels."""
-    return Fire(prefix, spec, x.shape[1]).forward(params, x, None)[0]
 
 
 def model_forward(
@@ -445,12 +433,18 @@ def model_forward(
 
 
 def model_backward(model: Model, d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradient per parameter given the loss gradient at the pre-softmax logits."""
-    if model._cache is None:
+    """Gradient per parameter given the loss gradient at the pre-softmax logits.
+
+    Consumes the tapes of the preceding training forward, so they are freed
+    as soon as the gradients exist rather than held until the next forward.
+    """
+    tapes = model._cache
+    if tapes is None:
         raise StateError("model_backward needs a preceding forward pass with training=True")
+    model._cache = None
     grads: dict[str, np.ndarray] = {}
     d = d_logits
-    for layer, tape in zip(reversed(layer_plan(model.config)), reversed(model._cache)):
+    for layer, tape in zip(reversed(layer_plan(model.config)), reversed(tapes)):
         d = layer.backward(model.params, tape, d, grads)
     return grads
 

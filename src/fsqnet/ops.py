@@ -81,6 +81,25 @@ def _check_conv_shapes(x, weight, spec: ConvSpec) -> None:
         raise ShapeError(f"conv input has {x.shape[1]} channels, spec wants {spec.in_channels}")
 
 
+def _linear(a: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Float64 a [M,K] @ w [K,O] + bias, summed from the bias in k order.
+
+    The one reference product under conv and dense: one partial product per
+    k keeps the documented accumulation order.
+    """
+    acc = np.broadcast_to(bias.astype(np.float64), (a.shape[0], w.shape[1])).copy()
+    tmp = np.empty_like(acc)
+    for k in range(w.shape[0]):
+        np.multiply(a[:, k, None], w[None, k, :], out=tmp)
+        np.add(acc, tmp, out=acc)
+    return acc
+
+
+def _linear_grads(a: np.ndarray, w: np.ndarray, d: np.ndarray):
+    """Float64 gradients of _linear at upstream d [M,O]: (d_a, d_w, d_bias)."""
+    return d @ w.T, a.T @ d, d.sum(axis=0)
+
+
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Cross-correlate x [N,C,H,W] with weight [O,C,kh,kw] plus per-channel bias."""
     _check_conv_shapes(x, weight, spec)
@@ -89,12 +108,7 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: Co
     n = x.shape[0]
     cols, oh, ow = _im2col(x, spec)
     w2 = weight.reshape(spec.out_channels, -1).astype(np.float64)
-    acc = np.broadcast_to(bias.astype(np.float64), (n * oh * ow, spec.out_channels)).copy()
-    tmp = np.empty_like(acc)
-    # one partial product per k keeps the documented accumulation order
-    for k in range(cols.shape[1]):
-        np.multiply(cols[:, k, None], w2[None, :, k], out=tmp)
-        np.add(acc, tmp, out=acc)
+    acc = _linear(cols, w2.T, bias)
     return acc.reshape(n, oh, ow, spec.out_channels).transpose(0, 3, 1, 2).astype(np.float32)
 
 
@@ -108,21 +122,19 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np
     kh, kw, s, p = spec.kernel_h, spec.kernel_w, spec.stride, spec.pad
 
     dout2 = d_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, spec.out_channels).astype(np.float64)
-    d_bias = dout2.sum(axis=0)
-
     cols, _, _ = _im2col(x, spec)
-    d_weight = (dout2.T @ cols).reshape(weight.shape)
-
     w2 = weight.reshape(spec.out_channels, -1).astype(np.float64)
-    dcols = (dout2 @ w2).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    d_cols, d_weight, d_bias = _linear_grads(cols, w2.T, dout2)
+
+    d_cols = d_cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
     dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += dcols[:, :, :, :, i, j]
+            dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += d_cols[:, :, :, :, i, j]
     d_input = dxp[:, :, p : p + h, p : p + w]
     return LayerGrads(
         d_input=d_input.astype(np.float32),
-        d_weight=d_weight.astype(np.float32),
+        d_weight=d_weight.T.reshape(weight.shape).astype(np.float32),
         d_bias=d_bias.astype(np.float32),
     )
 
@@ -206,24 +218,19 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"dense shapes must be [N,F],[F,U],[U], got {x.shape},{w.shape},{b.shape}")
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"dense dims disagree: {x.shape} x {w.shape} + {b.shape}")
-    acc = np.broadcast_to(b.astype(np.float64), (x.shape[0], w.shape[1])).copy()
-    x64 = x.astype(np.float64)
-    w64 = w.astype(np.float64)
-    tmp = np.empty_like(acc)
-    for k in range(w.shape[0]):
-        np.multiply(x64[:, k, None], w64[None, k, :], out=tmp)
-        np.add(acc, tmp, out=acc)
-    return acc.astype(np.float32)
+    return _linear(x.astype(np.float64), w.astype(np.float64), b).astype(np.float32)
 
 
 def dense_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray) -> LayerGrads:
     if d_out.shape != (x.shape[0], w.shape[1]):
         raise ShapeError(f"dense d_out shape {d_out.shape}, expected {(x.shape[0], w.shape[1])}")
-    d64 = d_out.astype(np.float64)
+    d_input, d_weight, d_bias = _linear_grads(
+        x.astype(np.float64), w.astype(np.float64), d_out.astype(np.float64)
+    )
     return LayerGrads(
-        d_input=(d64 @ w.astype(np.float64).T).astype(np.float32),
-        d_weight=(x.astype(np.float64).T @ d64).astype(np.float32),
-        d_bias=d64.sum(axis=0).astype(np.float32),
+        d_input=d_input.astype(np.float32),
+        d_weight=d_weight.astype(np.float32),
+        d_bias=d_bias.astype(np.float32),
     )
 
 

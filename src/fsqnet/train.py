@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -54,25 +54,25 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochMetrics:
+    """One epoch's metrics line; field names and order are the JSON keys."""
+
     epoch: int
     train_loss: float
-    train_accuracy: float
-    val_accuracy: float
-    wall_time: float
+    train_acc: float
+    val_acc: float
+    seconds: float
 
     def __post_init__(self):
-        if not 0.0 <= self.train_accuracy <= 1.0 or not 0.0 <= self.val_accuracy <= 1.0:
+        if not 0.0 <= self.train_acc <= 1.0 or not 0.0 <= self.val_acc <= 1.0:
             raise ConfigError(f"accuracies must be in [0,1]: {self}")
 
+    @classmethod
+    def from_record(cls, r: dict) -> "EpochMetrics":
+        """Inverse of asdict: the epoch coerced to int, every other field to float."""
+        return cls(int(r["epoch"]), *(float(r[f.name]) for f in fields(cls)[1:]))
+
     def to_json_line(self) -> str:
-        record = {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "train_acc": self.train_accuracy,
-            "val_acc": self.val_accuracy,
-            "seconds": self.wall_time,
-        }
-        return json.dumps(record, separators=(",", ":"))
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 @dataclass
@@ -91,21 +91,13 @@ class History:
         return self.entries[-1].epoch if self.entries else 0
 
     def to_jsonable(self) -> list[dict]:
-        return [json.loads(m.to_json_line()) for m in self.entries]
+        return [asdict(m) for m in self.entries]
 
     @classmethod
     def from_jsonable(cls, records: list[dict]) -> "History":
         history = cls()
         for r in records:
-            history.append(
-                EpochMetrics(
-                    epoch=int(r["epoch"]),
-                    train_loss=float(r["train_loss"]),
-                    train_accuracy=float(r["train_acc"]),
-                    val_accuracy=float(r["val_acc"]),
-                    wall_time=float(r["seconds"]),
-                )
-            )
+            history.append(EpochMetrics.from_record(r))
         return history
 
 
@@ -199,14 +191,14 @@ def train_epoch(
         correct += int((probs.argmax(axis=1) == labels).sum())
         seen += n
 
-    val_accuracy, _ = evaluate(model, val_set)
+    val_acc, _ = evaluate(model, val_set)
     wall = 0.0 if config.deterministic else time.perf_counter() - started
     return EpochMetrics(
         epoch=epoch_index,
         train_loss=loss_sum / seen,
-        train_accuracy=correct / seen,
-        val_accuracy=val_accuracy,
-        wall_time=wall,
+        train_acc=correct / seen,
+        val_acc=val_acc,
+        seconds=wall,
     )
 
 
@@ -267,15 +259,15 @@ def fit(
     best_params = clone_params(model.params)
     best_epoch, best_val = history.last_epoch(), -1.0
     for m in history.entries:  # resume keeps the incoming best; the first epoch wins ties
-        if m.val_accuracy > best_val:
-            best_epoch, best_val = m.epoch, m.val_accuracy
+        if m.val_acc > best_val:
+            best_epoch, best_val = m.epoch, m.val_acc
     for epoch_index in range(first, first + config.epochs):
         metrics = train_epoch(model, train_set, val_set, config, epoch_index)
         history.append(metrics)
         if emit is not None:
             emit(metrics.to_json_line())
-        if metrics.val_accuracy > best_val:
-            best_val = metrics.val_accuracy
+        if metrics.val_acc > best_val:
+            best_val = metrics.val_acc
             best_epoch = epoch_index
             best_params = clone_params(model.params)
     return FitResult(history, best_params, best_epoch, best_val)

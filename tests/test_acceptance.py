@@ -296,7 +296,7 @@ def test_criterion_05_end_to_end_overfit():
         )
         result = fit(model, train_set, val_set, config)
         assert len(result.history.entries) <= 15
-        best = max(entry.train_accuracy for entry in result.history.entries)
+        best = max(entry.train_acc for entry in result.history.entries)
         assert best >= 0.95, f"best train accuracy {best:.3f}"
         elapsed = time.monotonic() - start
         assert elapsed < 120.0, f"overfit run took {elapsed:.1f}s"
@@ -397,5 +397,5 @@ def test_criterion_10_real_dataset_plateau():
             ModelConfig(num_classes=len(dataset.label_names), input_size=64), seed=42
         )
         result = fit(model, train_set, val_set, TrainConfig(epochs=10, seed=42))
-        accuracies = [entry.val_accuracy for entry in result.history.entries]
+        accuracies = [entry.val_acc for entry in result.history.entries]
         assert accuracies[-1] >= max(accuracies) - 0.02

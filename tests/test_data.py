@@ -22,8 +22,9 @@ from fsqnet.data import (
     save_ppm,
     shuffle_split,
 )
+from fsqnet.data import _rotate_edge_clamped
 from fsqnet.errors import ConfigError, DataError, DecodeError
-from oracles import scalar_resize_bilinear
+from oracles import scalar_resize_bilinear, scalar_rotate_edge_clamped
 
 
 def _solid(width, height, rgb):
@@ -240,6 +241,13 @@ class TestAugment:
         config = AugmentConfig(max_rotation_deg=0.0, scale_jitter=(1.0, 1.0),
                                brightness_jitter=0.0, horizontal_flip=False)
         assert np.array_equal(augment(img, config, seed=77).pixels, img.pixels)
+
+    @pytest.mark.parametrize("width,height", [(7, 5), (8, 6)])
+    @pytest.mark.parametrize("angle", [0.0, 7.5, -10.0, 90.0, 180.0])
+    def test_rotation_matches_scalar_reference(self, width, height, angle):
+        img = _random_image(np.random.default_rng(11), width, height)
+        ours = _rotate_edge_clamped(img.pixels, angle)
+        assert ours.tolist() == scalar_rotate_edge_clamped(img.pixels.tolist(), angle)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

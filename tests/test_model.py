@@ -7,12 +7,12 @@ from fsqnet.errors import ConfigError, ModelError, ShapeError, StateError
 from fsqnet.model import (
     TINY_FIRES,
     V11_FIRES,
+    Fire,
     FireSpec,
     Model,
     ModelConfig,
     build_model,
     expected_param_shapes,
-    fire_forward,
     layer_summary,
     model_backward,
     model_forward,
@@ -131,7 +131,7 @@ class TestFireForward:
             "f_expand3x3/weight": rng.standard_normal((5, 3, 3, 3)).astype(np.float32),
             "f_expand3x3/bias": rng.standard_normal(5).astype(np.float32),
         }
-        out = fire_forward(x, spec, params, prefix="f")
+        out = Fire("f", spec, x.shape[1]).forward(params, x, None)[0]
 
         squeezed = relu(
             conv2d_forward(x, params["f_squeeze/weight"], params["f_squeeze/bias"],
@@ -150,20 +150,20 @@ class TestFireForward:
     def test_output_shape(self):
         model = _tiny_model()
         x = np.random.default_rng(1).standard_normal((1, 64, 7, 7)).astype(np.float32)
-        out = fire_forward(x, TINY_FIRES[0], model.params, prefix="fire1")
+        out = Fire("fire1", TINY_FIRES[0], x.shape[1]).forward(model.params, x, None)[0]
         assert out.shape == (1, 4, 7, 7)
 
     def test_missing_params(self):
         x = np.zeros((1, 3, 4, 4), np.float32)
         with pytest.raises(ModelError):
-            fire_forward(x, FireSpec(2, 2, 2), {}, prefix="nope")
+            Fire("nope", FireSpec(2, 2, 2), x.shape[1]).forward({}, x, None)
 
 
 class TestBuildModel:
     def test_deterministic(self):
         a = _tiny_model(seed=5)
         b = _tiny_model(seed=5)
-        assert a.param_names() == b.param_names()
+        assert list(a.params) == list(b.params)
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])
 
@@ -275,6 +275,14 @@ class TestModelBackward:
         model_forward(model, _batch(np.random.default_rng(4), 1))  # inference: no cache
         with pytest.raises(StateError):
             model_backward(model, np.zeros((1, 3), np.float32))
+
+    def test_consumes_the_tape(self):
+        model = _tiny_model()
+        model_forward(model, _batch(np.random.default_rng(4), 1), training=True)
+        d = np.zeros((1, 3), np.float32)
+        model_backward(model, d)
+        with pytest.raises(StateError):
+            model_backward(model, d)
 
     def test_covers_every_parameter(self):
         model = _tiny_model()

@@ -2,6 +2,7 @@ import json
 import math
 import statistics
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -185,8 +186,8 @@ class TestTrainEpoch:
         metrics = train_epoch(model, train_set, val_set,
                               TrainConfig(learning_rate=0.05, batch_size=4), 1)
         assert metrics.epoch == 1
-        assert 0.0 <= metrics.train_accuracy <= 1.0
-        assert 0.0 <= metrics.val_accuracy <= 1.0
+        assert 0.0 <= metrics.train_acc <= 1.0
+        assert 0.0 <= metrics.val_acc <= 1.0
         assert metrics.train_loss > 0.0
 
     def test_deterministic_history(self):
@@ -322,6 +323,7 @@ class TestHistory:
         line = EpochMetrics(3, 0.25, 0.875, 0.8, 2.5).to_json_line()
         record = json.loads(line)
         assert list(record) == ["epoch", "train_loss", "train_acc", "val_acc", "seconds"]
+        assert list(record) == [f.name for f in fields(EpochMetrics)]
         assert record["epoch"] == 3 and record["train_acc"] == 0.875
 
     def test_accuracy_range_validated(self):
@@ -336,16 +338,16 @@ class TestFit:
         config = TrainConfig(learning_rate=0.05, batch_size=8, epochs=6, seed=42)
         result = fit(model, train_set, val_set, config)
         entries = result.history.entries
-        assert entries[-1].train_accuracy > entries[0].train_accuracy
+        assert entries[-1].train_acc > entries[0].train_acc
 
     def test_best_checkpoint_tracking(self):
         train_set, val_set = _split_synthetic(per_class=10)
         model = build_model(tiny_config(num_classes=2), 8)
         config = TrainConfig(learning_rate=0.05, batch_size=4, epochs=4, seed=8)
         result = fit(model, train_set, val_set, config)
-        best = max(result.history.entries, key=lambda m: m.val_accuracy)
-        assert result.best_val_accuracy == best.val_accuracy
-        assert result.history.entries[result.best_epoch - 1].val_accuracy == best.val_accuracy
+        best = max(result.history.entries, key=lambda m: m.val_acc)
+        assert result.best_val_accuracy == best.val_acc
+        assert result.history.entries[result.best_epoch - 1].val_acc == best.val_acc
 
     def test_resume_continues_epoch_numbering(self):
         train_set, val_set = _split_synthetic(per_class=10)

@@ -1,7 +1,9 @@
 """Byte-identity gate: deterministic artifacts and their SHA-256 hashes.
 
 Writes a small synthetic dataset, runs two `--deterministic` trainings
-(tiny@32 for 3 epochs, v1.1@64 for 1 epoch) and then, on each checkpoint,
+(tiny@32 for 3 epochs, v1.1@64 for 1 epoch), then three more tiny ones that
+cover the other augmentation settings and a resume: `--flip`, `--no-augment`
+and `--resume tiny.ckpt`.  On the first two checkpoints it runs
 `inspect --checkpoint`, `eval --confusion` and `predict --top 3` on one
 image, plus two `inspect --arch-only` calls.  It prints one `sha256  name`
 line per checkpoint, metrics file, command output and confusion CSV.  Every
@@ -36,6 +38,12 @@ TRAINS = {
     "v11": ["--arch", "v11", "--image-size", "64", "--epochs", "1", "--batch", "8",
             "--lr", "0.01"],
 }
+# tiny trainings that differ from TRAINS["tiny"] in one flag
+TINY_VARIANTS = {
+    "tiny-flip": ["--flip"],
+    "tiny-noaug": ["--no-augment"],
+    "tiny-resumed": ["--resume", "tiny.ckpt"],
+}
 
 
 def _run(argv: list[str], stdout_path: str | None = None) -> None:
@@ -60,6 +68,10 @@ def main(argv=None) -> int:
     artifacts = []
     for name, flags in TRAINS.items():
         _run(["train", "--data", "data", "--out", f"{name}.ckpt", *flags, *COMMON])
+        artifacts += [f"{name}.ckpt", f"{name}.ckpt.metrics.jsonl"]
+    for name, extra in TINY_VARIANTS.items():
+        _run(["train", "--data", "data", "--out", f"{name}.ckpt", *TRAINS["tiny"], *COMMON,
+              *extra])
         artifacts += [f"{name}.ckpt", f"{name}.ckpt.metrics.jsonl"]
     for name in TRAINS:
         ckpt = ["--checkpoint", f"{name}.ckpt"]

@@ -42,8 +42,9 @@ def main(argv=None) -> int:
     )
     result = fit(model, train_set, val_set, config, emit=print)
     best = max(entry.train_acc for entry in result.history.entries)
+    best_entry = result.history.best()
     print(f"best train accuracy {best:.3f}, best val accuracy "
-          f"{result.best_val_accuracy:.3f} at epoch {result.best_epoch}")
+          f"{best_entry.val_acc:.3f} at epoch {best_entry.epoch}")
     return 0 if best >= 0.95 else 1
 
 

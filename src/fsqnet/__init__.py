@@ -1,7 +1,6 @@
 """From-scratch SqueezeNet training and inference for fingerspelling images."""
 
 from .data import (
-    AugmentConfig,
     Dataset,
     ImageBuffer,
     Sample,

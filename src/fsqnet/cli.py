@@ -15,7 +15,6 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
-    AugmentConfig,
     Dataset,
     load_dataset,
     load_image,
@@ -139,8 +138,8 @@ def _model_config(arch: str, num_classes: int, image_size: int) -> ModelConfig:
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     config = _model_config(args.arch, len(dataset.label_names), args.image_size)
-    resized = resize_dataset(dataset, args.image_size)
-    train_set, val_set = shuffle_split(resized, args.seed, args.val_fraction)
+    dataset = resize_dataset(dataset, args.image_size)  # frees the full-size copy
+    train_set, val_set = shuffle_split(dataset, args.seed, args.val_fraction)
 
     history = History()
     if args.resume is not None:
@@ -163,7 +162,8 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
         dropout_on=args.dropout,
-        augment=AugmentConfig(horizontal_flip=args.flip) if args.augment else None,
+        augment=args.augment,
+        flip=args.flip,
         deterministic=args.deterministic,
     )
     header = {k: v for k, v in vars(args).items() if k not in ("command", "func", "metrics")}
@@ -182,13 +182,8 @@ def cmd_train(args) -> int:
 
     best = Model(config, result.best_params)
     save_checkpoint(best, result.history, train_set.channel_means, dataset.label_names, args.out)
-    _emit(
-        {
-            "best_epoch": result.best_epoch,
-            "best_val_acc": result.best_val_accuracy,
-            "checkpoint": args.out,
-        }
-    )
+    entry = result.history.best()
+    _emit({"best_epoch": entry.epoch, "best_val_acc": entry.val_acc, "checkpoint": args.out})
     return 0
 
 
@@ -202,9 +197,9 @@ def cmd_eval(args) -> int:
             f"label map mismatch: checkpoint-only classes {missing}, dataset-only {extra}, "
             f"checkpoint order {label_names}, dataset order {dataset.label_names}"
         )
-    resized = resize_dataset(dataset, model.config.input_size)
+    dataset = resize_dataset(dataset, model.config.input_size)  # frees the full-size copy
     # evaluate with the training-time normalization stored in the checkpoint
-    eval_set = Dataset(resized.samples, list(label_names), means)
+    eval_set = Dataset(dataset.samples, list(label_names), means)
     accuracy, confusion = evaluate(model, eval_set)
     _emit({"accuracy": accuracy, "n": len(eval_set)})
     if args.confusion is not None:

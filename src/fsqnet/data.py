@@ -28,24 +28,32 @@ from .tensor import rng_from_seed
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 IMAGE_EXTENSIONS = (".ppm", ".pgm", ".png")
 
+# training images get one fixed augmentation recipe: these ranges are not settings
+MAX_ROTATION_DEG = 10.0
+SCALE_JITTER = (0.9, 1.0)
+BRIGHTNESS_JITTER = 0.1
+
 
 @dataclass
 class ImageBuffer:
-    """Row-major 8-bit RGB raster."""
+    """Row-major 8-bit RGB raster; width and height are read from the pixels."""
 
-    width: int
-    height: int
     pixels: np.ndarray  # [height, width, 3] uint8
 
     def __post_init__(self):
         self.pixels = np.ascontiguousarray(self.pixels, dtype=np.uint8)
-        if self.pixels.shape != (self.height, self.width, 3):
-            raise DataError(
-                f"pixel buffer shape {self.pixels.shape} does not match "
-                f"{self.height}x{self.width} RGB"
-            )
-        if self.width < 1 or self.height < 1:
+        if self.pixels.ndim != 3 or self.pixels.shape[2] != 3:
+            raise DataError(f"pixel buffer shape {self.pixels.shape} is not HxWx3 RGB")
+        if self.pixels.size == 0:
             raise DataError(f"degenerate image {self.width}x{self.height}")
+
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
 
 
 @dataclass
@@ -76,23 +84,6 @@ class Dataset:
         for s in self.samples:
             counts[s.label] += 1
         return counts
-
-
-@dataclass(frozen=True)
-class AugmentConfig:
-    max_rotation_deg: float = 10.0
-    scale_jitter: tuple[float, float] = (0.9, 1.0)
-    brightness_jitter: float = 0.1
-    horizontal_flip: bool = False
-
-    def __post_init__(self):
-        lo, hi = self.scale_jitter
-        if self.max_rotation_deg < 0:
-            raise ConfigError(f"max_rotation_deg must be >= 0, got {self.max_rotation_deg}")
-        if not 0.0 < lo <= hi <= 1.0:
-            raise ConfigError(f"scale_jitter must satisfy 0 < lo <= hi <= 1, got {(lo, hi)}")
-        if not 0.0 <= self.brightness_jitter < 1.0:
-            raise ConfigError(f"brightness_jitter must be in [0,1), got {self.brightness_jitter}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +134,7 @@ def _decode_pnm(data: bytes, path: str) -> ImageBuffer:
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
     if channels == 1:
         arr = np.repeat(arr, 3, axis=2)
-    return ImageBuffer(width, height, arr.copy())
+    return ImageBuffer(arr.copy())
 
 
 def _decode_png(data: bytes, path: str) -> ImageBuffer:
@@ -157,7 +148,7 @@ def _decode_png(data: bytes, path: str) -> ImageBuffer:
             arr = np.asarray(rgb, dtype=np.uint8)
     except Exception as exc:
         raise DecodeError(f"cannot decode PNG {path}: {exc}")
-    return ImageBuffer(arr.shape[1], arr.shape[0], arr)
+    return ImageBuffer(arr)
 
 
 def load_image(path) -> ImageBuffer:
@@ -218,11 +209,11 @@ def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
     if out_w < 1 or out_h < 1:
         raise ConfigError(f"output dims must be >= 1, got {out_w}x{out_h}")
     if out_w == img.width and out_h == img.height:
-        return ImageBuffer(img.width, img.height, img.pixels.copy())
+        return ImageBuffer(img.pixels.copy())
 
     sx = np.clip((np.arange(out_w) + 0.5) * (img.width / out_w) - 0.5, 0.0, img.width - 1.0)
     sy = np.clip((np.arange(out_h) + 0.5) * (img.height / out_h) - 0.5, 0.0, img.height - 1.0)
-    return ImageBuffer(out_w, out_h, _sample_bilinear(img.pixels, sx[None, :], sy[:, None]))
+    return ImageBuffer(_sample_bilinear(img.pixels, sx[None, :], sy[:, None]))
 
 
 def normalize(img: ImageBuffer, channel_means) -> np.ndarray:
@@ -266,35 +257,33 @@ def _rotate_edge_clamped(pixels: np.ndarray, angle_deg: float) -> np.ndarray:
     return _sample_bilinear(pixels, src_x, src_y)
 
 
-def augment(img: ImageBuffer, config: AugmentConfig, seed: int) -> ImageBuffer:
-    """Random crop-and-rescale, rotation, brightness, optional flip.
+def augment(img: ImageBuffer, flip: bool, seed: int) -> ImageBuffer:
+    """Random crop-and-rescale, rotation, brightness, and a flip if allowed.
 
     Every random draw happens unconditionally in a fixed order, so the output
-    is a pure function of (img, config, seed) and two configs that differ only
-    in whether a stage is degenerate still agree on the other stages.
+    is a pure function of (img, flip, seed) and the flip setting changes no
+    other stage.
     """
     rng = rng_from_seed(seed)
-    scale = float(rng.uniform(config.scale_jitter[0], config.scale_jitter[1]))
+    scale = float(rng.uniform(*SCALE_JITTER))
     crop_w = max(1, round(img.width * scale))
     crop_h = max(1, round(img.height * scale))
     off_x = int(rng.integers(0, img.width - crop_w + 1))
     off_y = int(rng.integers(0, img.height - crop_h + 1))
-    angle = float(rng.uniform(-config.max_rotation_deg, config.max_rotation_deg))
-    brightness = float(rng.uniform(-config.brightness_jitter, config.brightness_jitter))
-    flip = bool(rng.integers(0, 2))
+    angle = float(rng.uniform(-MAX_ROTATION_DEG, MAX_ROTATION_DEG))
+    brightness = float(rng.uniform(-BRIGHTNESS_JITTER, BRIGHTNESS_JITTER))
+    mirror = bool(rng.integers(0, 2))
 
     out = img
     if crop_w != img.width or crop_h != img.height:
-        cropped = ImageBuffer(
-            crop_w, crop_h, out.pixels[off_y : off_y + crop_h, off_x : off_x + crop_w]
-        )
+        cropped = ImageBuffer(out.pixels[off_y : off_y + crop_h, off_x : off_x + crop_w])
         out = resize_bilinear(cropped, img.width, img.height)
     if angle != 0.0:
-        out = ImageBuffer(out.width, out.height, _rotate_edge_clamped(out.pixels, angle))
+        out = ImageBuffer(_rotate_edge_clamped(out.pixels, angle))
     if brightness != 0.0:
-        out = ImageBuffer(out.width, out.height, _round_u8(out.pixels * (1.0 + brightness)))
-    if config.horizontal_flip and flip:
-        out = ImageBuffer(out.width, out.height, out.pixels[:, ::-1, :])
+        out = ImageBuffer(_round_u8(out.pixels * (1.0 + brightness)))
+    if flip and mirror:
+        out = ImageBuffer(out.pixels[:, ::-1, :])
     return out
 
 

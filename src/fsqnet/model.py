@@ -18,7 +18,7 @@ checkpoints validate shapes on load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -108,14 +108,7 @@ class ModelConfig:
         object.__setattr__(self, "fire_specs", tuple(self.fire_specs))
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "input_size": self.input_size,
-            "fire_specs": [[f.squeeze_1x1, f.expand_1x1, f.expand_3x3] for f in self.fire_specs],
-            "head_hidden": self.head_hidden,
-            "dropout_rate": self.dropout_rate,
-            "variant": self.variant,
-        }
+        return {**asdict(self), "fire_specs": [list(astuple(f)) for f in self.fire_specs]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -33,7 +33,7 @@ def synth_image(class_index: int, size: int, seed: int) -> ImageBuffer:
         accent = PALETTE[(class_index + 3) % len(PALETTE)]
         lo, hi = size // 4, size - size // 4
         pixels[lo:hi, lo:hi] = accent
-    return ImageBuffer(size, size, pixels.clip(0, 255))
+    return ImageBuffer(pixels.clip(0, 255))
 
 
 def class_names(num_classes: int) -> list[str]:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import AugmentConfig, Dataset, augment, fisher_yates_order, normalize
+from .data import Dataset, augment, fisher_yates_order, normalize
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import Model, clone_params, model_backward, model_forward
 from .tensor import derive_seed
@@ -38,7 +38,8 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 42
     dropout_on: bool = False
-    augment: AugmentConfig | None = None
+    augment: bool = False
+    flip: bool = False
     deterministic: bool = False
 
     def __post_init__(self):
@@ -80,7 +81,7 @@ class History:
     entries: list[EpochMetrics] = field(default_factory=list)
 
     def append(self, metrics: EpochMetrics) -> None:
-        previous = self.entries[-1].epoch if self.entries else 0
+        previous = self.last_epoch()
         if metrics.epoch <= previous or (not self.entries and metrics.epoch != 1):
             raise StateError(
                 f"epoch {metrics.epoch} does not continue history ending at {previous}"
@@ -89,6 +90,10 @@ class History:
 
     def last_epoch(self) -> int:
         return self.entries[-1].epoch if self.entries else 0
+
+    def best(self) -> EpochMetrics:
+        """The entry with the highest val_acc; the earliest one wins ties."""
+        return max(self.entries, key=lambda m: m.val_acc)
 
     def to_jsonable(self) -> list[dict]:
         return [asdict(m) for m in self.entries]
@@ -141,13 +146,14 @@ def _check_input_sizes(dataset: Dataset, size: int, what: str) -> None:
             )
 
 
-def _assemble_batch(samples, means, augment_cfg, seeds):
+def _assemble_batch(samples, means, seeds=None, flip=False):
+    """Normalized batch and labels; images are augmented only when given seeds."""
     tensors = []
     labels = []
-    for sample, seed in zip(samples, seeds):
+    for i, sample in enumerate(samples):
         image = sample.image
-        if augment_cfg is not None:
-            image = augment(image, augment_cfg, seed)
+        if seeds is not None:
+            image = augment(image, flip, seeds[i])
         tensors.append(normalize(image, means))
         labels.append(sample.label)
     return np.stack(tensors), np.asarray(labels, dtype=np.intp)
@@ -158,8 +164,10 @@ def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int):
     for start in range(0, len(order), config.batch_size):
         chunk = order[start : start + config.batch_size]
         samples = [train_set.samples[i] for i in chunk]
-        seeds = [derive_seed(config.seed, epoch_index, i) for i in chunk]
-        yield _assemble_batch(samples, train_set.channel_means, config.augment, seeds)
+        seeds = None
+        if config.augment:
+            seeds = [derive_seed(config.seed, epoch_index, i) for i in chunk]
+        yield _assemble_batch(samples, train_set.channel_means, seeds, config.flip)
 
 
 def train_epoch(
@@ -209,7 +217,7 @@ def evaluate(model: Model, dataset: Dataset) -> tuple[float, np.ndarray]:
     confusion = np.zeros((m, m), dtype=np.int64)
     for start in range(0, len(dataset.samples), EVAL_BATCH):
         samples = dataset.samples[start : start + EVAL_BATCH]
-        batch, labels = _assemble_batch(samples, dataset.channel_means, None, [0] * len(samples))
+        batch, labels = _assemble_batch(samples, dataset.channel_means)
         predicted = model_forward(model, batch, training=False).argmax(axis=1)
         for truth, guess in zip(labels, predicted):
             confusion[truth, guess] += 1
@@ -237,8 +245,6 @@ def pearson_correlation(a, b) -> float:
 class FitResult:
     history: History
     best_params: dict[str, np.ndarray]
-    best_epoch: int
-    best_val_accuracy: float
 
 
 def fit(
@@ -249,7 +255,7 @@ def fit(
     history: History | None = None,
     emit=None,
 ) -> FitResult:
-    """Run config.epochs epochs, tracking the best-validation parameters.
+    """Run config.epochs epochs, keeping the parameters of `history.best()`.
 
     With a non-empty starting history (resume), epoch numbering continues from
     where it left off.  `emit` receives one JSON metrics line per epoch.
@@ -257,17 +263,11 @@ def fit(
     history = history if history is not None else History()
     first = history.last_epoch() + 1
     best_params = clone_params(model.params)
-    best_epoch, best_val = history.last_epoch(), -1.0
-    for m in history.entries:  # resume keeps the incoming best; the first epoch wins ties
-        if m.val_acc > best_val:
-            best_epoch, best_val = m.epoch, m.val_acc
     for epoch_index in range(first, first + config.epochs):
         metrics = train_epoch(model, train_set, val_set, config, epoch_index)
         history.append(metrics)
         if emit is not None:
             emit(metrics.to_json_line())
-        if metrics.val_acc > best_val:
-            best_val = metrics.val_acc
-            best_epoch = epoch_index
+        if history.best() is metrics:
             best_params = clone_params(model.params)
-    return FitResult(history, best_params, best_epoch, best_val)
+    return FitResult(history, best_params)

@@ -1,8 +1,11 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+import fsqnet.cli
 from fsqnet.cli import main
 from fsqnet.synthetic import write_dataset
 
@@ -98,6 +101,32 @@ class TestTrain:
             "--batch", "8", "--seed", "1", "--val-fraction", "0.2", "--augment",
         ])
         assert code == 0
+
+
+@pytest.mark.parametrize("command,consumer", [("train", "fit"), ("eval", "evaluate")])
+def test_full_size_dataset_freed_before_use(workspace, tmp_path, monkeypatch, capsys,
+                                            command, consumer):
+    real_load, real_consumer = fsqnet.cli.load_dataset, getattr(fsqnet.cli, consumer)
+    loaded, alive = [], []
+
+    def load_dataset(root):
+        dataset = real_load(root)
+        loaded.append(weakref.ref(dataset))
+        return dataset
+
+    def consume(*args, **kwargs):
+        gc.collect()
+        alive.append(loaded[0]() is not None)
+        return real_consumer(*args, **kwargs)
+
+    monkeypatch.setattr(fsqnet.cli, "load_dataset", load_dataset)
+    monkeypatch.setattr(fsqnet.cli, consumer, consume)
+    if command == "train":
+        argv = ["train", "--out", str(tmp_path / "m.fsq")] + TRAIN_FLAGS
+    else:
+        argv = ["eval", "--checkpoint", str(workspace["checkpoint"])]
+    assert main(argv + ["--data", str(workspace["data"])]) == 0
+    assert alive == [False]
 
 
 class TestDeterminism:

@@ -330,6 +330,12 @@ class TestHistory:
         with pytest.raises(ConfigError):
             EpochMetrics(1, 0.5, 1.5, 0.5, 0.0)
 
+    def test_best_prefers_earliest_tie(self):
+        history = History()
+        for epoch, val_acc in enumerate([0.5, 0.75, 0.25, 0.75], start=1):
+            history.append(EpochMetrics(epoch, 0.5, 0.5, val_acc, 0.0))
+        assert history.best() is history.entries[1]
+
 
 class TestFit:
     def test_training_accuracy_trends_upward(self):
@@ -345,9 +351,9 @@ class TestFit:
         model = build_model(tiny_config(num_classes=2), 8)
         config = TrainConfig(learning_rate=0.05, batch_size=4, epochs=4, seed=8)
         result = fit(model, train_set, val_set, config)
-        best = max(result.history.entries, key=lambda m: m.val_acc)
-        assert result.best_val_accuracy == best.val_acc
-        assert result.history.entries[result.best_epoch - 1].val_acc == best.val_acc
+        best = result.history.best()
+        assert best.val_acc == max(m.val_acc for m in result.history.entries)
+        assert result.history.entries[best.epoch - 1] is best
 
     def test_resume_continues_epoch_numbering(self):
         train_set, val_set = _split_synthetic(per_class=10)
@@ -365,7 +371,8 @@ class TestFit:
         history.append(EpochMetrics(1, 0.5, 1.0, 1.0, 0.0))
         config = TrainConfig(learning_rate=0.05, batch_size=4, epochs=1, seed=8)
         result = fit(model, train_set, val_set, config, history=history)
-        assert result.best_epoch == 1 and result.best_val_accuracy == 1.0
+        best = result.history.best()
+        assert best.epoch == 1 and best.val_acc == 1.0
         for name, param in start.items():
             assert np.array_equal(result.best_params[name], param)
 

@@ -168,7 +168,11 @@ class Layer:
 
 @dataclass
 class Conv(Layer):
-    """Convolution followed by ReLU, as every conv in SqueezeNet is."""
+    """Convolution followed by ReLU, as every conv in SqueezeNet is.
+
+    The tape keeps the ReLU output y, not the pre-ReLU z: y > 0 exactly
+    where z > 0, so relu_backward gives the same bytes from either.
+    """
 
     conv: ConvSpec
     kind: ClassVar[str] = "conv"
@@ -185,12 +189,12 @@ class Conv(Layer):
 
     def forward(self, params, x, dropout_seed):
         w, b = self._weights(params)
-        z = conv2d_forward(x, w, b, self.conv)
-        return relu(z), (x, z)
+        y = relu(conv2d_forward(x, w, b, self.conv))
+        return y, (x, y)
 
     def backward(self, params, tape, d, grads):
-        x, z = tape
-        g = conv2d_backward(x, params[f"{self.name}/weight"], self.conv, relu_backward(z, d))
+        x, y = tape
+        g = conv2d_backward(x, params[f"{self.name}/weight"], self.conv, relu_backward(y, d))
         return _store_grads(grads, self.name, g)
 
 
@@ -222,9 +226,12 @@ class Fire(Layer):
 
     def forward(self, params, x, dropout_seed):
         s, s_tape = self.squeeze.forward(params, x, dropout_seed)
-        e1, e1_tape = self.expand1x1.forward(params, s, dropout_seed)
-        e3, e3_tape = self.expand3x3.forward(params, s, dropout_seed)
-        return channel_concat(e1, e3), (s_tape, e1_tape, e3_tape)
+        e1, _ = self.expand1x1.forward(params, s, dropout_seed)
+        e3, _ = self.expand3x3.forward(params, s, dropout_seed)
+        y = channel_concat(e1, e3)
+        # the expand tapes view y, so e1 and e3 are freed on return
+        e = self.fire.expand_1x1
+        return y, (s_tape, (s, y[:, :e]), (s, y[:, e:]))
 
     def backward(self, params, tape, d, grads):
         s_tape, e1_tape, e3_tape = tape
@@ -247,10 +254,12 @@ class Pool(Layer):
         return (c, (h - POOL_KERNEL) // POOL_STRIDE + 1, (w - POOL_KERNEL) // POOL_STRIDE + 1)
 
     def forward(self, params, x, dropout_seed):
-        return maxpool2d(x, POOL_KERNEL, POOL_STRIDE), x
+        y = maxpool2d(x, POOL_KERNEL, POOL_STRIDE)
+        return y, (x, y)
 
     def backward(self, params, tape, d, grads):
-        return maxpool2d_backward(tape, POOL_KERNEL, POOL_STRIDE, d)
+        x, y = tape
+        return maxpool2d_backward(x, y, POOL_KERNEL, POOL_STRIDE, d)
 
 
 @dataclass
@@ -285,13 +294,15 @@ class Dense(Layer):
 
     def forward(self, params, x, dropout_seed):
         w, b = self._weights(params)
-        z = dense_forward(x, w, b)
-        return (relu(z) if self.apply_relu else z), (x, z)
+        y = dense_forward(x, w, b)
+        if self.apply_relu:
+            y = relu(y)
+        return y, (x, y)
 
     def backward(self, params, tape, d, grads):
-        x, z = tape
+        x, y = tape
         if self.apply_relu:
-            d = relu_backward(z, d)
+            d = relu_backward(y, d)
         return _store_grads(grads, self.name, dense_backward(x, params[f"{self.name}/weight"], d))
 
 

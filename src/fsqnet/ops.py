@@ -2,12 +2,16 @@
 
 All activations are NCHW float32.  Convolution is cross-correlation (no
 kernel flip), the usual deep-learning convention, so stored weights are
-unambiguous.  Forward reductions accumulate in float64 in (channel, kh, kw)
-order starting from the bias and round to float32 once; a naive loop that
-sums in the same order reproduces them bit for bit.  Backward passes are
-exact gradients of those forward maps but may use matrix products for the
-reductions since they are checked against finite differences, not against a
-bit-exact oracle.
+unambiguous.  Conv and dense forwards run their products through BLAS in
+float64: every float32 product is exact there, the sums differ from any
+fixed order only by float64 rounding, and the result is rounded to float32
+once.  The ordered path is kept as the bit-exact reference:
+``conv2d_reference`` and ``_linear`` accumulate in float64 in (channel,
+kh, kw) order starting from the bias, so a naive loop that sums in the same
+order reproduces them bit for bit, and the tests bound the BLAS kernels
+against them.  Backward passes are exact gradients of those forward maps,
+checked against finite differences.  Max pooling and its backward are
+exact, so loop oracles match them bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, NumericError, ShapeError
 from .tensor import rng_from_seed
@@ -37,6 +40,11 @@ class ConvSpec:
             raise ConfigError(f"stride must be >= 1, got {self}")
         if self.pad < 0:
             raise ConfigError(f"pad must be >= 0, got {self}")
+
+    @property
+    def pointwise(self) -> bool:
+        """1x1, stride 1, unpadded: the input itself is the patch matrix."""
+        return (self.kernel_h, self.kernel_w, self.stride, self.pad) == (1, 1, 1, 0)
 
     def out_hw(self, h: int, w: int) -> tuple[int, int]:
         oh = (h + 2 * self.pad - self.kernel_h) // self.stride + 1
@@ -60,15 +68,40 @@ def _require_4d(x: np.ndarray, what: str) -> None:
         raise ShapeError(f"{what} must be 4-D NCHW, got shape {x.shape}")
 
 
-def _im2col(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, int, int]:
-    """Patches of x as float64 [N*OH*OW, C*kh*kw], K ordered (c, kh, kw)."""
+def _patches(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, int, int]:
+    """Patches of x as float64 [N, C*kh*kw, OH*OW], rows ordered (c, kh, kw)."""
     n, c, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
-    p, s = spec.pad, spec.stride
+    if spec.pointwise:
+        return x.reshape(n, c, h * w).astype(np.float64), oh, ow
+    kh, kw, s, p = spec.kernel_h, spec.kernel_w, spec.stride, spec.pad
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    win = sliding_window_view(xp, (spec.kernel_h, spec.kernel_w), axis=(2, 3))[:, :, ::s, ::s]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * spec.kernel_h * spec.kernel_w)
-    return cols.astype(np.float64), oh, ow
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
+    return cols.reshape(n, c * kh * kw, oh * ow), oh, ow
+
+
+def _col2im(d_cols: np.ndarray, shape: tuple[int, ...], spec: ConvSpec) -> np.ndarray:
+    """Adjoint of _patches: float64 gradient at x from patch gradients [N, C*kh*kw, OH*OW]."""
+    if spec.pointwise:
+        return d_cols.reshape(shape)
+    n, c, h, w = shape
+    kh, kw, s, p = spec.kernel_h, spec.kernel_w, spec.stride, spec.pad
+    oh, ow = spec.out_hw(h, w)
+    d_cols = d_cols.reshape(n, c, kh, kw, oh, ow)
+    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += d_cols[:, :, i, j]
+    return dxp[:, :, p : p + h, p : p + w]
+
+
+def _im2col(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, int, int]:
+    """Patches of x as float64 [N*OH*OW, C*kh*kw], K ordered (c, kh, kw)."""
+    cols, oh, ow = _patches(x, spec)
+    return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1]), oh, ow
 
 
 def _check_conv_shapes(x, weight, spec: ConvSpec) -> None:
@@ -81,11 +114,29 @@ def _check_conv_shapes(x, weight, spec: ConvSpec) -> None:
         raise ShapeError(f"conv input has {x.shape[1]} channels, spec wants {spec.in_channels}")
 
 
+def _check_conv_bias(bias, spec: ConvSpec) -> None:
+    if bias.shape != (spec.out_channels,):
+        raise ShapeError(f"conv bias shape {bias.shape}, expected ({spec.out_channels},)")
+
+
+def _check_conv_d_out(x, spec: ConvSpec, d_out) -> tuple[int, int]:
+    n, _, h, w = x.shape
+    oh, ow = spec.out_hw(h, w)
+    if d_out.shape != (n, spec.out_channels, oh, ow):
+        raise ShapeError(f"conv d_out shape {d_out.shape}, expected {(n, spec.out_channels, oh, ow)}")
+    return oh, ow
+
+
+def _weight_matrix(weight: np.ndarray) -> np.ndarray:
+    """Conv weight [O,C,kh,kw] as float64 [O, C*kh*kw]."""
+    return weight.reshape(weight.shape[0], -1).astype(np.float64)
+
+
 def _linear(a: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Float64 a [M,K] @ w [K,O] + bias, summed from the bias in k order.
 
-    The one reference product under conv and dense: one partial product per
-    k keeps the documented accumulation order.
+    The reference product under conv2d_reference and the dense oracle test:
+    one partial product per k keeps the documented accumulation order.
     """
     acc = np.broadcast_to(bias.astype(np.float64), (a.shape[0], w.shape[1])).copy()
     tmp = np.empty_like(acc)
@@ -101,39 +152,58 @@ def _linear_grads(a: np.ndarray, w: np.ndarray, d: np.ndarray):
 
 
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """Cross-correlate x [N,C,H,W] with weight [O,C,kh,kw] plus per-channel bias."""
+    """Cross-correlate x [N,C,H,W] with weight [O,C,kh,kw] plus per-channel bias.
+
+    One float64 product [O,K] @ [K,OH*OW] per image gives NCHW directly.
+    """
     _check_conv_shapes(x, weight, spec)
-    if bias.shape != (spec.out_channels,):
-        raise ShapeError(f"conv bias shape {bias.shape}, expected ({spec.out_channels},)")
-    n = x.shape[0]
-    cols, oh, ow = _im2col(x, spec)
-    w2 = weight.reshape(spec.out_channels, -1).astype(np.float64)
-    acc = _linear(cols, w2.T, bias)
-    return acc.reshape(n, oh, ow, spec.out_channels).transpose(0, 3, 1, 2).astype(np.float32)
+    _check_conv_bias(bias, spec)
+    cols, oh, ow = _patches(x, spec)
+    acc = _weight_matrix(weight) @ cols
+    acc += bias.astype(np.float64)[:, None]
+    return acc.reshape(x.shape[0], spec.out_channels, oh, ow).astype(np.float32)
 
 
 def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np.ndarray) -> LayerGrads:
     """Exact gradients of conv2d_forward for upstream d_out [N,O,OH,OW]."""
     _check_conv_shapes(x, weight, spec)
-    n, c, h, w = x.shape
-    oh, ow = spec.out_hw(h, w)
-    if d_out.shape != (n, spec.out_channels, oh, ow):
-        raise ShapeError(f"conv d_out shape {d_out.shape}, expected {(n, spec.out_channels, oh, ow)}")
-    kh, kw, s, p = spec.kernel_h, spec.kernel_w, spec.stride, spec.pad
+    oh, ow = _check_conv_d_out(x, spec, d_out)
+    d = d_out.reshape(x.shape[0], spec.out_channels, oh * ow).astype(np.float64)
+    cols, _, _ = _patches(x, spec)
+    d_weight = (d @ cols.transpose(0, 2, 1)).sum(axis=0)
+    d_cols = _weight_matrix(weight).T @ d
+    return LayerGrads(
+        d_input=_col2im(d_cols, x.shape, spec).astype(np.float32),
+        d_weight=d_weight.reshape(weight.shape).astype(np.float32),
+        d_bias=d.sum(axis=(0, 2)).astype(np.float32),
+    )
 
+
+def conv2d_reference(
+    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec
+) -> np.ndarray:
+    """conv2d_forward summed by _linear in the documented order: the bit-exact reference."""
+    _check_conv_shapes(x, weight, spec)
+    _check_conv_bias(bias, spec)
+    n = x.shape[0]
+    cols, oh, ow = _im2col(x, spec)
+    acc = _linear(cols, _weight_matrix(weight).T, bias)
+    return acc.reshape(n, oh, ow, spec.out_channels).transpose(0, 3, 1, 2).astype(np.float32)
+
+
+def conv2d_backward_reference(
+    x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np.ndarray
+) -> LayerGrads:
+    """Gradients of conv2d_reference through _linear_grads on the [N*OH*OW, K] patches."""
+    _check_conv_shapes(x, weight, spec)
+    oh, ow = _check_conv_d_out(x, spec, d_out)
+    n = x.shape[0]
     dout2 = d_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, spec.out_channels).astype(np.float64)
     cols, _, _ = _im2col(x, spec)
-    w2 = weight.reshape(spec.out_channels, -1).astype(np.float64)
-    d_cols, d_weight, d_bias = _linear_grads(cols, w2.T, dout2)
-
-    d_cols = d_cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += d_cols[:, :, :, :, i, j]
-    d_input = dxp[:, :, p : p + h, p : p + w]
+    d_cols, d_weight, d_bias = _linear_grads(cols, _weight_matrix(weight).T, dout2)
+    d_cols = d_cols.reshape(n, oh * ow, -1).transpose(0, 2, 1)
     return LayerGrads(
-        d_input=d_input.astype(np.float32),
+        d_input=_col2im(d_cols, x.shape, spec).astype(np.float32),
         d_weight=d_weight.T.reshape(weight.shape).astype(np.float32),
         d_bias=d_bias.astype(np.float32),
     )
@@ -149,35 +219,62 @@ def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return np.where(x > 0, d_out, np.float32(0.0))
 
 
-def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Per-window maximum, floor output dims, no padding."""
+def _pool_taps(x: np.ndarray, kernel: int, stride: int) -> list[tuple[int, int, np.ndarray]]:
+    """(di, dj, view) per window offset in row-major order; view [N,C,OH,OW] holds
+    every window's element at that offset."""
     _require_4d(x, "maxpool input")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if kernel > h or kernel > w:
         raise ShapeError(f"pool window {kernel} larger than input {h}x{w}")
-    win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    return win.max(axis=(4, 5))
+    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    return [
+        (i, j, x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride])
+        for i in range(kernel)
+        for j in range(kernel)
+    ]
 
 
-def maxpool2d_backward(x: np.ndarray, kernel: int, stride: int, d_out: np.ndarray) -> np.ndarray:
+def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Per-window maximum, floor output dims, no padding."""
+    taps = _pool_taps(x, kernel, stride)
+    y = taps[0][2].copy()
+    for _, _, tap in taps[1:]:
+        np.maximum(y, tap, out=y)
+    return y
+
+
+def maxpool2d_backward(
+    x: np.ndarray, y: np.ndarray, kernel: int, stride: int, d_out: np.ndarray
+) -> np.ndarray:
     """Route each upstream gradient to the first maximal position in its window.
 
-    Ties break toward the lowest flat index, so the backward pass is
-    deterministic even on plateaus.  Overlapping windows accumulate.
+    y is maxpool2d(x, kernel, stride).  Ties break toward the lowest flat
+    index, so the backward pass is deterministic even on plateaus (a window
+    whose maximum is NaN routes to its first position).  Overlapping windows
+    accumulate in float64, in window order.
     """
+    taps = _pool_taps(x, kernel, stride)
+    expected = taps[0][2].shape
+    if y.shape != expected or d_out.shape != expected:
+        raise ShapeError(f"pool output {y.shape} and d_out {d_out.shape}, expected {expected}")
     n, c, h, w = x.shape
-    win = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    oh, ow = win.shape[2], win.shape[3]
-    if d_out.shape != (n, c, oh, ow):
-        raise ShapeError(f"pool d_out shape {d_out.shape}, expected {(n, c, oh, ow)}")
-    amax = win.reshape(n, c, oh, ow, kernel * kernel).argmax(axis=4)
-    di, dj = amax // kernel, amax % kernel
-    rows = np.arange(oh)[None, None, :, None] * stride + di
-    cols = np.arange(ow)[None, None, None, :] * stride + dj
-    nc = np.arange(n * c).reshape(n, c, 1, 1)
-    flat = (nc * h + rows) * w + cols
-    d_input = np.zeros(n * c * h * w, dtype=np.float64)
-    np.add.at(d_input, flat.ravel(), d_out.astype(np.float64).ravel())
+    oh, ow = y.shape[2:]
+    # tap number of each window's first maximum: scan from the last tap back so
+    # the lowest match is written last; first - (first - k) * match is a
+    # branch-free "k where match"
+    first = np.zeros(y.shape, dtype=np.min_scalar_type(-len(taps)))
+    step = np.empty_like(first)
+    match = np.empty(y.shape, dtype=bool)
+    for k in reversed(range(len(taps))):
+        np.equal(taps[k][2], y, out=match)
+        np.subtract(first, k, out=step)
+        step *= match
+        first -= step
+    offsets = np.array([i * w + j for i, j, _ in taps])
+    corners = (np.arange(n * c).reshape(n, c, 1, 1) * h + np.arange(oh)[:, None] * stride) * w
+    flat = offsets[first] + corners + np.arange(ow) * stride
+    # bincount adds in window order, in float64
+    d_input = np.bincount(flat.ravel(), weights=d_out.ravel(), minlength=x.size)
     return d_input.reshape(x.shape).astype(np.float32)
 
 
@@ -213,12 +310,12 @@ def global_avg_pool_backward(d_out: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x [N,F] times w [F,U] plus bias, same accumulation convention as conv."""
+    """x [N,F] times w [F,U] plus bias: one float64 BLAS product, rounded once."""
     if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
         raise ShapeError(f"dense shapes must be [N,F],[F,U],[U], got {x.shape},{w.shape},{b.shape}")
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ShapeError(f"dense dims disagree: {x.shape} x {w.shape} + {b.shape}")
-    return _linear(x.astype(np.float64), w.astype(np.float64), b).astype(np.float32)
+    return (x.astype(np.float64) @ w.astype(np.float64) + b).astype(np.float32)
 
 
 def dense_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray) -> LayerGrads:

@@ -53,6 +53,48 @@ def naive_matmul(a, b) -> np.ndarray:
     return out
 
 
+def _pool_windows(x, kernel: int, stride: int):
+    """(n, c, i, j, values) per pooling window in (n, c, i, j) order, values row-major."""
+    n, c, h, w = x.shape
+    xl = x.tolist()
+    for nn in range(n):
+        for cc in range(c):
+            for i in range((h - kernel) // stride + 1):
+                for j in range((w - kernel) // stride + 1):
+                    values = [
+                        (xl[nn][cc][i * stride + a][j * stride + b], a, b)
+                        for a in range(kernel)
+                        for b in range(kernel)
+                    ]
+                    yield nn, cc, i, j, values
+
+
+def naive_maxpool2d(x, kernel: int, stride: int) -> np.ndarray:
+    """Largest value of every window, found with Python comparisons."""
+    n, c, h, w = x.shape
+    out = np.empty((n, c, (h - kernel) // stride + 1, (w - kernel) // stride + 1), np.float32)
+    for nn, cc, i, j, values in _pool_windows(x, kernel, stride):
+        out[nn, cc, i, j] = max(v for v, _, _ in values)
+    return out
+
+
+def naive_maxpool2d_backward(x, kernel: int, stride: int, d_out) -> np.ndarray:
+    """Each upstream value added, in window order, to its window's first maximum.
+
+    "First" is the row-major scan with a strict comparison, so on a plateau
+    the lowest flat index wins.  Sums are Python floats, rounded once.
+    """
+    acc = np.zeros(x.shape).tolist()
+    dl = d_out.tolist()
+    for nn, cc, i, j, values in _pool_windows(x, kernel, stride):
+        best, a, b = values[0]
+        for v, va, vb in values[1:]:
+            if v > best:
+                best, a, b = v, va, vb
+        acc[nn][cc][i * stride + a][j * stride + b] += dl[nn][cc][i][j]
+    return np.array(acc, dtype=np.float32)
+
+
 def naive_cross_entropy(probs, labels) -> float:
     total = 0.0
     for row, label in zip(probs.tolist(), labels):

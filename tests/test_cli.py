@@ -1,6 +1,10 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,20 @@ class TestDeterminism:
         assert main(argv) == 0
         assert out.read_bytes() == first_ckpt
         assert (tmp_path / "d.fsq.metrics.jsonl").read_bytes() == first_metrics
+
+    def test_blas_thread_count_leaves_bytes_unchanged(self, workspace, tmp_path):
+        src = str(Path(fsqnet.cli.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            run = tmp_path / f"threads{threads}"
+            run.mkdir()
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            argv = ["train", "--data", str(workspace["data"]), "--out", "d.fsq"] + TRAIN_FLAGS
+            subprocess.run([sys.executable, "-m", "fsqnet", *argv], cwd=run, env=env, check=True,
+                           capture_output=True)
+            runs.append(((run / "d.fsq").read_bytes(), (run / "d.fsq.metrics.jsonl").read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestEval:

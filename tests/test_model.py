@@ -258,6 +258,27 @@ class TestModelForward:
         assert model._cache is not None
         assert eval_peak < train_peak
 
+    def test_training_tape_holds_each_activation_once(self):
+        config = ModelConfig(input_size=64)
+        model = build_model(config, 1)
+        n = 2
+        x = _batch(np.random.default_rng(9), n, size=64)
+        rows = layer_summary(config)
+        # every layer output plus each fire's squeeze output, float32
+        values = sum(int(np.prod(r["output_shape"])) for r in rows)
+        for r, fire in zip((r for r in rows if r["name"].startswith("fire")), config.fire_specs):
+            values += fire.squeeze_1x1 * r["output_shape"][1] * r["output_shape"][2]
+        activation_bytes = 4 * n * values
+        model._cache = None
+        tracemalloc.start()
+        try:
+            model_forward(model, x, training=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # a tape that also kept each conv's pre-ReLU sum would hold about 1.9x this
+        assert held < 1.1 * activation_bytes
+
     def test_dropout_only_with_seed(self):
         model = build_model(tiny_config(), 3)
         x = _batch(np.random.default_rng(3), 2)

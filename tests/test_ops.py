@@ -9,10 +9,13 @@ from fsqnet.errors import ConfigError, NumericError, ShapeError
 from fsqnet.model import Dropout
 from fsqnet.ops import (
     ConvSpec,
+    _linear,
     channel_concat,
     channel_split,
     conv2d_backward,
+    conv2d_backward_reference,
     conv2d_forward,
+    conv2d_reference,
     dense_backward,
     dense_forward,
     dropout_mask,
@@ -24,13 +27,56 @@ from fsqnet.ops import (
     relu_backward,
     softmax,
 )
-from oracles import fd_gradient, naive_conv2d, naive_matmul, rel_error
+from oracles import (
+    fd_gradient,
+    naive_conv2d,
+    naive_matmul,
+    naive_maxpool2d,
+    naive_maxpool2d_backward,
+    rel_error,
+)
 
 FD_TOL = 1e-3
+
+# (n, c, o, k, stride, pad, seed) of the small conv cases the property tests draw
+CONV_CASES = (
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([1, 3]),
+    st.sampled_from([1, 2]),
+    st.sampled_from([0, 1]),
+    st.integers(0, 2**32 - 1),
+)
 
 
 def _randn(rng, *shape):
     return rng.standard_normal(shape).astype(np.float32)
+
+
+def _conv_case(n, c, o, k, stride, pad, seed):
+    rng = np.random.default_rng(seed)
+    h = int(rng.integers(max(1, k - 2 * pad), 8))
+    w = int(rng.integers(max(1, k - 2 * pad), 8))
+    return rng, _randn(rng, n, c, h, w), _randn(rng, o, c, k, k), _randn(rng, o), ConvSpec(
+        o, c, k, k, stride=stride, pad=pad
+    )
+
+
+def _assert_within_reordering_bound(fast, ref, magnitude, terms):
+    """fast and ref each sum the same `terms` float64 values and round to float32 once.
+
+    The values are products of float32 numbers, exact in float64.  In any
+    order, a float64 sum of m values lies within (m-1)*2^-53*S of the exact
+    sum, S being the sum of their magnitudes (`magnitude`, the same op on
+    |inputs|), so the two sums differ by at most 2*m*2^-53*S.  Rounding each
+    to float32 moves it by at most half the float32 spacing at its result,
+    together at most the spacing at the larger of the two.
+    """
+    fast64, ref64 = fast.astype(np.float64), ref.astype(np.float64)
+    rounding = np.spacing(np.maximum(np.abs(fast), np.abs(ref))).astype(np.float64)
+    bound = rounding + 2 * terms * 2.0**-53 * magnitude.astype(np.float64)
+    assert (np.abs(fast64 - ref64) <= bound).all()
 
 
 class TestConvSpec:
@@ -82,26 +128,31 @@ class TestConvForward:
                 ConvSpec(2, 2, 3, 3),
             )
 
-    @given(
-        st.integers(1, 3),
-        st.integers(1, 3),
-        st.integers(1, 3),
-        st.sampled_from([1, 3]),
-        st.sampled_from([1, 2]),
-        st.sampled_from([0, 1]),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(*CONV_CASES)
     @settings(max_examples=40)
     def test_matches_naive_oracle_bit_exactly(self, n, c, o, k, stride, pad, seed):
-        rng = np.random.default_rng(seed)
-        h = int(rng.integers(max(1, k - 2 * pad), 8))
-        w = int(rng.integers(max(1, k - 2 * pad), 8))
-        x = _randn(rng, n, c, h, w)
-        weight = _randn(rng, o, c, k, k)
-        bias = _randn(rng, o)
-        ours = conv2d_forward(x, weight, bias, ConvSpec(o, c, k, k, stride=stride, pad=pad))
+        _, x, weight, bias, spec = _conv_case(n, c, o, k, stride, pad, seed)
+        ours = conv2d_reference(x, weight, bias, spec)
         naive = naive_conv2d(x, weight, bias, stride, pad)
         assert np.array_equal(ours, naive)
+
+    @given(*CONV_CASES)
+    @settings(max_examples=40)
+    def test_fast_within_reordering_bound_of_reference(self, n, c, o, k, stride, pad, seed):
+        _, x, weight, bias, spec = _conv_case(n, c, o, k, stride, pad, seed)
+        fast = conv2d_forward(x, weight, bias, spec)
+        ref = conv2d_reference(x, weight, bias, spec)
+        magnitude = conv2d_reference(np.abs(x), np.abs(weight), np.abs(bias), spec)
+        assert fast.dtype == np.float32 and fast.shape == ref.shape
+        _assert_within_reordering_bound(fast, ref, magnitude, terms=c * k * k + 1)
+
+    def test_batch_equals_per_image(self):
+        rng = np.random.default_rng(12)
+        x = _randn(rng, 4, 5, 9, 9)
+        for spec in (ConvSpec(6, 5, 3, 3, stride=2, pad=1), ConvSpec(6, 5, 1, 1)):
+            w, b = _randn(rng, 6, 5, spec.kernel_h, spec.kernel_w), _randn(rng, 6)
+            singles = [conv2d_forward(x[i : i + 1], w, b, spec) for i in range(4)]
+            assert np.array_equal(conv2d_forward(x, w, b, spec), np.concatenate(singles))
 
 
 class TestConvBackward:
@@ -144,6 +195,21 @@ class TestConvBackward:
         assert rel_error(fd_gradient(forward, b, d_out), g.d_bias) < FD_TOL
 
 
+    @given(*CONV_CASES)
+    @settings(max_examples=40)
+    def test_fast_within_reordering_bound_of_reference(self, n, c, o, k, stride, pad, seed):
+        rng, x, weight, _, spec = _conv_case(n, c, o, k, stride, pad, seed)
+        d_out = _randn(rng, n, o, *spec.out_hw(*x.shape[2:]))
+        fast = conv2d_backward(x, weight, spec, d_out)
+        ref = conv2d_backward_reference(x, weight, spec, d_out)
+        magnitude = conv2d_backward_reference(np.abs(x), np.abs(weight), spec, np.abs(d_out))
+        positions = n * d_out.shape[2] * d_out.shape[3]
+        for name, terms in (("d_input", o * k * k), ("d_weight", positions), ("d_bias", positions)):
+            fast_g, ref_g = getattr(fast, name), getattr(ref, name)
+            assert fast_g.dtype == np.float32 and fast_g.shape == ref_g.shape
+            _assert_within_reordering_bound(fast_g, ref_g, getattr(magnitude, name), terms)
+
+
 class TestRelu:
     def test_sign_cases(self):
         assert relu(np.array([-1.0, 0.0, 2.0], np.float32)).tolist() == [0.0, 0.0, 2.0]
@@ -166,6 +232,10 @@ class TestRelu:
         assert rel_error(fd, relu_backward(x, d_out)) < FD_TOL
 
 
+def _pool_backward(x, kernel, stride, d_out):
+    return maxpool2d_backward(x, maxpool2d(x, kernel, stride), kernel, stride, d_out)
+
+
 class TestMaxPool:
     def test_constant_field(self):
         x = np.full((1, 1, 4, 4), 3.5, np.float32)
@@ -178,12 +248,12 @@ class TestMaxPool:
     def test_backward_routes_to_argmax(self):
         x = np.array([[[[1, 2], [3, 4]]]], np.float32)
         d = np.array([[[[1.0]]]], np.float32)
-        assert maxpool2d_backward(x, 2, 2, d).tolist() == [[[[0.0, 0.0], [0.0, 1.0]]]]
+        assert _pool_backward(x, 2, 2, d).tolist() == [[[[0.0, 0.0], [0.0, 1.0]]]]
 
     def test_tie_breaks_to_lowest_flat_index(self):
         x = np.full((1, 1, 2, 2), 7.0, np.float32)
         d = np.array([[[[1.0]]]], np.float32)
-        assert maxpool2d_backward(x, 2, 2, d).tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]
+        assert _pool_backward(x, 2, 2, d).tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]
 
     def test_window_too_large(self):
         with pytest.raises(ShapeError):
@@ -192,8 +262,40 @@ class TestMaxPool:
     def test_overlapping_windows_accumulate(self):
         x = np.array([[[[0, 0, 0], [0, 9, 0], [0, 0, 0]]]], np.float32)
         d = np.ones((1, 1, 2, 2), np.float32)
-        out = maxpool2d_backward(x, 2, 1, d)
+        out = _pool_backward(x, 2, 1, d)
         assert out[0, 0, 1, 1] == 4.0  # the center wins all four windows
+
+    @given(
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.sampled_from([(2, 2), (3, 2), (2, 1), (3, 1), (3, 3)]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60)
+    def test_matches_naive_oracle_bit_exactly(self, n, c, window, plateaus, seed):
+        kernel, stride = window
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(kernel, 10, size=2))
+        if plateaus:  # few distinct values: ties in most windows
+            x = rng.integers(-1, 2, size=(n, c, h, w)).astype(np.float32)
+        else:
+            x = _randn(rng, n, c, h, w)
+        y = maxpool2d(x, kernel, stride)
+        d_out = _randn(rng, *y.shape)
+        assert np.array_equal(y, naive_maxpool2d(x, kernel, stride))
+        assert np.array_equal(
+            maxpool2d_backward(x, y, kernel, stride, d_out),
+            naive_maxpool2d_backward(x, kernel, stride, d_out),
+        )
+
+    def test_backward_shape_checks(self):
+        x = np.zeros((1, 1, 4, 4), np.float32)
+        y = maxpool2d(x, 2, 2)
+        with pytest.raises(ShapeError):
+            maxpool2d_backward(x, y, 2, 2, np.zeros((1, 1, 3, 3), np.float32))
+        with pytest.raises(ShapeError):
+            maxpool2d_backward(x, y[:, :, :1], 2, 2, y[:, :, :1])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_backward_matches_fd(self, seed):
@@ -201,7 +303,7 @@ class TestMaxPool:
         x = _randn(rng, 1, 2, 4, 4)
         d_out = _randn(rng, 1, 2, 2, 2)
         fd = fd_gradient(lambda: maxpool2d(x, 2, 2), x, d_out)
-        assert rel_error(fd, maxpool2d_backward(x, 2, 2, d_out)) < FD_TOL
+        assert rel_error(fd, _pool_backward(x, 2, 2, d_out)) < FD_TOL
 
 
 class TestConcatSplit:
@@ -275,7 +377,18 @@ class TestDense:
     def test_matches_naive_matmul_bit_exactly(self, n, k, m, seed):
         rng = np.random.default_rng(seed)
         x, w = _randn(rng, n, k), _randn(rng, k, m)
-        assert np.array_equal(dense_forward(x, w, np.zeros(m, np.float32)), naive_matmul(x, w))
+        ours = _linear(x.astype(np.float64), w.astype(np.float64), np.zeros(m, np.float32))
+        assert np.array_equal(ours.astype(np.float32), naive_matmul(x, w))
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_fast_within_reordering_bound_of_reference(self, n, k, m, seed):
+        rng = np.random.default_rng(seed)
+        x, w, b = _randn(rng, n, k), _randn(rng, k, m), _randn(rng, m)
+        fast = dense_forward(x, w, b)
+        ref = _linear(x.astype(np.float64), w.astype(np.float64), b).astype(np.float32)
+        magnitude = _linear(np.abs(x).astype(np.float64), np.abs(w).astype(np.float64), np.abs(b))
+        assert fast.dtype == np.float32
+        _assert_within_reordering_bound(fast, ref, magnitude, terms=k + 1)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients_match_fd(self, seed):

@@ -1,9 +1,10 @@
 """Byte-identity gate: deterministic artifacts and their SHA-256 hashes.
 
-Writes a small synthetic dataset, runs two `--deterministic` trainings
-(tiny@32 for 3 epochs, v1.1@64 for 1 epoch), then three more tiny ones that
-cover the other augmentation settings and a resume: `--flip`, `--no-augment`
-and `--resume tiny.ckpt`.  On the first two checkpoints it runs
+Writes a small synthetic dataset plus one undecodable `data/b/bad.ppm`,
+which every train and eval skips with a warning.  Runs two `--deterministic`
+trainings (tiny@32 for 3 epochs, v1.1@64 for 1 epoch), then three more tiny
+ones that cover the other augmentation settings and a resume: `--flip`,
+`--no-augment` and `--resume tiny.ckpt`.  On the first two checkpoints it runs
 `inspect --checkpoint`, `eval --confusion` and `predict --top 3` on one
 image, plus two `inspect --arch-only` calls.  It prints one `sha256  name`
 line per checkpoint, metrics file, command output and confusion CSV.  Every
@@ -65,6 +66,7 @@ def main(argv=None) -> int:
     os.makedirs(args.workdir, exist_ok=True)
     os.chdir(args.workdir)
     write_dataset("data", num_classes=3, per_class=6, size=40, seed=3)
+    Path("data/b/bad.ppm").write_bytes(b"P6\n9 9\n255\nshort")  # skipped with a warning
     artifacts = []
     for name, flags in TRAINS.items():
         _run(["train", "--data", "data", "--out", f"{name}.ckpt", *flags, *COMMON])

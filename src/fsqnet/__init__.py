@@ -3,7 +3,7 @@
 from .data import (
     Dataset,
     ImageBuffer,
-    Sample,
+    ImageFiles,
     augment,
     compute_channel_means,
     load_dataset,

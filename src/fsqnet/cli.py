@@ -138,7 +138,7 @@ def _model_config(arch: str, num_classes: int, image_size: int) -> ModelConfig:
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     config = _model_config(args.arch, len(dataset.label_names), args.image_size)
-    dataset = resize_dataset(dataset, args.image_size)  # frees the full-size copy
+    dataset = resize_dataset(dataset, args.image_size)
     train_set, val_set = shuffle_split(dataset, args.seed, args.val_fraction)
 
     history = History()
@@ -197,9 +197,9 @@ def cmd_eval(args) -> int:
             f"label map mismatch: checkpoint-only classes {missing}, dataset-only {extra}, "
             f"checkpoint order {label_names}, dataset order {dataset.label_names}"
         )
-    dataset = resize_dataset(dataset, model.config.input_size)  # frees the full-size copy
+    dataset = resize_dataset(dataset, model.config.input_size)
     # evaluate with the training-time normalization stored in the checkpoint
-    eval_set = Dataset(dataset.samples, list(label_names), means)
+    eval_set = Dataset(dataset.samples, dataset.labels, list(label_names), means)
     accuracy, confusion = evaluate(model, eval_set)
     _emit({"accuracy": accuracy, "n": len(eval_set)})
     if args.confusion is not None:

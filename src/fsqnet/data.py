@@ -19,6 +19,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -57,33 +58,41 @@ class ImageBuffer:
 
 
 @dataclass
-class Sample:
-    image: ImageBuffer
-    label: int
-    source_path: str
+class ImageFiles:
+    """The image files of a dataset tree and their labels; nothing is decoded."""
+
+    paths: list[Path]
+    labels: list[int]
+    label_names: list[str]
+
+    def __len__(self) -> int:
+        return len(self.paths)
 
 
 @dataclass
 class Dataset:
-    samples: list[Sample]
+    """Equal-sized RGB images as one array, with one label per image."""
+
+    samples: np.ndarray  # [N, H, W, 3] uint8
+    labels: np.ndarray  # [N] intp
     label_names: list[str]
     channel_means: tuple[float, float, float]
 
     def __post_init__(self):
-        if len(set(self.label_names)) != len(self.label_names):
+        self.labels = np.asarray(self.labels, dtype=np.intp)
+        m = len(self.label_names)
+        if len(set(self.label_names)) != m:
             raise DataError("duplicate class names")
-        for s in self.samples:
-            if not 0 <= s.label < len(self.label_names):
-                raise DataError(f"label {s.label} outside [0, {len(self.label_names)})")
+        if self.labels.shape != (len(self.samples),):
+            raise DataError(f"{self.labels.shape} labels for {len(self.samples)} images")
+        if self.labels.size and not 0 <= self.labels.min() <= self.labels.max() < m:
+            raise DataError(f"label outside [0, {m})")
 
     def __len__(self) -> int:
         return len(self.samples)
 
     def class_counts(self) -> list[int]:
-        counts = [0] * len(self.label_names)
-        for s in self.samples:
-            counts[s.label] += 1
-        return counts
+        return np.bincount(self.labels, minlength=len(self.label_names)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +129,8 @@ def _ppm_tokens(data: bytes, count: int, path: str) -> tuple[list[int], int]:
 
 def _decode_pnm(data: bytes, path: str) -> ImageBuffer:
     magic = data[:2]
+    if not data[2:3].isspace():
+        raise DecodeError(f"no whitespace after magic {magic!r} in {path}")
     (width, height, maxval), offset = _ppm_tokens(data[2:], 3, path)
     offset += 2
     if width < 1 or height < 1:
@@ -226,17 +237,12 @@ def normalize(img: ImageBuffer, channel_means) -> np.ndarray:
     return np.ascontiguousarray(scaled.transpose(2, 0, 1).astype(np.float32))
 
 
-def compute_channel_means(dataset_or_samples) -> tuple[float, float, float]:
-    """Per-channel mean of pixel/255 over every pixel of every sample."""
-    samples = getattr(dataset_or_samples, "samples", dataset_or_samples)
-    if not samples:
+def compute_channel_means(images) -> tuple[float, float, float]:
+    """Per-channel mean of pixel/255 over every pixel of a Dataset or [..., 3] array."""
+    pixels = np.asarray(getattr(images, "samples", images)).reshape(-1, 3)
+    if not len(pixels):
         raise DataError("cannot compute channel means of an empty dataset")
-    totals = np.zeros(3, dtype=np.float64)
-    pixel_count = 0
-    for s in samples:
-        totals += s.image.pixels.reshape(-1, 3).sum(axis=0, dtype=np.float64)
-        pixel_count += s.image.width * s.image.height
-    means = totals / (255.0 * pixel_count)
+    means = pixels.sum(axis=0, dtype=np.float64) / (255.0 * len(pixels))
     return (float(means[0]), float(means[1]), float(means[2]))
 
 
@@ -301,54 +307,55 @@ def fisher_yates_order(n: int, seed: int) -> list[int]:
     return order
 
 
-def load_dataset(root_dir) -> Dataset:
-    """One class per subdirectory, labels by lexicographic directory order.
-
-    Undecodable files are skipped with a warning on stderr; a class directory
-    with no decodable images is an error.
-    """
-    from pathlib import Path
-
+def load_dataset(root_dir) -> ImageFiles:
+    """The image files of one subdirectory per class, labels by lexicographic
+    directory order.  Nothing is decoded; see resize_dataset."""
     root = Path(root_dir)
     if not root.is_dir():
         raise DataError(f"dataset root {root} is not a directory")
     class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if len(class_dirs) < 2:
         raise DataError(f"dataset root {root} needs >= 2 class directories")
-    label_names = [d.name for d in class_dirs]
-    samples: list[Sample] = []
+    paths: list[Path] = []
+    labels: list[int] = []
     for label, class_dir in enumerate(class_dirs):
-        loaded = 0
         for path in sorted(class_dir.iterdir()):
-            if path.suffix.lower() not in IMAGE_EXTENSIONS or not path.is_file():
-                continue
-            try:
-                image = load_image(path)
-            except DecodeError as exc:
-                print(f"warning: skipping {path}: {exc}", file=sys.stderr)
-                continue
-            samples.append(Sample(image, label, str(path)))
-            loaded += 1
-        if loaded == 0:
-            raise DataError(f"class directory {class_dir} has no decodable images")
-    return Dataset(samples, label_names, compute_channel_means(samples))
+            if path.suffix.lower() in IMAGE_EXTENSIONS and path.is_file():
+                paths.append(path)
+                labels.append(label)
+    return ImageFiles(paths, labels, [d.name for d in class_dirs])
 
 
-def resize_dataset(dataset: Dataset, size: int) -> Dataset:
-    """Every sample resized to size x size; channel means recomputed."""
-    resized = [
-        Sample(resize_bilinear(s.image, size, size), s.label, s.source_path)
-        for s in dataset.samples
-    ]
-    return Dataset(resized, list(dataset.label_names), compute_channel_means(resized))
+def resize_dataset(files: ImageFiles, size: int) -> Dataset:
+    """Each file decoded and resized to size x size, one at a time, into one array.
+
+    Undecodable files are skipped with a warning on stderr; a class left with
+    no decodable images is an error.
+    """
+    pixels = np.empty((len(files), size, size, 3), dtype=np.uint8)
+    kept: list[int] = []
+    for index, path in enumerate(files.paths):
+        try:
+            image = load_image(path)
+        except DecodeError as exc:
+            print(f"warning: skipping {path}: {exc}", file=sys.stderr)
+            continue
+        pixels[len(kept)] = resize_bilinear(image, size, size).pixels
+        kept.append(index)
+    labels = np.asarray(files.labels, dtype=np.intp)[kept]
+    counts = np.bincount(labels, minlength=len(files.label_names))
+    if not counts.all():
+        raise DataError(f"class {files.label_names[counts.argmin()]!r} has no decodable images")
+    pixels = pixels[: len(kept)]
+    return Dataset(pixels, labels, list(files.label_names), compute_channel_means(pixels))
 
 
 def shuffle_split(dataset: Dataset, seed: int, val_fraction: float) -> tuple[Dataset, Dataset]:
     """Fisher-Yates shuffle then a stratified split.
 
-    Each class contributes ceil(val_fraction * count) samples to the
-    validation split.  Both splits carry the training split's channel means so
-    validation is normalized with training statistics.
+    Each class contributes its first ceil(val_fraction * count) shuffled
+    samples to the validation split.  Both splits carry the training split's
+    channel means so validation is normalized with training statistics.
     """
     if not 0.0 < val_fraction < 1.0:
         raise ConfigError(f"val_fraction must be in (0,1), got {val_fraction}")
@@ -359,17 +366,15 @@ def shuffle_split(dataset: Dataset, seed: int, val_fraction: float) -> tuple[Dat
             raise DataError(
                 f"class {name!r} has {count} samples, too few to appear in both splits"
             )
-    order = fisher_yates_order(len(dataset.samples), seed)
-    taken = [0] * len(counts)
-    train_samples: list[Sample] = []
-    val_samples: list[Sample] = []
-    for idx in order:
-        sample = dataset.samples[idx]
-        if taken[sample.label] < quotas[sample.label]:
-            taken[sample.label] += 1
-            val_samples.append(sample)
-        else:
-            train_samples.append(sample)
+    order = np.asarray(fisher_yates_order(len(dataset), seed), dtype=np.intp)
+    shuffled = dataset.labels[order]
+    rank = np.empty_like(order)  # position of each sample among its class in shuffled order
+    for label, count in enumerate(counts):
+        rank[shuffled == label] = np.arange(count)
+    to_val = rank < np.asarray(quotas, dtype=np.intp)[shuffled]
+    train_idx, val_idx = order[~to_val], order[to_val]
+    train_samples = dataset.samples[train_idx]
     means = compute_channel_means(train_samples)
     names = list(dataset.label_names)
-    return Dataset(train_samples, names, means), Dataset(val_samples, list(names), means)
+    return (Dataset(train_samples, dataset.labels[train_idx], names, means),
+            Dataset(dataset.samples[val_idx], dataset.labels[val_idx], list(names), means))

@@ -10,7 +10,9 @@ from __future__ import annotations
 import string
 from pathlib import Path
 
-from .data import Dataset, ImageBuffer, Sample, compute_channel_means, save_ppm
+import numpy as np
+
+from .data import Dataset, ImageBuffer, compute_channel_means, save_ppm
 from .tensor import derive_seed, rng_from_seed
 
 PALETTE = (
@@ -42,12 +44,10 @@ def class_names(num_classes: int) -> list[str]:
 
 def make_dataset(num_classes: int, per_class: int, size: int, seed: int) -> Dataset:
     """In-memory dataset with `per_class` images per class."""
-    samples = []
-    for label in range(num_classes):
-        for index in range(per_class):
-            image = synth_image(label, size, derive_seed(seed, label, index))
-            samples.append(Sample(image, label, f"synthetic://{label}/{index}"))
-    return Dataset(samples, class_names(num_classes), compute_channel_means(samples))
+    images = np.stack([synth_image(label, size, derive_seed(seed, label, index)).pixels
+                       for label in range(num_classes) for index in range(per_class)])
+    labels = np.repeat(np.arange(num_classes), per_class)
+    return Dataset(images, labels, class_names(num_classes), compute_channel_means(images))
 
 
 def write_dataset(root, num_classes: int, per_class: int, size: int, seed: int) -> Path:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, augment, fisher_yates_order, normalize
+from .data import Dataset, ImageBuffer, augment, fisher_yates_order, normalize
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import Model, clone_params, model_backward, model_forward
 from .tensor import derive_seed
@@ -136,38 +136,32 @@ def sgd_step(model: Model, grads: dict[str, np.ndarray], config: TrainConfig) ->
 
 
 def _check_input_sizes(dataset: Dataset, size: int, what: str) -> None:
-    if not dataset.samples:
+    if not len(dataset):
         raise DataError(f"{what} dataset is empty")
-    for s in dataset.samples:
-        if s.image.width != size or s.image.height != size:
-            raise DataError(
-                f"{what} sample {s.source_path} is {s.image.width}x{s.image.height}, "
-                f"expected {size}x{size}"
-            )
+    height, width = dataset.samples.shape[1:3]
+    if (width, height) != (size, size):
+        raise DataError(f"{what} images are {width}x{height}, expected {size}x{size}")
 
 
-def _assemble_batch(samples, means, seeds=None, flip=False):
-    """Normalized batch and labels; images are augmented only when given seeds."""
+def _assemble_batch(dataset: Dataset, idx, seeds=None, flip=False):
+    """Normalized images `idx` and their labels; augmented only when given seeds."""
     tensors = []
-    labels = []
-    for i, sample in enumerate(samples):
-        image = sample.image
+    for k, i in enumerate(idx):
+        image = ImageBuffer(dataset.samples[i])
         if seeds is not None:
-            image = augment(image, flip, seeds[i])
-        tensors.append(normalize(image, means))
-        labels.append(sample.label)
-    return np.stack(tensors), np.asarray(labels, dtype=np.intp)
+            image = augment(image, flip, seeds[k])
+        tensors.append(normalize(image, dataset.channel_means))
+    return np.stack(tensors), dataset.labels[idx]
 
 
 def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int):
-    order = fisher_yates_order(len(train_set.samples), config.seed ^ epoch_index)
+    order = fisher_yates_order(len(train_set), config.seed ^ epoch_index)
     for start in range(0, len(order), config.batch_size):
         chunk = order[start : start + config.batch_size]
-        samples = [train_set.samples[i] for i in chunk]
         seeds = None
         if config.augment:
             seeds = [derive_seed(config.seed, epoch_index, i) for i in chunk]
-        yield _assemble_batch(samples, train_set.channel_means, seeds, config.flip)
+        yield _assemble_batch(train_set, chunk, seeds, config.flip)
 
 
 def train_epoch(
@@ -215,12 +209,11 @@ def evaluate(model: Model, dataset: Dataset) -> tuple[float, np.ndarray]:
     _check_input_sizes(dataset, model.config.input_size, "eval")
     m = len(dataset.label_names)
     confusion = np.zeros((m, m), dtype=np.int64)
-    for start in range(0, len(dataset.samples), EVAL_BATCH):
-        samples = dataset.samples[start : start + EVAL_BATCH]
-        batch, labels = _assemble_batch(samples, dataset.channel_means)
+    for start in range(0, len(dataset), EVAL_BATCH):
+        idx = range(start, min(start + EVAL_BATCH, len(dataset)))
+        batch, labels = _assemble_batch(dataset, idx)
         predicted = model_forward(model, batch, training=False).argmax(axis=1)
-        for truth, guess in zip(labels, predicted):
-            confusion[truth, guess] += 1
+        np.add.at(confusion, (labels, predicted), 1)
     accuracy = float(np.trace(confusion) / confusion.sum())
     return accuracy, confusion
 

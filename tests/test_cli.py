@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -131,6 +132,24 @@ def test_full_size_dataset_freed_before_use(workspace, tmp_path, monkeypatch, ca
         argv = ["eval", "--checkpoint", str(workspace["checkpoint"])]
     assert main(argv + ["--data", str(workspace["data"])]) == 0
     assert alive == [False]
+
+
+def test_train_peak_memory_independent_of_source_size(tmp_path, capsys):
+    # sources are decoded and resized one at a time, so 512 px sources may add
+    # less than the float64 copy of one source to the peak of 64 px ones
+    peaks = {}
+    for size in (512, 64):  # one-time allocations count against the larger sources
+        data = write_dataset(tmp_path / str(size), num_classes=4, per_class=24, size=size, seed=5)
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / f"{size}.fsq"),
+                "--arch", "tiny", "--image-size", "32", "--epochs", "1", "--batch", "16",
+                "--deterministic"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks[size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[512] - peaks[64] < 512 * 512 * 3 * 8
 
 
 class TestDeterminism:

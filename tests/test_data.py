@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from fsqnet.data import (
     Dataset,
     ImageBuffer,
-    Sample,
     augment,
     compute_channel_means,
     fisher_yates_order,
@@ -104,6 +104,12 @@ class TestPpm:
         with pytest.raises(DecodeError):
             load_image(path)
 
+    def test_magic_needs_whitespace(self, tmp_path):
+        path = tmp_path / "m.ppm"
+        path.write_bytes(b"P61 1 255\n\x01\x02\x03")
+        with pytest.raises(DecodeError, match="m.ppm"):
+            load_image(path)
+
 
 class TestPng:
     def test_round_trip_via_pillow(self, tmp_path):
@@ -175,10 +181,11 @@ class TestNormalize:
         assert t[1, 2, 3] == np.float32(img.pixels[2, 3, 1] / 255.0)
 
     def test_training_means_center_the_data(self):
-        rng = np.random.default_rng(4)
-        samples = [Sample(_random_image(rng, 8, 8), 0, "") for _ in range(10)]
-        means = compute_channel_means(samples)
-        stacked = np.stack([normalize(s.image, means) for s in samples])
+        images = np.random.default_rng(4).integers(0, 256, (10, 8, 8, 3), dtype=np.uint8)
+        means = compute_channel_means(images)
+        totals = sum(pixels.reshape(-1, 3).sum(axis=0, dtype=np.float64) for pixels in images)
+        assert means == tuple(totals / (255.0 * 10 * 8 * 8))
+        stacked = np.stack([normalize(ImageBuffer(pixels), means) for pixels in images])
         per_channel = stacked.mean(axis=(0, 2, 3))
         assert np.abs(per_channel).max() < 1e-4
 
@@ -191,21 +198,24 @@ class TestNormalize:
 
 class TestChannelMeans:
     def test_all_black(self):
-        samples = [Sample(_solid(3, 3, (0, 0, 0)), 0, "")]
-        assert compute_channel_means(samples) == (0.0, 0.0, 0.0)
+        images = _solid(3, 3, (0, 0, 0)).pixels[None]
+        assert compute_channel_means(images) == (0.0, 0.0, 0.0)
 
     def test_all_white(self):
-        samples = [Sample(_solid(3, 3, (255, 255, 255)), 0, "")]
-        assert compute_channel_means(samples) == (1.0, 1.0, 1.0)
+        images = _solid(3, 3, (255, 255, 255)).pixels[None]
+        assert compute_channel_means(images) == (1.0, 1.0, 1.0)
 
     def test_half_and_half(self):
-        samples = [Sample(_solid(2, 2, (0, 0, 0)), 0, ""),
-                   Sample(_solid(2, 2, (255, 255, 255)), 0, "")]
-        assert compute_channel_means(samples) == (0.5, 0.5, 0.5)
+        images = np.stack([_solid(2, 2, (0, 0, 0)).pixels, _solid(2, 2, (255, 255, 255)).pixels])
+        assert compute_channel_means(images) == (0.5, 0.5, 0.5)
+        dataset = Dataset(images, [0, 1], ["a", "b"], (0.0, 0.0, 0.0))
+        assert compute_channel_means(dataset) == (0.5, 0.5, 0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             compute_channel_means([])
+        with pytest.raises(DataError):
+            compute_channel_means(np.zeros((0, 3, 3, 3), np.uint8))
 
 
 class TestAugment:
@@ -268,9 +278,16 @@ def _write_tree(root, spec):
 class TestLoadDataset:
     def test_counting_and_labels(self, tmp_path):
         _write_tree(tmp_path, {"a": 2, "b": 3})
-        dataset = load_dataset(tmp_path)
-        assert dataset.label_names == ["a", "b"]
-        assert [s.label for s in dataset.samples] == [0, 0, 1, 1, 1]
+        files = load_dataset(tmp_path)
+        assert files.label_names == ["a", "b"]
+        assert files.labels == [0, 0, 1, 1, 1]
+        assert len(files) == 5
+        dataset = resize_dataset(files, 3)
+        assert dataset.samples.shape == (5, 3, 3, 3) and dataset.samples.dtype == np.uint8
+        assert dataset.labels.tolist() == [0, 0, 1, 1, 1]
+        assert dataset.class_counts() == [2, 3]
+        for pixels, path in zip(dataset.samples, files.paths):
+            assert np.array_equal(pixels, load_image(path).pixels)
 
     def test_lexicographic_label_order(self, tmp_path):
         _write_tree(tmp_path, {"z": 1, "a": 1})
@@ -281,15 +298,17 @@ class TestLoadDataset:
         _write_tree(tmp_path, {"a": 3, "b": 2})
         first = load_dataset(tmp_path)
         second = load_dataset(tmp_path)
-        assert first.label_names == second.label_names
-        assert [s.source_path for s in first.samples] == [s.source_path for s in second.samples]
+        assert first == second
+        first, second = resize_dataset(first, 2), resize_dataset(second, 2)
+        assert np.array_equal(first.samples, second.samples)
+        assert np.array_equal(first.labels, second.labels)
         assert first.channel_means == second.channel_means
 
     def test_empty_class_rejected(self, tmp_path):
         _write_tree(tmp_path, {"a": 2})
         (tmp_path / "b").mkdir()
-        with pytest.raises(DataError):
-            load_dataset(tmp_path)
+        with pytest.raises(DataError, match="'b'"):
+            resize_dataset(load_dataset(tmp_path), 3)
 
     def test_needs_two_classes(self, tmp_path):
         _write_tree(tmp_path, {"only": 3})
@@ -299,43 +318,70 @@ class TestLoadDataset:
     def test_undecodable_skipped_with_warning(self, tmp_path, capsys):
         _write_tree(tmp_path, {"a": 2, "b": 2})
         (tmp_path / "a" / "bad.ppm").write_bytes(b"P6\n9 9\n255\nshort")
-        dataset = load_dataset(tmp_path)
+        dataset = resize_dataset(load_dataset(tmp_path), 3)
         assert len(dataset.samples) == 4
+        assert dataset.labels.tolist() == [0, 0, 1, 1]
         assert "bad.ppm" in capsys.readouterr().err
 
     def test_non_image_files_ignored(self, tmp_path):
         _write_tree(tmp_path, {"a": 2, "b": 2})
         (tmp_path / "a" / "notes.txt").write_text("hello")
-        assert len(load_dataset(tmp_path).samples) == 4
+        assert len(load_dataset(tmp_path)) == 4
+
+    def test_listing_decodes_nothing(self, tmp_path, capsys):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            for i in range(2):
+                (tmp_path / name / f"{i}.ppm").write_bytes(b"not an image")
+        files = load_dataset(tmp_path)
+        assert len(files) == 4 and files.labels == [0, 0, 1, 1]
+        assert capsys.readouterr().err == ""
+        with pytest.raises(DataError, match="no decodable images"):
+            resize_dataset(files, 3)
 
 
 class TestShuffleSplit:
     def _dataset(self, per_class=5, classes=2, size=4):
         rng = np.random.default_rng(11)
-        samples = []
+        images = rng.integers(0, 256, (classes * per_class, size, size, 3), dtype=np.uint8)
+        labels = np.repeat(np.arange(classes), per_class)
         names = [chr(ord("a") + i) for i in range(classes)]
-        for label in range(classes):
-            for i in range(per_class):
-                samples.append(Sample(_random_image(rng, size, size), label, f"{label}/{i}"))
-        return Dataset(samples, names, compute_channel_means(samples))
+        return Dataset(images, labels, names, compute_channel_means(images))
+
+    @staticmethod
+    def _assert_walks_shuffled_order(dataset, train, val, seed, fraction):
+        # the first ceil(fraction * count) of each class in Fisher-Yates order go to val
+        quotas = [math.ceil(fraction * c) for c in dataset.class_counts()]
+        taken = [0] * len(quotas)
+        want_train, want_val = [], []
+        for i in fisher_yates_order(len(dataset), seed):
+            label = dataset.labels[i]
+            (want_val if taken[label] < quotas[label] else want_train).append(i)
+            taken[label] += 1
+        for split, want in ((train, want_train), (val, want_val)):
+            assert np.array_equal(split.samples, dataset.samples[want])
+            assert np.array_equal(split.labels, dataset.labels[want])
 
     def test_stratified_half_split(self):
-        train, val = shuffle_split(self._dataset(per_class=5), 7, 0.5)
+        dataset = self._dataset(per_class=5)
+        train, val = shuffle_split(dataset, 7, 0.5)
         assert len(train.samples) + len(val.samples) == 10
         assert sorted(val.class_counts()) == [3, 3]  # ceil(0.5 * 5) each
         assert all(c >= 1 for c in train.class_counts())
+        self._assert_walks_shuffled_order(dataset, train, val, 7, 0.5)
 
     def test_same_seed_same_split(self):
         a_train, a_val = shuffle_split(self._dataset(), 42, 0.4)
         b_train, b_val = shuffle_split(self._dataset(), 42, 0.4)
-        assert [s.source_path for s in a_train.samples] == [s.source_path for s in b_train.samples]
-        assert [s.source_path for s in a_val.samples] == [s.source_path for s in b_val.samples]
+        assert np.array_equal(a_train.samples, b_train.samples)
+        assert np.array_equal(a_val.samples, b_val.samples)
 
     def test_union_is_original_multiset(self):
-        dataset = self._dataset(per_class=7)
+        dataset = self._dataset(per_class=7, classes=3)
         train, val = shuffle_split(dataset, 5, 0.3)
-        combined = sorted(s.source_path for s in train.samples + val.samples)
-        assert combined == sorted(s.source_path for s in dataset.samples)
+        combined = sorted(img.tobytes() for img in np.concatenate([train.samples, val.samples]))
+        assert combined == sorted(img.tobytes() for img in dataset.samples)
+        self._assert_walks_shuffled_order(dataset, train, val, 5, 0.3)
 
     def test_too_small_class_rejected(self):
         dataset = self._dataset(per_class=1)
@@ -353,11 +399,25 @@ class TestShuffleSplit:
 
 
 class TestResizeDataset:
-    def test_resizes_and_recomputes_means(self):
+    def test_resizes_and_recomputes_means(self, tmp_path):
         rng = np.random.default_rng(12)
-        samples = [Sample(_random_image(rng, 10, 6), 0, "x"),
-                   Sample(_random_image(rng, 4, 4), 1, "y")]
-        dataset = Dataset(samples, ["a", "b"], compute_channel_means(samples))
-        out = resize_dataset(dataset, 8)
-        assert all(s.image.width == 8 and s.image.height == 8 for s in out.samples)
+        sources = {"a": _random_image(rng, 10, 6), "b": _random_image(rng, 4, 4)}
+        for name, image in sources.items():
+            (tmp_path / name).mkdir()
+            save_ppm(image, tmp_path / name / "0.ppm")
+        out = resize_dataset(load_dataset(tmp_path), 8)
+        assert out.samples.shape == (2, 8, 8, 3)
+        for pixels, image in zip(out.samples, sources.values()):
+            assert np.array_equal(pixels, resize_bilinear(image, 8, 8).pixels)
         assert out.channel_means == compute_channel_means(out.samples)
+
+
+class TestDataset:
+    def test_validation(self):
+        images = np.zeros((2, 3, 3, 3), np.uint8)
+        with pytest.raises(DataError):
+            Dataset(images, [0, 2], ["a", "b"], (0.5, 0.5, 0.5))
+        with pytest.raises(DataError):
+            Dataset(images, [0], ["a", "b"], (0.5, 0.5, 0.5))
+        with pytest.raises(DataError):
+            Dataset(images, [0, 0], ["a", "a"], (0.5, 0.5, 0.5))

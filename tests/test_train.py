@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsqnet.data import Dataset, Sample
+from fsqnet.data import Dataset, ImageBuffer
 from fsqnet.errors import ConfigError, DataError, NumericError, StateError
 from fsqnet.model import Model, build_model, clone_params, model_backward, model_forward, tiny_config
 from fsqnet.synthetic import make_dataset
@@ -149,10 +149,9 @@ class TestSgdStep:
         # line-search property on the tiny config, several seeds: some small
         # enough step along the gradient must reduce the loss
         train_set, _ = _split_synthetic()
-        batch_samples = train_set.samples[:8]
         from fsqnet.train import _assemble_batch
 
-        batch, labels = _assemble_batch(batch_samples, train_set.channel_means, None, [0] * 8)
+        batch, labels = _assemble_batch(train_set, range(8))
         for seed in range(10):
             model = build_model(tiny_config(num_classes=2), seed)
             probs = model_forward(model, batch, training=True)
@@ -203,7 +202,7 @@ class TestTrainEpoch:
 
     def test_empty_dataset_rejected(self):
         train_set, val_set = _split_synthetic()
-        empty = Dataset([], train_set.label_names, (0.5, 0.5, 0.5))
+        empty = Dataset(train_set.samples[:0], [], train_set.label_names, (0.5, 0.5, 0.5))
         model = build_model(tiny_config(num_classes=2), 1)
         with pytest.raises(DataError):
             train_epoch(model, empty, val_set, TrainConfig(), 1)
@@ -211,8 +210,13 @@ class TestTrainEpoch:
     def test_wrong_image_size_rejected(self):
         train_set, val_set = _split_synthetic()
         model = build_model(tiny_config(num_classes=2, input_size=64), 1)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="train images are 32x32, expected 64x64"):
             train_epoch(model, train_set, val_set, TrainConfig(), 1)
+        model = build_model(tiny_config(num_classes=2), 1)
+        wide = Dataset(np.zeros((4, 32, 40, 3), np.uint8), [0, 1, 0, 1], val_set.label_names,
+                       val_set.channel_means)
+        with pytest.raises(DataError, match="val images are 40x32"):
+            train_epoch(model, train_set, wide, TrainConfig(), 1)
 
     def test_failed_epoch_leaves_no_thread(self):
         dataset = make_dataset(2, 12, 32, 3)
@@ -235,7 +239,8 @@ def _rigged_class0_model() -> Model:
 class TestEvaluate:
     def test_degenerate_single_class(self):
         dataset = make_dataset(2, 6, 32, 1)
-        class0 = Dataset([s for s in dataset.samples if s.label == 0],
+        is0 = dataset.labels == 0
+        class0 = Dataset(dataset.samples[is0], dataset.labels[is0],
                          dataset.label_names, dataset.channel_means)
         accuracy, confusion = evaluate(_rigged_class0_model(), class0)
         assert accuracy == 1.0
@@ -260,10 +265,10 @@ class TestEvaluate:
         hits = 0
         from fsqnet.data import normalize
 
-        for sample in dataset.samples:
-            tensor = normalize(sample.image, dataset.channel_means)[None, ...]
+        for pixels, label in zip(dataset.samples, dataset.labels):
+            tensor = normalize(ImageBuffer(pixels), dataset.channel_means)[None, ...]
             predicted = int(model_forward(model, tensor).argmax())
-            hits += predicted == sample.label
+            hits += predicted == label
         assert accuracy == hits / len(dataset.samples)
 
 

@@ -16,7 +16,9 @@ imported from the checkout this script belongs to:
     python3 /path/to/other/checkout/scripts/determinism_gate.py /tmp/gate-old > old.txt
     diff old.txt new.txt
 
-A refactor that should not change behaviour must leave every line equal.
+A refactor that should not change behaviour must leave every line equal.  A
+change that alters output on purpose lists its changed lines, with their new
+hashes, in CHANGES.md.
 """
 
 import argparse

@@ -136,10 +136,11 @@ def _model_config(arch: str, num_classes: int, image_size: int) -> ModelConfig:
 
 
 def cmd_train(args) -> int:
-    dataset = load_dataset(args.data)
-    config = _model_config(args.arch, len(dataset.label_names), args.image_size)
-    dataset = resize_dataset(dataset, args.image_size)
-    train_set, val_set = shuffle_split(dataset, args.seed, args.val_fraction)
+    # the resized set is left unbound, so only the two splits live through fit
+    train_set, val_set = shuffle_split(resize_dataset(load_dataset(args.data), args.image_size),
+                                       args.seed, args.val_fraction)
+    label_names = train_set.label_names
+    config = _model_config(args.arch, len(label_names), args.image_size)
 
     history = History()
     if args.resume is not None:
@@ -148,9 +149,9 @@ def cmd_train(args) -> int:
             raise CompatibilityError(
                 f"resume config {model.config.to_dict()} does not match flags {config.to_dict()}"
             )
-        if resumed_labels != dataset.label_names:
+        if resumed_labels != label_names:
             raise CompatibilityError(
-                f"resume labels {resumed_labels} do not match dataset {dataset.label_names}"
+                f"resume labels {resumed_labels} do not match dataset {label_names}"
             )
     else:
         model = build_model(config, args.seed)
@@ -181,7 +182,7 @@ def cmd_train(args) -> int:
         result = fit(model, train_set, val_set, train_cfg, history=history, emit=emit)
 
     best = Model(config, result.best_params)
-    save_checkpoint(best, result.history, train_set.channel_means, dataset.label_names, args.out)
+    save_checkpoint(best, result.history, train_set.channel_means, label_names, args.out)
     entry = result.history.best()
     _emit({"best_epoch": entry.epoch, "best_val_acc": entry.val_acc, "checkpoint": args.out})
     return 0

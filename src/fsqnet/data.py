@@ -3,7 +3,8 @@
 Images are 8-bit RGB buffers.  The preprocessing chain for the network is
 resize (bilinear, half-pixel centers) -> optional augmentation -> normalize
 (divide by 255, subtract per-channel training means), producing a [3, S, S]
-float32 tensor.
+float32 tensor.  Augmentation composes its crop, rescale, rotation and
+brightness into one bilinear resampling with one rounding.
 
 Binary PPM (P6) is the always-available image format since it decodes in a
 few lines with no dependencies; PGM (P5) grayscale is replicated to three
@@ -192,7 +193,7 @@ def _round_u8(values: np.ndarray) -> np.ndarray:
 
 
 def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -> np.ndarray:
-    """Bilinear samples of HxWx3 pixels at in-range source coordinates.
+    """Float64 bilinear samples of HxWx3 pixels at in-range source coordinates.
 
     src_x and src_y broadcast against each other to the output grid; each
     output pixel lerps along x on the two bracketing rows, then along y.
@@ -208,7 +209,7 @@ def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -
     src = pixels.astype(np.float64)
     top = src[y0, x0] * (1.0 - fx) + src[y0, x1] * fx
     bottom = src[y1, x0] * (1.0 - fx) + src[y1, x1] * fx
-    return _round_u8(top * (1.0 - fy) + bottom * fy)
+    return top * (1.0 - fy) + bottom * fy
 
 
 def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
@@ -224,7 +225,7 @@ def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
 
     sx = np.clip((np.arange(out_w) + 0.5) * (img.width / out_w) - 0.5, 0.0, img.width - 1.0)
     sy = np.clip((np.arange(out_h) + 0.5) * (img.height / out_h) - 0.5, 0.0, img.height - 1.0)
-    return ImageBuffer(_sample_bilinear(img.pixels, sx[None, :], sy[:, None]))
+    return ImageBuffer(_round_u8(_sample_bilinear(img.pixels, sx[None, :], sy[:, None])))
 
 
 def normalize(img: ImageBuffer, channel_means) -> np.ndarray:
@@ -238,8 +239,8 @@ def normalize(img: ImageBuffer, channel_means) -> np.ndarray:
 
 
 def compute_channel_means(images) -> tuple[float, float, float]:
-    """Per-channel mean of pixel/255 over every pixel of a Dataset or [..., 3] array."""
-    pixels = np.asarray(getattr(images, "samples", images)).reshape(-1, 3)
+    """Per-channel mean of pixel/255 over every pixel of a [..., 3] array."""
+    pixels = np.asarray(images).reshape(-1, 3)
     if not len(pixels):
         raise DataError("cannot compute channel means of an empty dataset")
     means = pixels.sum(axis=0, dtype=np.float64) / (255.0 * len(pixels))
@@ -250,17 +251,23 @@ def compute_channel_means(images) -> tuple[float, float, float]:
 # augmentation
 
 
-def _rotate_edge_clamped(pixels: np.ndarray, angle_deg: float) -> np.ndarray:
+def _warp(pixels: np.ndarray, crop_w: int, crop_h: int, off_x: int, off_y: int,
+          angle_deg: float, gain: float) -> np.ndarray:
+    """Crop at (off_x, off_y), rescale to full size, rotate about the center and
+    scale by gain as one inverse map: rotate each output pixel by -angle_deg and
+    clamp to the image, then map it into the crop with resize's half-pixel formula
+    and clamp to the crop.  Sampled and rounded once; identity returns the input."""
     h, w = pixels.shape[:2]
     theta = math.radians(angle_deg)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     xs = np.arange(w, dtype=np.float64) - cx
     ys = np.arange(h, dtype=np.float64) - cy
-    # inverse mapping: rotate destination coords by -angle to find the source
-    src_x = np.clip(cos_t * xs[None, :] + sin_t * ys[:, None] + cx, 0.0, w - 1.0)
-    src_y = np.clip(-sin_t * xs[None, :] + cos_t * ys[:, None] + cy, 0.0, h - 1.0)
-    return _sample_bilinear(pixels, src_x, src_y)
+    rot_x = np.clip(cos_t * xs[None, :] + sin_t * ys[:, None] + cx, 0.0, w - 1.0)
+    rot_y = np.clip(-sin_t * xs[None, :] + cos_t * ys[:, None] + cy, 0.0, h - 1.0)
+    src_x = np.clip((rot_x + 0.5) * (crop_w / w) - 0.5, 0.0, crop_w - 1.0) + off_x
+    src_y = np.clip((rot_y + 0.5) * (crop_h / h) - 0.5, 0.0, crop_h - 1.0) + off_y
+    return _round_u8(_sample_bilinear(pixels, src_x, src_y) * gain)
 
 
 def augment(img: ImageBuffer, flip: bool, seed: int) -> ImageBuffer:
@@ -280,17 +287,8 @@ def augment(img: ImageBuffer, flip: bool, seed: int) -> ImageBuffer:
     brightness = float(rng.uniform(-BRIGHTNESS_JITTER, BRIGHTNESS_JITTER))
     mirror = bool(rng.integers(0, 2))
 
-    out = img
-    if crop_w != img.width or crop_h != img.height:
-        cropped = ImageBuffer(out.pixels[off_y : off_y + crop_h, off_x : off_x + crop_w])
-        out = resize_bilinear(cropped, img.width, img.height)
-    if angle != 0.0:
-        out = ImageBuffer(_rotate_edge_clamped(out.pixels, angle))
-    if brightness != 0.0:
-        out = ImageBuffer(_round_u8(out.pixels * (1.0 + brightness)))
-    if flip and mirror:
-        out = ImageBuffer(out.pixels[:, ::-1, :])
-    return out
+    out = _warp(img.pixels, crop_w, crop_h, off_x, off_y, angle, 1.0 + brightness)
+    return ImageBuffer(out[:, ::-1] if flip and mirror else out)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,35 @@ def scalar_rotate_edge_clamped(pixels, angle_deg: float):
     return out
 
 
+def scalar_warp(pixels, crop_w: int, crop_h: int, off_x: int, off_y: int,
+                angle_deg: float, gain: float):
+    """Per output pixel: inverse rotation about the center clamped to the image,
+    half-pixel map into the crop clamped to the crop, one bilinear sample of the
+    source, times gain, rounded once."""
+    h = len(pixels)
+    w = len(pixels[0])
+    theta = math.radians(angle_deg)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    out = [[[0, 0, 0] for _ in range(w)] for _ in range(h)]
+    for dy in range(h):
+        for dx in range(w):
+            xs, ys = dx - cx, dy - cy
+            rx = min(max(cos_t * xs + sin_t * ys + cx, 0.0), w - 1.0)
+            ry = min(max(-sin_t * xs + cos_t * ys + cy, 0.0), h - 1.0)
+            sx = min(max((rx + 0.5) * (crop_w / w) - 0.5, 0.0), crop_w - 1.0) + off_x
+            sy = min(max((ry + 0.5) * (crop_h / h) - 0.5, 0.0), crop_h - 1.0) + off_y
+            x0, y0 = int(math.floor(sx)), int(math.floor(sy))
+            x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+            fx, fy = sx - x0, sy - y0
+            for ch in range(3):
+                top = pixels[y0][x0][ch] * (1 - fx) + pixels[y0][x1][ch] * fx
+                bot = pixels[y1][x0][ch] * (1 - fx) + pixels[y1][x1][ch] * fx
+                value = (top * (1 - fy) + bot * fy) * gain
+                out[dy][dx][ch] = min(max(int(math.floor(value + 0.5)), 0), 255)
+    return out
+
+
 def closed_form_param_count(num_classes: int, fire_widths, head_hidden: int) -> int:
     """Layer-by-layer arithmetic from the architecture definition alone."""
     total = 64 * 3 * 3 * 3 + 64  # stem conv

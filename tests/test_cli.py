@@ -108,14 +108,17 @@ class TestTrain:
         assert code == 0
 
 
-@pytest.mark.parametrize("command,consumer", [("train", "fit"), ("eval", "evaluate")])
+@pytest.mark.parametrize("command,consumer,loader", [("train", "fit", "load_dataset"),
+                                                    ("eval", "evaluate", "load_dataset"),
+                                                    ("train", "fit", "resize_dataset")],
+                         ids=["train-fit", "eval-evaluate", "train-fit-resize_dataset"])
 def test_full_size_dataset_freed_before_use(workspace, tmp_path, monkeypatch, capsys,
-                                            command, consumer):
-    real_load, real_consumer = fsqnet.cli.load_dataset, getattr(fsqnet.cli, consumer)
+                                            command, consumer, loader):
+    real_load, real_consumer = getattr(fsqnet.cli, loader), getattr(fsqnet.cli, consumer)
     loaded, alive = [], []
 
-    def load_dataset(root):
-        dataset = real_load(root)
+    def load(*args):
+        dataset = real_load(*args)
         loaded.append(weakref.ref(dataset))
         return dataset
 
@@ -124,7 +127,7 @@ def test_full_size_dataset_freed_before_use(workspace, tmp_path, monkeypatch, ca
         alive.append(loaded[0]() is not None)
         return real_consumer(*args, **kwargs)
 
-    monkeypatch.setattr(fsqnet.cli, "load_dataset", load_dataset)
+    monkeypatch.setattr(fsqnet.cli, loader, load)
     monkeypatch.setattr(fsqnet.cli, consumer, consume)
     if command == "train":
         argv = ["train", "--out", str(tmp_path / "m.fsq")] + TRAIN_FLAGS

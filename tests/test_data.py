@@ -21,9 +21,10 @@ from fsqnet.data import (
     save_ppm,
     shuffle_split,
 )
-from fsqnet.data import _rotate_edge_clamped
+import fsqnet.data
+from fsqnet.data import _warp
 from fsqnet.errors import ConfigError, DataError, DecodeError
-from oracles import scalar_resize_bilinear, scalar_rotate_edge_clamped
+from oracles import scalar_resize_bilinear, scalar_rotate_edge_clamped, scalar_warp
 
 
 def _solid(width, height, rgb):
@@ -209,7 +210,7 @@ class TestChannelMeans:
         images = np.stack([_solid(2, 2, (0, 0, 0)).pixels, _solid(2, 2, (255, 255, 255)).pixels])
         assert compute_channel_means(images) == (0.5, 0.5, 0.5)
         dataset = Dataset(images, [0, 1], ["a", "b"], (0.0, 0.0, 0.0))
-        assert compute_channel_means(dataset) == (0.5, 0.5, 0.5)
+        assert compute_channel_means(dataset.samples) == (0.5, 0.5, 0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -249,8 +250,40 @@ class TestAugment:
     @pytest.mark.parametrize("angle", [0.0, 7.5, -10.0, 90.0, 180.0])
     def test_rotation_matches_scalar_reference(self, width, height, angle):
         img = _random_image(np.random.default_rng(11), width, height)
-        ours = _rotate_edge_clamped(img.pixels, angle)
-        assert ours.tolist() == scalar_rotate_edge_clamped(img.pixels.tolist(), angle)
+        # (crop shrink x, y, offset x, y, gain): a full crop and two partial ones
+        for dw, dh, off_x, off_y, gain in [(0, 0, 0, 0, 1.1), (2, 1, 1, 1, 0.9),
+                                           (1, 2, 1, 2, 1.1)]:
+            args = (width - dw, height - dh, off_x, off_y, angle, gain)
+            ours = _warp(img.pixels, *args)
+            assert ours.tolist() == scalar_warp(img.pixels.tolist(), *args), args
+
+    def test_identity_warp_returns_input(self):
+        img = _random_image(np.random.default_rng(12), 8, 6)
+        assert np.array_equal(_warp(img.pixels, 8, 6, 0, 0, 0.0, 1.0), img.pixels)
+
+    def test_one_pass_matches_two_pass_chain_on_a_ramp(self, monkeypatch):
+        # bilinear sampling is exact on a linear image, so the paths differ by the
+        # roundings: the two-pass chain's first two, times a gain <= 1.1, move a
+        # value by <= 1.1 and the last roundings of both paths by < 1 more
+        height, width = 64, 48
+        y, x = np.mgrid[0:height, 0:width]
+        ramp = np.stack([5 * x, 3 * y, 2 * (x + y)], axis=-1).astype(np.uint8)
+        calls = []
+
+        def warp(pixels, *args):
+            calls.append(args)
+            return _warp(pixels, *args)
+
+        monkeypatch.setattr(fsqnet.data, "_warp", warp)
+        for seed in range(50):
+            ours = augment(ImageBuffer(ramp), False, seed).pixels
+            crop_w, crop_h, off_x, off_y, angle, gain = calls[-1]
+            crop = [row[off_x:off_x + crop_w] for row in ramp[off_y:off_y + crop_h].tolist()]
+            rotated = scalar_rotate_edge_clamped(
+                scalar_resize_bilinear(crop, width, height), angle)
+            chain = np.array(rotated, dtype=np.float64) * gain
+            chain = np.clip(np.floor(chain + 0.5), 0, 255)
+            assert np.abs(ours - chain).max() <= 2, seed
 
 
 class TestFisherYates:

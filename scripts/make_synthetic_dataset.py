@@ -1,13 +1,17 @@
 """Write a synthetic color/shape dataset as a class-per-directory PPM tree.
 
 Handy for smoke tests and for exercising the train/eval/predict commands
-without downloading anything. Requires the package to be installed
-(pip install -e .).
+without downloading anything. The fsqnet package is imported from the
+checkout this script belongs to.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from fsqnet.synthetic import write_dataset
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from fsqnet.synthetic import write_dataset  # noqa: E402
 
 
 def main(argv=None) -> int:

@@ -3,15 +3,20 @@
 This is the quickest full-pipeline sanity run: data generation, split,
 training with momentum SGD, and per-epoch metrics as JSON lines on stdout.
 With the defaults it reaches 100% train accuracy in around ten epochs and
-a couple of seconds.
+a couple of seconds.  The fsqnet package is imported from the checkout this
+script belongs to.
 """
 
 import argparse
+import sys
+from pathlib import Path
 
-from fsqnet.data import shuffle_split
-from fsqnet.model import build_model, tiny_config
-from fsqnet.synthetic import make_dataset
-from fsqnet.train import TrainConfig, fit
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from fsqnet.data import shuffle_split  # noqa: E402
+from fsqnet.model import build_model, tiny_config  # noqa: E402
+from fsqnet.synthetic import make_dataset  # noqa: E402
+from fsqnet.train import TrainConfig, fit  # noqa: E402
 
 
 def main(argv=None) -> int:

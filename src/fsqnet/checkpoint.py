@@ -13,8 +13,8 @@ Byte layout (all integers little-endian unsigned 32-bit):
 JSON blocks are canonical (sorted keys, no whitespace) so identical state
 serializes to identical bytes.  Writes go to a temp file in the target
 directory followed by an atomic rename, so a crashed save never leaves a
-partial file at the final path.  Optimizer velocity is deliberately not
-stored: a resumed run restarts momentum from zero.
+partial file at the final path.  No optimizer state is stored: `fit` starts
+momentum from zero on every call, a resumed run included.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ parameter table, layer summary, forward and backward passes all loop over it.
 
 Parameters live in a flat name -> array dict using ``<layer>/weight`` and
 ``<layer>/bias`` keys, fully determined by the config, which is what lets
-checkpoints validate shapes on load.
+checkpoints validate shapes on load.  A training forward returns its tape, a
+list of (layer, layer tape) pairs, instead of keeping it on the model.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ class Layer:
     """One step of the network.
 
     ``forward(params, x, dropout_seed)`` returns the output and a tape holding
-    what ``backward(params, tape, d, grads)`` needs; backward stores the
+    what ``backward(tape, d, grads)`` needs, weights included; backward stores the
     layer's parameter gradients into ``grads`` and returns the gradient at
     its input.  ``out_shape`` maps a channel-first shape without the batch
     dim through the layer.
@@ -190,11 +191,11 @@ class Conv(Layer):
     def forward(self, params, x, dropout_seed):
         w, b = self._weights(params)
         y = relu(conv2d_forward(x, w, b, self.conv))
-        return y, (x, y)
+        return y, (x, w, y)
 
-    def backward(self, params, tape, d, grads):
-        x, y = tape
-        g = conv2d_backward(x, params[f"{self.name}/weight"], self.conv, relu_backward(y, d))
+    def backward(self, tape, d, grads):
+        x, w, y = tape
+        g = conv2d_backward(x, w, self.conv, relu_backward(y, d))
         return _store_grads(grads, self.name, g)
 
 
@@ -226,19 +227,19 @@ class Fire(Layer):
 
     def forward(self, params, x, dropout_seed):
         s, s_tape = self.squeeze.forward(params, x, dropout_seed)
-        e1, _ = self.expand1x1.forward(params, s, dropout_seed)
-        e3, _ = self.expand3x3.forward(params, s, dropout_seed)
+        e1, (_, w1, _) = self.expand1x1.forward(params, s, dropout_seed)
+        e3, (_, w3, _) = self.expand3x3.forward(params, s, dropout_seed)
         y = channel_concat(e1, e3)
         # the expand tapes view y, so e1 and e3 are freed on return
         e = self.fire.expand_1x1
-        return y, (s_tape, (s, y[:, :e]), (s, y[:, e:]))
+        return y, (s_tape, (s, w1, y[:, :e]), (s, w3, y[:, e:]))
 
-    def backward(self, params, tape, d, grads):
+    def backward(self, tape, d, grads):
         s_tape, e1_tape, e3_tape = tape
         d1, d3 = channel_split(d, self.fire.expand_1x1)
-        d_s = self.expand1x1.backward(params, e1_tape, d1, grads)
-        d_s = d_s + self.expand3x3.backward(params, e3_tape, d3, grads)
-        return self.squeeze.backward(params, s_tape, d_s, grads)
+        d_s = self.expand1x1.backward(e1_tape, d1, grads)
+        d_s = d_s + self.expand3x3.backward(e3_tape, d3, grads)
+        return self.squeeze.backward(s_tape, d_s, grads)
 
 
 @dataclass
@@ -257,7 +258,7 @@ class Pool(Layer):
         y = maxpool2d(x, POOL_KERNEL, POOL_STRIDE)
         return y, (x, y)
 
-    def backward(self, params, tape, d, grads):
+    def backward(self, tape, d, grads):
         x, y = tape
         return maxpool2d_backward(x, y, POOL_KERNEL, POOL_STRIDE, d)
 
@@ -272,7 +273,7 @@ class GlobalAvgPool(Layer):
     def forward(self, params, x, dropout_seed):
         return global_avg_pool(x), x.shape[2:]
 
-    def backward(self, params, tape, d, grads):
+    def backward(self, tape, d, grads):
         return global_avg_pool_backward(d, *tape)
 
 
@@ -297,13 +298,13 @@ class Dense(Layer):
         y = dense_forward(x, w, b)
         if self.apply_relu:
             y = relu(y)
-        return y, (x, y)
+        return y, (x, w, y)
 
-    def backward(self, params, tape, d, grads):
-        x, y = tape
+    def backward(self, tape, d, grads):
+        x, w, y = tape
         if self.apply_relu:
             d = relu_backward(y, d)
-        return _store_grads(grads, self.name, dense_backward(x, params[f"{self.name}/weight"], d))
+        return _store_grads(grads, self.name, dense_backward(x, w, d))
 
 
 @dataclass
@@ -319,7 +320,7 @@ class Dropout(Layer):
         mask = dropout_mask(x.shape, self.rate, dropout_seed)
         return x * mask, mask
 
-    def backward(self, params, tape, d, grads):
+    def backward(self, tape, d, grads):
         return d if tape is None else d * tape
 
 
@@ -330,7 +331,7 @@ class Softmax(Layer):
     def forward(self, params, x, dropout_seed):
         return softmax(x), None
 
-    def backward(self, params, tape, d, grads):
+    def backward(self, tape, d, grads):
         return d  # gradient arrives at the logits, softmax is fused into the loss
 
 
@@ -379,18 +380,12 @@ def layer_summary(config: ModelConfig) -> list[dict]:
     return rows
 
 
+@dataclass(eq=False)  # compared by identity, as arrays have no single truth value
 class Model:
-    """Config plus named parameter tensors and per-parameter SGD velocity."""
+    """Config plus named parameter tensors."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray], velocity=None):
-        self.config = config
-        self.params = params
-        self.velocity = (
-            velocity
-            if velocity is not None
-            else {name: np.zeros_like(p) for name, p in params.items()}
-        )
-        self._cache: list | None = None
+    config: ModelConfig
+    params: dict[str, np.ndarray]
 
 
 def build_model(config: ModelConfig, seed: int) -> Model:
@@ -415,41 +410,39 @@ def model_forward(
     batch: np.ndarray,
     training: bool = False,
     dropout_seed: int | None = None,
-) -> np.ndarray:
+) -> np.ndarray | tuple[np.ndarray, list]:
     """Probabilities [N, num_classes] for an NCHW batch at the configured size.
 
-    With training=True the layer tapes are retained on the model for
-    model_backward.  Dropout fires only when training and a dropout_seed is
-    given, so evaluation passes stay deterministic.
+    With training=True it returns (probs, tape) for model_backward.  Dropout
+    fires only when training and a dropout_seed is given, so evaluation passes
+    stay deterministic.
     """
     size = model.config.input_size
     if batch.ndim != 4 or batch.shape[1:] != (3, size, size):
         raise ShapeError(f"batch shape {batch.shape}, expected [N,3,{size},{size}]")
     seed = dropout_seed if training else None
-    tapes: list = []
+    tape: list = []
     x = batch
     for layer in layer_plan(model.config):
-        x, tape = layer.forward(model.params, x, seed)
+        x, layer_tape = layer.forward(model.params, x, seed)
         if training:
-            tapes.append(tape)
-    model._cache = tapes if training else None
-    return x
+            tape.append((layer, layer_tape))
+    return (x, tape) if training else x
 
 
-def model_backward(model: Model, d_logits: np.ndarray) -> dict[str, np.ndarray]:
+def model_backward(tape: list, d_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradient per parameter given the loss gradient at the pre-softmax logits.
 
-    Consumes the tapes of the preceding training forward, so they are freed
-    as soon as the gradients exist rather than held until the next forward.
+    Pops the tape of a training forward from the end, so each layer's
+    activations are freed as soon as its backward has run.
     """
-    tapes = model._cache
-    if tapes is None:
-        raise StateError("model_backward needs a preceding forward pass with training=True")
-    model._cache = None
+    if not tape:
+        raise StateError("model_backward needs the tape of a forward pass with training=True")
     grads: dict[str, np.ndarray] = {}
     d = d_logits
-    for layer, tape in zip(reversed(layer_plan(model.config)), reversed(tapes)):
-        d = layer.backward(model.params, tape, d, grads)
+    while tape:
+        layer, layer_tape = tape.pop()
+        d = layer.backward(layer_tape, d, grads)
     return grads
 
 

@@ -216,7 +216,9 @@ def relu(x: np.ndarray) -> np.ndarray:
 def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     if x.shape != d_out.shape:
         raise ShapeError(f"relu_backward shape mismatch: {x.shape} vs {d_out.shape}")
-    return np.where(x > 0, d_out, np.float32(0.0))
+    bits = np.negative(x > 0, dtype=np.int32)  # all ones where x > 0, else zero
+    bits &= np.asarray(d_out, np.float32).view(np.int32)  # so x <= 0 gives +0.0
+    return bits.view(np.float32)
 
 
 def _pool_taps(x: np.ndarray, kernel: int, stride: int) -> list[tuple[int, int, np.ndarray]]:

@@ -3,7 +3,8 @@
 The loss is categorical cross-entropy over softmax probabilities,
 L = -(1/n) sum_i sum_j y_ij log(p_ij), with the softmax gradient fused so the
 backward pass starts from (p - y)/n at the logits.  The optimizer is plain
-SGD with momentum: v <- mu v + g, theta <- theta - lr v.
+SGD with momentum: v <- mu v + g, theta <- theta - lr v, where `fit` owns the
+velocity v and starts it at zero.
 
 Each epoch reshuffles the training set with seed XOR epoch_index, walks
 mini-batches (last partial batch kept), and reports epoch-mean loss, training
@@ -122,17 +123,16 @@ def cross_entropy(probs: np.ndarray, labels) -> tuple[float, np.ndarray]:
     return loss, d_logits.astype(np.float32)
 
 
-def sgd_step(model: Model, grads: dict[str, np.ndarray], config: TrainConfig) -> Model:
+def sgd_step(params: dict, velocity: dict, grads: dict, config: TrainConfig) -> None:
     """In-place momentum update: v <- mu v + g, theta <- theta - lr v."""
-    missing = [name for name in model.params if name not in grads]
+    missing = [name for name in params if name not in grads]
     if missing:
         raise StateError(f"gradients missing for {missing}")
-    for name, param in model.params.items():
-        v = model.velocity[name]
+    for name, param in params.items():
+        v = velocity[name]
         v *= np.float32(config.momentum)
         v += grads[name]
         param -= np.float32(config.learning_rate) * v
-    return model
 
 
 def _check_input_sizes(dataset: Dataset, size: int, what: str) -> None:
@@ -166,12 +166,13 @@ def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int):
 
 def train_epoch(
     model: Model,
+    velocity: dict[str, np.ndarray],
     train_set: Dataset,
     val_set: Dataset,
     config: TrainConfig,
     epoch_index: int,
 ) -> EpochMetrics:
-    """One pass of shuffled mini-batch SGD plus a validation evaluation."""
+    """One pass of shuffled mini-batch momentum SGD plus a validation evaluation."""
     started = time.perf_counter()
     size = model.config.input_size
     _check_input_sizes(train_set, size, "train")
@@ -184,10 +185,10 @@ def train_epoch(
         dropout_seed = (
             derive_seed(config.seed, epoch_index, batch_index, 0xD0) if config.dropout_on else None
         )
-        probs = model_forward(model, batch, training=True, dropout_seed=dropout_seed)
+        probs, tape = model_forward(model, batch, training=True, dropout_seed=dropout_seed)
         loss, d_logits = cross_entropy(probs, labels)
-        grads = model_backward(model, d_logits)
-        sgd_step(model, grads, config)
+        grads = model_backward(tape, d_logits)
+        sgd_step(model.params, velocity, grads, config)
         n = len(labels)
         loss_sum += loss * n
         correct += int((probs.argmax(axis=1) == labels).sum())
@@ -248,7 +249,7 @@ def fit(
     history: History | None = None,
     emit=None,
 ) -> FitResult:
-    """Run config.epochs epochs, keeping the parameters of `history.best()`.
+    """Run config.epochs epochs from zero momentum, keeping the params of `history.best()`.
 
     With a non-empty starting history (resume), epoch numbering continues from
     where it left off.  `emit` receives one JSON metrics line per epoch.
@@ -256,8 +257,9 @@ def fit(
     history = history if history is not None else History()
     first = history.last_epoch() + 1
     best_params = clone_params(model.params)
+    velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
     for epoch_index in range(first, first + config.epochs):
-        metrics = train_epoch(model, train_set, val_set, config, epoch_index)
+        metrics = train_epoch(model, velocity, train_set, val_set, config, epoch_index)
         history.append(metrics)
         if emit is not None:
             emit(metrics.to_json_line())

@@ -200,9 +200,9 @@ def _full_model_gradients() -> None:
         model = build_model(tiny_config(), seed)
         batch = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
         labels = rng.integers(0, 3, 2).tolist()
-        probs = model_forward(model, batch, training=True)
+        probs, tape = model_forward(model, batch, training=True)
         _, d_logits = cross_entropy(probs, labels)
-        grads = model_backward(model, d_logits)
+        grads = model_backward(tape, d_logits)
         names = list(model.params)
         gnorm = float(np.sqrt(sum((grads[n].astype(np.float64) ** 2).sum() for n in names)))
         direction = {n: grads[n].astype(np.float64) / gnorm for n in names}

@@ -66,16 +66,6 @@ class TestRoundTrip:
         assert size > payload
         assert size - payload < 64 * 1024
 
-    def test_velocity_not_serialized(self, tmp_path):
-        model, history, means, labels = _fixture()
-        for v in model.velocity.values():
-            v += 1.0
-        path = tmp_path / "m.fsq"
-        save_checkpoint(model, history, means, labels, path)
-        loaded, _, _, _ = load_checkpoint(path)
-        for v in loaded.velocity.values():
-            assert not v.any()
-
 
 def _forge(path, edit):
     """Replace a checkpoint's config and history JSON by edit(config, history), with a valid CRC."""

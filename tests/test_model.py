@@ -13,6 +13,7 @@ from fsqnet.model import (
     ModelConfig,
     build_model,
     expected_param_shapes,
+    layer_plan,
     layer_summary,
     model_backward,
     model_forward,
@@ -171,13 +172,11 @@ class TestBuildModel:
         a, b = _tiny_model(seed=1), _tiny_model(seed=2)
         assert not np.array_equal(a.params["conv1/weight"], b.params["conv1/weight"])
 
-    def test_zero_biases_and_velocity(self):
+    def test_zero_biases(self):
         model = _tiny_model()
         for name, p in model.params.items():
             if name.endswith("/bias"):
                 assert not p.any()
-            assert not model.velocity[name].any()
-            assert model.velocity[name].shape == p.shape
 
     def test_shapes_match_plan(self):
         model = _tiny_model()
@@ -237,25 +236,29 @@ class TestModelForward:
                                conv(f"{name}_expand3x3", s, ConvSpec(2, 2, 3, 3, pad=1)))
         h = relu(dense_forward(global_avg_pool(h), p["dense1/weight"], p["dense1/bias"]))
         dropped = h * dropout_mask(h.shape, 0.5, 5)
-        for hidden, kwargs in ((h, {}), (dropped, {"training": True, "dropout_seed": 5})):
-            expected = softmax(dense_forward(hidden, p["dense2/weight"], p["dense2/bias"]))
-            assert np.array_equal(model_forward(model, x, **kwargs), expected)
+
+        def head(hidden):
+            return softmax(dense_forward(hidden, p["dense2/weight"], p["dense2/bias"]))
+
+        assert np.array_equal(model_forward(model, x), head(h))
+        probs, _ = model_forward(model, x, training=True, dropout_seed=5)
+        assert np.array_equal(probs, head(dropped))
 
     def test_eval_keeps_no_tapes(self):
         model = build_model(ModelConfig(input_size=64), 1)
         x = _batch(np.random.default_rng(9), 2, size=64)
 
         def peak(training):
-            model._cache = None
             tracemalloc.start()
             try:
-                model_forward(model, x, training=training)
-                return tracemalloc.get_traced_memory()[1]
+                out = model_forward(model, x, training=training)
+                return out, tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        eval_peak, train_peak = peak(False), peak(True)
-        assert model._cache is not None
+        (probs, eval_peak), ((_, tape), train_peak) = peak(False), peak(True)
+        assert isinstance(probs, np.ndarray)
+        assert [layer for layer, _ in tape] == layer_plan(model.config)
         assert eval_peak < train_peak
 
     def test_training_tape_holds_each_activation_once(self):
@@ -269,10 +272,9 @@ class TestModelForward:
         for r, fire in zip((r for r in rows if r["name"].startswith("fire")), config.fire_specs):
             values += fire.squeeze_1x1 * r["output_shape"][1] * r["output_shape"][2]
         activation_bytes = 4 * n * values
-        model._cache = None
         tracemalloc.start()
         try:
-            model_forward(model, x, training=True)
+            _, tape = model_forward(model, x, training=True)  # bound, so held while measured
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -282,9 +284,9 @@ class TestModelForward:
     def test_dropout_only_with_seed(self):
         model = build_model(tiny_config(), 3)
         x = _batch(np.random.default_rng(3), 2)
-        plain = model_forward(model, x, training=True)
-        dropped = model_forward(model, x, training=True, dropout_seed=11)
-        again = model_forward(model, x, training=True, dropout_seed=11)
+        plain, _ = model_forward(model, x, training=True)
+        dropped, _ = model_forward(model, x, training=True, dropout_seed=11)
+        again, _ = model_forward(model, x, training=True, dropout_seed=11)
         assert np.array_equal(plain, model_forward(model, x))
         assert not np.array_equal(plain, dropped)
         assert np.array_equal(dropped, again)
@@ -293,24 +295,26 @@ class TestModelForward:
 class TestModelBackward:
     def test_requires_training_forward(self):
         model = _tiny_model()
-        model_forward(model, _batch(np.random.default_rng(4), 1))  # inference: no cache
+        probs = model_forward(model, _batch(np.random.default_rng(4), 1))  # inference: no tape
+        assert isinstance(probs, np.ndarray)
         with pytest.raises(StateError):
-            model_backward(model, np.zeros((1, 3), np.float32))
+            model_backward([], np.zeros((1, 3), np.float32))
 
     def test_consumes_the_tape(self):
         model = _tiny_model()
-        model_forward(model, _batch(np.random.default_rng(4), 1), training=True)
+        _, tape = model_forward(model, _batch(np.random.default_rng(4), 1), training=True)
         d = np.zeros((1, 3), np.float32)
-        model_backward(model, d)
+        model_backward(tape, d)
+        assert tape == []
         with pytest.raises(StateError):
-            model_backward(model, d)
+            model_backward(tape, d)
 
     def test_covers_every_parameter(self):
         model = _tiny_model()
         x = _batch(np.random.default_rng(5), 2)
-        probs = model_forward(model, x, training=True)
+        probs, tape = model_forward(model, x, training=True)
         _, d_logits = cross_entropy(probs, [0, 1])
-        grads = model_backward(model, d_logits)
+        grads = model_backward(tape, d_logits)
         assert set(grads) == set(model.params)
         for name in grads:
             assert grads[name].shape == model.params[name].shape
@@ -319,10 +323,8 @@ class TestModelBackward:
         model = _tiny_model()
         x = _batch(np.random.default_rng(6), 2)
         d = np.full((2, 3), 0.1, np.float32)
-        model_forward(model, x, training=True)
-        first = model_backward(model, d)
-        model_forward(model, x, training=True)
-        second = model_backward(model, d)
+        first = model_backward(model_forward(model, x, training=True)[1], d)
+        second = model_backward(model_forward(model, x, training=True)[1], d)
         for name in first:
             assert np.array_equal(first[name], second[name])
 
@@ -330,7 +332,9 @@ class TestModelBackward:
         model = _tiny_model()
         before = parameter_count(model)
         x = _batch(np.random.default_rng(7), 2)
-        probs = model_forward(model, x, training=True)
+        probs, tape = model_forward(model, x, training=True)
         _, d_logits = cross_entropy(probs, [0, 2])
-        sgd_step(model, model_backward(model, d_logits), TrainConfig(learning_rate=0.01))
+        velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
+        sgd_step(model.params, velocity, model_backward(tape, d_logits),
+                 TrainConfig(learning_rate=0.01))
         assert parameter_count(model) == before

@@ -223,6 +223,14 @@ class TestRelu:
         d = np.array([10.0, 20.0, 30.0], np.float32)
         assert relu_backward(x, d).tolist() == [0.0, 20.0, 0.0]
 
+    def test_backward_bytes_match_where(self):
+        ds = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 3.5, -2.0], np.float32)
+        ys = np.array([-1.0, -0.0, 0.0, 1e-45, 2.0, np.nan], np.float32)
+        y = np.repeat(ys[:, None], ds.size, axis=1)
+        d = np.repeat(ds[:, None], ys.size, axis=1).T  # a strided view, as channel_split gives
+        expected = np.where(y > 0, d, np.float32(0.0))
+        assert relu_backward(y, d).tobytes() == expected.tobytes()
+
     def test_backward_matches_fd_away_from_kink(self):
         rng = np.random.default_rng(6)
         x = _randn(rng, 3, 4)

@@ -109,41 +109,41 @@ class TestCrossEntropy:
         assert abs(loss - -math.log(1e-12)) < 1e-6
 
 
-def _scalar_model(theta: float) -> Model:
-    config = tiny_config()
-    model = build_model(config, 0)
-    # reuse the machinery with a single handy scalar parameter
-    model.params = {"w": np.array([theta], dtype=np.float32)}
-    model.velocity = {"w": np.zeros(1, dtype=np.float32)}
-    return model
+def _zero_velocity(model: Model) -> dict:
+    return {name: np.zeros_like(p) for name, p in model.params.items()}
+
+
+def _scalar_state(theta: float):
+    """One scalar parameter and its zero velocity."""
+    return {"w": np.array([theta], dtype=np.float32)}, {"w": np.zeros(1, dtype=np.float32)}
 
 
 class TestSgdStep:
     def test_zero_learning_rate_is_null_step(self):
-        model = _scalar_model(1.0)
-        sgd_step(model, {"w": np.array([2.0], np.float32)},
+        params, velocity = _scalar_state(1.0)
+        sgd_step(params, velocity, {"w": np.array([2.0], np.float32)},
                  TrainConfig(learning_rate=0.0, momentum=0.9))
-        assert model.params["w"][0] == 1.0
+        assert params["w"][0] == 1.0
 
     def test_plain_sgd_arithmetic(self):
-        model = _scalar_model(1.0)
-        sgd_step(model, {"w": np.array([2.0], np.float32)},
+        params, velocity = _scalar_state(1.0)
+        sgd_step(params, velocity, {"w": np.array([2.0], np.float32)},
                  TrainConfig(learning_rate=0.1, momentum=0.0))
-        assert abs(model.params["w"][0] - 0.8) < 1e-7
+        assert abs(params["w"][0] - 0.8) < 1e-7
 
     def test_momentum_recursion(self):
-        model = _scalar_model(0.0)
+        params, velocity = _scalar_state(0.0)
         config = TrainConfig(learning_rate=0.1, momentum=0.9)
         g = {"w": np.array([1.0], np.float32)}
-        sgd_step(model, g, config)
-        assert abs(model.params["w"][0] - -0.1) < 1e-7
-        sgd_step(model, g, config)
-        assert abs(model.params["w"][0] - -0.29) < 1e-7
+        sgd_step(params, velocity, g, config)
+        assert abs(params["w"][0] - -0.1) < 1e-7
+        sgd_step(params, velocity, g, config)
+        assert abs(params["w"][0] - -0.29) < 1e-7
 
     def test_missing_gradient(self):
-        model = _scalar_model(0.0)
+        params, velocity = _scalar_state(0.0)
         with pytest.raises(StateError):
-            sgd_step(model, {}, TrainConfig())
+            sgd_step(params, velocity, {}, TrainConfig())
 
     def test_loss_decreases_along_gradient(self):
         # line-search property on the tiny config, several seeds: some small
@@ -154,15 +154,15 @@ class TestSgdStep:
         batch, labels = _assemble_batch(train_set, range(8))
         for seed in range(10):
             model = build_model(tiny_config(num_classes=2), seed)
-            probs = model_forward(model, batch, training=True)
+            probs, tape = model_forward(model, batch, training=True)
             loss_before, d_logits = cross_entropy(probs, labels)
-            grads = model_backward(model, d_logits)
+            grads = model_backward(tape, d_logits)
             initial = clone_params(model.params)
             decreased = False
             for lr in (0.01, 0.003, 0.001, 0.0003):
                 model.params = clone_params(initial)
-                model.velocity = {n: np.zeros_like(p) for n, p in model.params.items()}
-                sgd_step(model, grads, TrainConfig(learning_rate=lr, momentum=0.0))
+                sgd_step(model.params, _zero_velocity(model), grads,
+                         TrainConfig(learning_rate=lr, momentum=0.0))
                 loss_after, _ = cross_entropy(model_forward(model, batch), labels)
                 if loss_after < loss_before:
                     decreased = True
@@ -175,14 +175,15 @@ class TestTrainEpoch:
         train_set, val_set = _split_synthetic()
         model = build_model(tiny_config(num_classes=2), 1)
         before = clone_params(model.params)
-        train_epoch(model, train_set, val_set, TrainConfig(learning_rate=0.0, batch_size=4), 1)
+        train_epoch(model, _zero_velocity(model), train_set, val_set,
+                    TrainConfig(learning_rate=0.0, batch_size=4), 1)
         for name in before:
             assert np.array_equal(before[name], model.params[name])
 
     def test_metrics_fields(self):
         train_set, val_set = _split_synthetic()
         model = build_model(tiny_config(num_classes=2), 1)
-        metrics = train_epoch(model, train_set, val_set,
+        metrics = train_epoch(model, _zero_velocity(model), train_set, val_set,
                               TrainConfig(learning_rate=0.05, batch_size=4), 1)
         assert metrics.epoch == 1
         assert 0.0 <= metrics.train_acc <= 1.0
@@ -205,18 +206,18 @@ class TestTrainEpoch:
         empty = Dataset(train_set.samples[:0], [], train_set.label_names, (0.5, 0.5, 0.5))
         model = build_model(tiny_config(num_classes=2), 1)
         with pytest.raises(DataError):
-            train_epoch(model, empty, val_set, TrainConfig(), 1)
+            train_epoch(model, _zero_velocity(model), empty, val_set, TrainConfig(), 1)
 
     def test_wrong_image_size_rejected(self):
         train_set, val_set = _split_synthetic()
         model = build_model(tiny_config(num_classes=2, input_size=64), 1)
         with pytest.raises(DataError, match="train images are 32x32, expected 64x64"):
-            train_epoch(model, train_set, val_set, TrainConfig(), 1)
+            train_epoch(model, _zero_velocity(model), train_set, val_set, TrainConfig(), 1)
         model = build_model(tiny_config(num_classes=2), 1)
         wide = Dataset(np.zeros((4, 32, 40, 3), np.uint8), [0, 1, 0, 1], val_set.label_names,
                        val_set.channel_means)
         with pytest.raises(DataError, match="val images are 40x32"):
-            train_epoch(model, train_set, wide, TrainConfig(), 1)
+            train_epoch(model, _zero_velocity(model), train_set, wide, TrainConfig(), 1)
 
     def test_failed_epoch_leaves_no_thread(self):
         dataset = make_dataset(2, 12, 32, 3)
@@ -224,7 +225,8 @@ class TestTrainEpoch:
         model.params["dense2/bias"][:] = np.inf
         threads = threading.active_count()
         with pytest.raises(NumericError):
-            train_epoch(model, dataset, dataset, TrainConfig(batch_size=2), 1)
+            train_epoch(model, _zero_velocity(model), dataset, dataset,
+                        TrainConfig(batch_size=2), 1)
         assert threading.active_count() == threads
 
 
@@ -367,6 +369,23 @@ class TestFit:
         first = fit(model, train_set, val_set, config)
         second = fit(model, train_set, val_set, config, history=first.history)
         assert [m.epoch for m in second.history.entries] == [1, 2, 3, 4]
+
+    def test_second_fit_restarts_momentum(self):
+        train_set, val_set = _split_synthetic(per_class=10)
+        model = build_model(tiny_config(num_classes=2), 8)
+        config = TrainConfig(learning_rate=0.05, batch_size=4, epochs=2, seed=8,
+                             deterministic=True)
+        first = fit(model, train_set, val_set, config)
+        params = clone_params(model.params)
+        # fit appends to the history it is given, so each side gets its own copy
+        fresh = fit(Model(model.config, params), train_set, val_set, config,
+                    history=History(list(first.history.entries)))
+        second = fit(model, train_set, val_set, config,
+                     history=History(list(first.history.entries)))
+        assert second.history == fresh.history
+        for name, param in params.items():
+            assert np.array_equal(model.params[name], param)
+            assert np.array_equal(second.best_params[name], fresh.best_params[name])
 
     def test_resume_keeps_incoming_best(self):
         train_set, val_set = _split_synthetic(per_class=10)

@@ -6,8 +6,10 @@ trainings (tiny@32 for 3 epochs, v1.1@64 for 1 epoch), then three more tiny
 ones that cover the other augmentation settings and a resume: `--flip`,
 `--no-augment` and `--resume tiny.ckpt`.  On the first two checkpoints it runs
 `inspect --checkpoint`, `eval --confusion` and `predict --top 3` on one
-image, plus two `inspect --arch-only` calls.  It prints one `sha256  name`
-line per checkpoint, metrics file, command output and confusion CSV.  Every
+image, plus two `inspect --arch-only` calls.  Last, it runs `predict` with
+the v1.1 checkpoint on a non-square 300x97 image, whose resize to 64 px
+downscales one axis past 4x.  It prints one `sha256  name` line per
+checkpoint, metrics file, command output and confusion CSV: 21 lines.  Every
 path is relative to WORKDIR, so the metrics headers, and with them the
 hashes, are comparable between two checkouts.  The fsqnet package is
 imported from the checkout this script belongs to:
@@ -29,9 +31,12 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fsqnet.cli import main as fsqnet_main  # noqa: E402
+from fsqnet.data import ImageBuffer, save_ppm  # noqa: E402
 from fsqnet.synthetic import write_dataset  # noqa: E402
 
 COMMON = ["--deterministic", "--dropout", "--seed", "42", "--val-fraction", "0.25"]
@@ -89,6 +94,12 @@ def main(argv=None) -> int:
     for arch in ("v11", "tiny"):
         _run(["inspect", "--arch-only", "--arch", arch], f"inspect-{arch}.json")
         artifacts.append(f"inspect-{arch}.json")
+    y, x = np.mgrid[0:97, 0:300]
+    save_ppm(ImageBuffer(np.stack([7 * x + 3 * y, x * y, 5 * (x ^ y)], axis=-1) % 256),
+             "wide.ppm")
+    _run(["predict", "--checkpoint", "v11.ckpt", "--image", "wide.ppm", "--top", "3"],
+         "predict-v11-wide.json")
+    artifacts.append("predict-v11-wide.json")
     for name in artifacts:
         print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
     return 0

@@ -20,6 +20,7 @@ momentum from zero on every call, a resumed run included.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -70,7 +71,7 @@ def save_checkpoint(model: Model, history: History, channel_means, label_names, 
         out += np.ascontiguousarray(tensor, dtype="<f4").tobytes()
     out += struct.pack("<I", len(history_block))
     out += history_block
-    out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
+    out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
 
     directory = os.path.dirname(os.path.abspath(path))
     temp_path = os.path.join(directory, f".{os.path.basename(path)}.tmp")
@@ -84,11 +85,13 @@ def save_checkpoint(model: Model, history: History, channel_means, label_names, 
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Walks a memoryview: payloads are views into the file buffer, not copies."""
+
+    def __init__(self, data: memoryview):
         self.data = data
         self.offset = 0
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.offset + count > len(self.data):
             raise FormatError(
                 f"truncated checkpoint: wanted {count} bytes at offset {self.offset}"
@@ -99,6 +102,10 @@ class _Reader:
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
+
+    def text(self) -> str:
+        """A u32 length, then that many UTF-8 bytes."""
+        return self.take(self.u32()).tobytes().decode("utf-8")
 
 
 def load_checkpoint(path) -> tuple[Model, History, tuple[float, float, float], list[str]]:
@@ -112,28 +119,26 @@ def load_checkpoint(path) -> tuple[Model, History, tuple[float, float, float], l
     version = struct.unpack_from("<I", data, len(MAGIC))[0]
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format version {version}, reader supports {FORMAT_VERSION}")
-    stored_crc = struct.unpack("<I", data[-4:])[0]
-    actual_crc = zlib.crc32(data[:-4]) & 0xFFFFFFFF
+    stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
+    actual_crc = zlib.crc32(memoryview(data)[:-4]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise CorruptionError(f"CRC mismatch: stored {stored_crc:#010x}, actual {actual_crc:#010x}")
 
-    reader = _Reader(data[: -4])
+    reader = _Reader(memoryview(data)[:-4])
     reader.take(len(MAGIC) + 4)  # magic + version, already checked
     try:
-        config_obj = json.loads(reader.take(reader.u32()).decode("utf-8"))
+        config_obj = json.loads(reader.text())
         config = ModelConfig.from_dict(config_obj["model"])
         means = tuple(float(m) for m in config_obj["channel_means"])
         label_names = [str(n) for n in config_obj["label_names"]]
         tensors: dict[str, np.ndarray] = {}
         for _ in range(reader.u32()):
-            name = reader.take(reader.u32()).decode("utf-8")
+            name = reader.text()
             dims = tuple(reader.u32() for _ in range(reader.u32()))
-            count = int(np.prod(dims)) if dims else 1
-            payload = reader.take(4 * count)
-            tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).astype(
-                np.float32, copy=True
-            )
-        history = History.from_jsonable(json.loads(reader.take(reader.u32()).decode("utf-8")))
+            # one copy: native float32, writable, and not pinning the file buffer
+            payload = reader.take(4 * math.prod(dims))
+            tensors[name] = np.frombuffer(payload, "<f4").reshape(dims).astype(np.float32)
+        history = History.from_jsonable(json.loads(reader.text()))
     except (KeyError, ValueError, TypeError, OverflowError, ConfigError, StateError) as exc:
         raise FormatError(f"malformed checkpoint structure: {exc}")
     if reader.offset != len(reader.data):

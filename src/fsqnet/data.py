@@ -4,7 +4,11 @@ Images are 8-bit RGB buffers.  The preprocessing chain for the network is
 resize (bilinear, half-pixel centers) -> optional augmentation -> normalize
 (divide by 255, subtract per-channel training means), producing a [3, S, S]
 float32 tensor.  Augmentation composes its crop, rescale, rotation and
-brightness into one bilinear resampling with one rounding.
+brightness into one bilinear resampling with one rounding.  Resize and
+augmentation share one sampler, which gathers uint8 channel planes with
+flat 1-D takes; on resize's axis-aligned grid it lerps each source row
+along x once and then picks rows, with the same float operations in the
+same order.  Channel means are exact integer sums per channel.
 
 Binary PPM (P6) is the always-available image format since it decodes in a
 few lines with no dependencies; PGM (P5) grayscale is replicated to three
@@ -197,19 +201,31 @@ def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -
 
     src_x and src_y broadcast against each other to the output grid; each
     output pixel lerps along x on the two bracketing rows, then along y.
+    The uint8 channel planes are gathered with 1-D takes, never copied to
+    float64.  On an axis-aligned grid (src_x [1, W] and src_y [H, 1], as
+    resize passes) every source row is lerped along x once and the two
+    bracketing rows are then picked per output row: the same products and
+    sums as the general gather, so the same bits.  The result is an HxWx3
+    view of channel-planar memory.
     """
     h, w = pixels.shape[:2]
     x0 = np.floor(src_x).astype(np.intp)
     y0 = np.floor(src_y).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    fx = (src_x - x0)[..., None]
-    fy = (src_y - y0)[..., None]
+    fx = src_x - x0
+    fy = src_y - y0
 
-    src = pixels.astype(np.float64)
-    top = src[y0, x0] * (1.0 - fx) + src[y0, x1] * fx
-    bottom = src[y1, x0] * (1.0 - fx) + src[y1, x1] * fx
-    return top * (1.0 - fy) + bottom * fy
+    planes = pixels.transpose(2, 0, 1)
+    if src_x.shape[0] == 1 and src_y.shape[-1] == 1:
+        rows = planes.take(x0[0], axis=2) * (1.0 - fx) + planes.take(x1[0], axis=2) * fx
+        top, bottom = rows.take(y0[:, 0], axis=1), rows.take(y1[:, 0], axis=1)
+    else:
+        planes = planes.reshape(3, h * w)
+        r0, r1 = y0 * w, y1 * w
+        top = planes.take(r0 + x0, axis=1) * (1.0 - fx) + planes.take(r0 + x1, axis=1) * fx
+        bottom = planes.take(r1 + x0, axis=1) * (1.0 - fx) + planes.take(r1 + x1, axis=1) * fx
+    return (top * (1.0 - fy) + bottom * fy).transpose(1, 2, 0)
 
 
 def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
@@ -239,11 +255,15 @@ def normalize(img: ImageBuffer, channel_means) -> np.ndarray:
 
 
 def compute_channel_means(images) -> tuple[float, float, float]:
-    """Per-channel mean of pixel/255 over every pixel of a [..., 3] array."""
+    """Per-channel mean of pixel/255 over every pixel of a [..., 3] uint8 array.
+
+    Each channel is summed in exact uint64 integers, so the quotients equal
+    those of an exact float64 sum to the bit."""
     pixels = np.asarray(images).reshape(-1, 3)
     if not len(pixels):
         raise DataError("cannot compute channel means of an empty dataset")
-    means = pixels.sum(axis=0, dtype=np.float64) / (255.0 * len(pixels))
+    sums = np.array([pixels[:, c].sum(dtype=np.uint64) for c in range(3)])
+    means = sums / (255.0 * len(pixels))
     return (float(means[0]), float(means[1]), float(means[2]))
 
 

@@ -149,9 +149,11 @@ class TestResize:
         reference = scalar_resize_bilinear(img.pixels.tolist(), 2, 2)
         assert out.pixels.tolist() == reference
 
-    @given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 10), st.integers(1, 10),
+    # sources up to 40 px against outputs up to 10 px draw downscales past 2x
+    # (rows and columns the sampler never reads) and non-square grids
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 10), st.integers(1, 10),
            st.integers(0, 2**32 - 1))
-    @settings(max_examples=30)
+    @settings(max_examples=60)
     def test_matches_scalar_reference_everywhere(self, in_w, in_h, out_w, out_h, seed):
         img = _random_image(np.random.default_rng(seed), in_w, in_h)
         ours = resize_bilinear(img, out_w, out_h)
@@ -212,6 +214,15 @@ class TestChannelMeans:
         dataset = Dataset(images, [0, 1], ["a", "b"], (0.0, 0.0, 0.0))
         assert compute_channel_means(dataset.samples) == (0.5, 0.5, 0.5)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (7, 3), (2, 7, 5, 3), (4, 30, 30, 3),
+                                       (3, 64, 64, 3)])
+    def test_exact_integer_quotients(self, shape):
+        images = np.random.default_rng(sum(shape)).integers(0, 256, shape, dtype=np.uint8)
+        count = images.size // 3
+        # Python int sums; int / int is correctly rounded, as float64 division is
+        expected = tuple(sum(images[..., c].ravel().tolist()) / (255 * count) for c in range(3))
+        assert compute_channel_means(images) == expected
+
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             compute_channel_means([])
@@ -256,6 +267,19 @@ class TestAugment:
             args = (width - dw, height - dh, off_x, off_y, angle, gain)
             ours = _warp(img.pixels, *args)
             assert ours.tolist() == scalar_warp(img.pixels.tolist(), *args), args
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_warp_matches_scalar_reference_everywhere(self, data):
+        width, height = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        crop_w, crop_h = data.draw(st.integers(1, width)), data.draw(st.integers(1, height))
+        args = (crop_w, crop_h, data.draw(st.integers(0, width - crop_w)),
+                data.draw(st.integers(0, height - crop_h)),
+                data.draw(st.floats(-180.0, 180.0)), data.draw(st.floats(0.5, 1.5)))
+        img = _random_image(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                            width, height)
+        ours = _warp(img.pixels, *args)
+        assert ours.tolist() == scalar_warp(img.pixels.tolist(), *args), args
 
     def test_identity_warp_returns_input(self):
         img = _random_image(np.random.default_rng(12), 8, 6)

@@ -6,9 +6,7 @@ resize (bilinear, half-pixel centers) -> optional augmentation -> normalize
 float32 tensor.  Augmentation composes its crop, rescale, rotation and
 brightness into one bilinear resampling with one rounding.  Resize and
 augmentation share one sampler, which gathers uint8 channel planes with
-flat 1-D takes; on resize's axis-aligned grid it lerps each source row
-along x once and then picks rows, with the same float operations in the
-same order.  Channel means are exact integer sums per channel.
+flat 1-D takes.  Channel means are exact integer sums per channel.
 
 Binary PPM (P6) is the always-available image format since it decodes in a
 few lines with no dependencies; PGM (P5) grayscale is replicated to three
@@ -201,12 +199,8 @@ def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -
 
     src_x and src_y broadcast against each other to the output grid; each
     output pixel lerps along x on the two bracketing rows, then along y.
-    The uint8 channel planes are gathered with 1-D takes, never copied to
-    float64.  On an axis-aligned grid (src_x [1, W] and src_y [H, 1], as
-    resize passes) every source row is lerped along x once and the two
-    bracketing rows are then picked per output row: the same products and
-    sums as the general gather, so the same bits.  The result is an HxWx3
-    view of channel-planar memory.
+    The uint8 channel planes are gathered with flat 1-D takes, never copied
+    to float64.  The result is an HxWx3 view of channel-planar memory.
     """
     h, w = pixels.shape[:2]
     x0 = np.floor(src_x).astype(np.intp)
@@ -216,15 +210,10 @@ def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -
     fx = src_x - x0
     fy = src_y - y0
 
-    planes = pixels.transpose(2, 0, 1)
-    if src_x.shape[0] == 1 and src_y.shape[-1] == 1:
-        rows = planes.take(x0[0], axis=2) * (1.0 - fx) + planes.take(x1[0], axis=2) * fx
-        top, bottom = rows.take(y0[:, 0], axis=1), rows.take(y1[:, 0], axis=1)
-    else:
-        planes = planes.reshape(3, h * w)
-        r0, r1 = y0 * w, y1 * w
-        top = planes.take(r0 + x0, axis=1) * (1.0 - fx) + planes.take(r0 + x1, axis=1) * fx
-        bottom = planes.take(r1 + x0, axis=1) * (1.0 - fx) + planes.take(r1 + x1, axis=1) * fx
+    planes = pixels.transpose(2, 0, 1).reshape(3, h * w)
+    r0, r1 = y0 * w, y1 * w
+    top = planes.take(r0 + x0, axis=1) * (1.0 - fx) + planes.take(r0 + x1, axis=1) * fx
+    bottom = planes.take(r1 + x0, axis=1) * (1.0 - fx) + planes.take(r1 + x1, axis=1) * fx
     return (top * (1.0 - fy) + bottom * fy).transpose(1, 2, 0)
 
 

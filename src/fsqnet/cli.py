@@ -8,7 +8,10 @@ compatibility errors, 4 I/O errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -36,6 +39,42 @@ from .model import (
 from .train import History, TrainConfig, evaluate, fit
 
 ARCHES = ("v11", "tiny")
+
+# glibc's mallopt parameters, and a threshold above the largest single array
+# of a v1.1@244 batch-32 training step (about 240 MB)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_THRESHOLD = 1 << 30
+
+
+def keep_heap() -> bool:
+    """Have glibc keep freed memory in the heap; True if it applied.
+
+    By default glibc maps each large array on its own and unmaps it when
+    freed, and trims the heap top, so every training step faults and zeroes
+    the previous step's activations again.  A fixed 1 GiB mmap threshold
+    puts those arrays in the heap and a 1 GiB trim threshold keeps their pages.
+    The mmap threshold goes first: a trim threshold alone also switches off
+    glibc's dynamic mmap threshold, which is slower still.  Nothing is set
+    without glibc's mallopt, or when the mmap threshold is refused, or when
+    the environment already sets a glibc malloc option.
+    """
+    if any(name.startswith("MALLOC_") for name in os.environ) or (
+        "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")
+    ):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD) != 1:
+        return False
+    return mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD) == 1
+
+
+_keep_heap_once = functools.cache(keep_heap)
 
 
 def _positive_int(text: str) -> int:
@@ -237,6 +276,7 @@ def cmd_inspect(args) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_heap_once()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -238,7 +238,7 @@ class Fire(Layer):
         s_tape, e1_tape, e3_tape = tape
         d1, d3 = channel_split(d, self.fire.expand_1x1)
         d_s = self.expand1x1.backward(e1_tape, d1, grads)
-        d_s = d_s + self.expand3x3.backward(e3_tape, d3, grads)
+        d_s += self.expand3x3.backward(e3_tape, d3, grads)
         return self.squeeze.backward(s_tape, d_s, grads)
 
 

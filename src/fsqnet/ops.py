@@ -290,11 +290,14 @@ def channel_concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def channel_split(d: np.ndarray, channels_a: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of channel_concat; used by its backward pass."""
+    """Inverse of channel_concat; used by its backward pass.
+
+    Returns two views of d, not copies: writing to either writes to d.
+    """
     _require_4d(d, "split input")
     if not 1 <= channels_a < d.shape[1]:
         raise ShapeError(f"cannot split {d.shape[1]} channels at {channels_a}")
-    return d[:, :channels_a].copy(), d[:, channels_a:].copy()
+    return d[:, :channels_a], d[:, channels_a:]
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

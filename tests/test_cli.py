@@ -19,6 +19,15 @@ TRAIN_FLAGS = [
     "--batch", "8", "--seed", "42", "--val-fraction", "0.2", "--no-augment",
     "--deterministic",
 ]
+SRC = str(Path(fsqnet.cli.__file__).resolve().parents[1])
+
+
+def _env_without_malloc_settings(**extra) -> dict:
+    """os.environ less glibc's malloc settings, with fsqnet's src on the path and extra added."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    return {**env, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]),
+            **extra}
 
 
 @pytest.fixture(scope="session")
@@ -166,19 +175,88 @@ class TestDeterminism:
         assert out.read_bytes() == first_ckpt
         assert (tmp_path / "d.fsq.metrics.jsonl").read_bytes() == first_metrics
 
+    @staticmethod
+    def _train_in_subprocess(data, run: Path, env: dict) -> tuple[bytes, bytes]:
+        run.mkdir()
+        argv = ["train", "--data", str(data), "--out", "d.fsq"] + TRAIN_FLAGS
+        subprocess.run([sys.executable, "-m", "fsqnet", *argv], cwd=run, env=env, check=True,
+                       capture_output=True)
+        return (run / "d.fsq").read_bytes(), (run / "d.fsq.metrics.jsonl").read_bytes()
+
     def test_blas_thread_count_leaves_bytes_unchanged(self, workspace, tmp_path):
-        src = str(Path(fsqnet.cli.__file__).resolve().parents[1])
-        runs = []
-        for threads in ("1", "2"):
-            run = tmp_path / f"threads{threads}"
-            run.mkdir()
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-            argv = ["train", "--data", str(workspace["data"]), "--out", "d.fsq"] + TRAIN_FLAGS
-            subprocess.run([sys.executable, "-m", "fsqnet", *argv], cwd=run, env=env, check=True,
-                           capture_output=True)
-            runs.append(((run / "d.fsq").read_bytes(), (run / "d.fsq.metrics.jsonl").read_bytes()))
+        runs = [self._train_in_subprocess(workspace["data"], tmp_path / f"threads{threads}",
+                                          _env_without_malloc_settings(OPENBLAS_NUM_THREADS=threads))
+                for threads in ("1", "2")]
         assert runs[0] == runs[1]
+
+    def test_allocator_setting_leaves_bytes_unchanged(self, workspace, tmp_path):
+        # the plain run keeps glibc's heap; keep_heap leaves a user's malloc setting alone
+        runs = [self._train_in_subprocess(workspace["data"], tmp_path / name,
+                                          _env_without_malloc_settings(**extra))
+                for name, extra in (("plain", {}),
+                                    ("user", {"MALLOC_MMAP_THRESHOLD_": "131072"}))]
+        assert runs[0] == runs[1]
+
+
+# 3 warm-up steps, then the minor page faults per tiny@32 batch-32 training step
+_FAULTS_PER_STEP = """
+import json, resource
+import numpy as np
+from fsqnet.cli import keep_heap
+from fsqnet.model import build_model, model_backward, model_forward, tiny_config
+from fsqnet.train import cross_entropy
+
+applied = keep_heap()
+model = build_model(tiny_config(num_classes=4, input_size=32), seed=0)
+x = np.random.default_rng(0).random((32, 3, 32, 32), dtype=np.float32)
+labels = np.arange(32) % 4
+
+def step():
+    probs, tape = model_forward(model, x, training=True, dropout_seed=0)
+    model_backward(tape, cross_entropy(probs, labels)[1])
+
+for _ in range(3):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    step()
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"applied": applied, "faults_per_step": faults / 20}))
+"""
+
+
+class TestKeepHeap:
+    def test_training_steps_reuse_freed_pages(self):
+        # glibc's defaults fault about 3,100 pages per step; a kept heap about 1
+        out = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP],
+                             env=_env_without_malloc_settings(), check=True,
+                             capture_output=True, text=True).stdout
+        result = json.loads(out)
+        if not result["applied"]:
+            pytest.skip("glibc's mallopt is not available")
+        assert result["faults_per_step"] < 500
+
+    def test_no_mallopt_is_a_no_op(self, monkeypatch):
+        for name in list(os.environ):
+            if name.startswith("MALLOC_") or name == "GLIBC_TUNABLES":
+                monkeypatch.delenv(name)
+        opened = []
+
+        def cdll(name):
+            opened.append(name)
+            return object()
+
+        monkeypatch.setattr(fsqnet.cli.ctypes, "CDLL", cdll)
+        assert fsqnet.cli.keep_heap() is False
+        assert opened == [None]
+
+    @pytest.mark.parametrize("name,value", [("MALLOC_MMAP_THRESHOLD_", "131072"),
+                                            ("MALLOC_TOP_PAD_", "0"),
+                                            ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=0")])
+    def test_user_malloc_setting_is_left_alone(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        monkeypatch.setattr(fsqnet.cli.ctypes, "CDLL", pytest.fail)
+        assert fsqnet.cli.keep_heap() is False
 
 
 class TestEval:

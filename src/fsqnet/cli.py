@@ -11,6 +11,7 @@ import argparse
 import ctypes
 import functools
 import json
+import math
 import os
 import sys
 
@@ -86,8 +87,8 @@ def _positive_int(text: str) -> int:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 

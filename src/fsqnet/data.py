@@ -5,8 +5,12 @@ resize (bilinear, half-pixel centers) -> optional augmentation -> normalize
 (divide by 255, subtract per-channel training means), producing a [3, S, S]
 float32 tensor.  Augmentation composes its crop, rescale, rotation and
 brightness into one bilinear resampling with one rounding.  Resize and
-augmentation share one sampler, which gathers uint8 channel planes with
-flat 1-D takes.  Channel means are exact integer sums per channel.
+augmentation share one sampler, which gathers the uint8 channel planes of a
+batch of images with flat 1-D takes.  Augment and normalize also take a
+uint8 [N, S, S, 3] batch: each image draws from its own seed, the batch is
+warped and rounded at once and normalized into [N, 3, S, S] by looking each
+pixel up in its channel's table of 256 float32 values.  Channel means are
+exact integer sums per channel.
 
 Binary PPM (P6) is the always-available image format since it decodes in a
 few lines with no dependencies; PGM (P5) grayscale is replicated to three
@@ -36,6 +40,10 @@ IMAGE_EXTENSIONS = (".ppm", ".pgm", ".png")
 MAX_ROTATION_DEG = 10.0
 SCALE_JITTER = (0.9, 1.0)
 BRIGHTNESS_JITTER = 0.1
+
+# output pixels warped at once: a batch of 32 px images together, a 244 px image alone,
+# so the float64 grids and samples stay near the size of the caches
+WARP_PIXELS = 1 << 15
 
 
 @dataclass
@@ -195,26 +203,29 @@ def _round_u8(values: np.ndarray) -> np.ndarray:
 
 
 def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -> np.ndarray:
-    """Float64 bilinear samples of HxWx3 pixels at in-range source coordinates.
+    """Float64 bilinear samples of [N, h, w, 3] pixels at in-range source coordinates.
 
-    src_x and src_y broadcast against each other to the output grid; each
-    output pixel lerps along x on the two bracketing rows, then along y.
-    The uint8 channel planes are gathered with flat 1-D takes, never copied
-    to float64.  The result is an HxWx3 view of channel-planar memory.
+    src_x and src_y broadcast against each other to the [N, H, W] output grids,
+    image k's grid in its coordinates; each output pixel lerps along x on the two
+    bracketing rows, then along y.  The batch's uint8 channel planes are
+    gathered with flat 1-D takes over [3, N*h*w], image k at offset k*h*w, never
+    copied to float64.  The result is an [N, H, W, 3] view of channel-planar memory.
     """
-    h, w = pixels.shape[:2]
+    n, h, w = pixels.shape[:3]
     x0 = np.floor(src_x).astype(np.intp)
     y0 = np.floor(src_y).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
     fx = src_x - x0
     fy = src_y - y0
+    gx = 1.0 - fx
 
-    planes = pixels.transpose(2, 0, 1).reshape(3, h * w)
-    r0, r1 = y0 * w, y1 * w
-    top = planes.take(r0 + x0, axis=1) * (1.0 - fx) + planes.take(r0 + x1, axis=1) * fx
-    bottom = planes.take(r1 + x0, axis=1) * (1.0 - fx) + planes.take(r1 + x1, axis=1) * fx
-    return (top * (1.0 - fy) + bottom * fy).transpose(1, 2, 0)
+    planes = pixels.transpose(3, 0, 1, 2).reshape(3, n * h * w)
+    offsets = np.arange(0, n * h * w, h * w).reshape(n, 1, 1)
+    r0, r1 = y0 * w + offsets, y1 * w + offsets
+    top = planes.take(r0 + x0, axis=1) * gx + planes.take(r0 + x1, axis=1) * fx
+    bottom = planes.take(r1 + x0, axis=1) * gx + planes.take(r1 + x1, axis=1) * fx
+    return (top * (1.0 - fy) + bottom * fy).transpose(1, 2, 3, 0)
 
 
 def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
@@ -230,17 +241,26 @@ def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
 
     sx = np.clip((np.arange(out_w) + 0.5) * (img.width / out_w) - 0.5, 0.0, img.width - 1.0)
     sy = np.clip((np.arange(out_h) + 0.5) * (img.height / out_h) - 0.5, 0.0, img.height - 1.0)
-    return ImageBuffer(_round_u8(_sample_bilinear(img.pixels, sx[None, :], sy[:, None])))
+    return ImageBuffer(_round_u8(_sample_bilinear(img.pixels[None], sx, sy[:, None]))[0])
 
 
-def normalize(img: ImageBuffer, channel_means) -> np.ndarray:
-    """[3, H, W] float32 tensor: pixel/255 minus the per-channel mean."""
+def normalize(images, channel_means) -> np.ndarray:
+    """Pixel/255 minus the per-channel mean as float32, channels first: [3, H, W]
+    for one ImageBuffer, [..., 3, H, W] for uint8 [..., H, W, 3] pixels.
+
+    Each channel's 256 values are computed once in float64 and rounded to
+    float32; the pixels then look them up, which gives the bits of converting
+    every pixel without a float64 copy of the images.
+    """
     means = tuple(float(m) for m in channel_means)
     if len(means) != 3 or any(not 0.0 <= m <= 1.0 for m in means):
         raise ConfigError(f"channel means must be 3 floats in [0,1], got {channel_means}")
-    scaled = img.pixels.astype(np.float64) / 255.0
-    scaled -= np.asarray(means, dtype=np.float64)[None, None, :]
-    return np.ascontiguousarray(scaled.transpose(2, 0, 1).astype(np.float32))
+    pixels = images.pixels if isinstance(images, ImageBuffer) else images
+    table = (np.arange(256) / 255.0 - np.asarray(means)[:, None]).astype(np.float32)
+    out = np.empty((*pixels.shape[:-3], 3, *pixels.shape[-3:-1]), dtype=np.float32)
+    for c in range(3):  # uint8 indices stay in the table; "clip" writes into out unbuffered
+        np.take(table[c], pixels[..., c], out=out[..., c, :, :], mode="clip")
+    return out
 
 
 def compute_channel_means(images) -> tuple[float, float, float]:
@@ -260,44 +280,69 @@ def compute_channel_means(images) -> tuple[float, float, float]:
 # augmentation
 
 
-def _warp(pixels: np.ndarray, crop_w: int, crop_h: int, off_x: int, off_y: int,
-          angle_deg: float, gain: float) -> np.ndarray:
+def _warp(pixels: np.ndarray, crop_w, crop_h, off_x, off_y, angle_deg, gain) -> np.ndarray:
     """Crop at (off_x, off_y), rescale to full size, rotate about the center and
     scale by gain as one inverse map: rotate each output pixel by -angle_deg and
     clamp to the image, then map it into the crop with resize's half-pixel formula
-    and clamp to the crop.  Sampled and rounded once; identity returns the input."""
-    h, w = pixels.shape[:2]
-    theta = math.radians(angle_deg)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    and clamp to the crop.  Sampled and rounded once; identity returns the input.
+
+    pixels are [..., H, W, 3] and each parameter holds one value per image: a
+    scalar for one image, an array of the leading shape for a batch.  Each
+    image's trigonometry is done in Python floats.  The [n, H, W] grids of as
+    many images as fit in WARP_PIXELS output pixels are built and sampled at once.
+    """
+    h, w = pixels.shape[-3:-1]
+    batch = pixels.reshape(-1, h, w, 3)
+    thetas = [math.radians(a) for a in np.ravel(angle_deg)]
+    per_image = np.array([[math.cos(t) for t in thetas], [math.sin(t) for t in thetas],
+                          *(np.ravel(v) for v in (crop_w, crop_h, off_x, off_y, gain))],
+                         dtype=np.float64)
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     xs = np.arange(w, dtype=np.float64) - cx
-    ys = np.arange(h, dtype=np.float64) - cy
-    rot_x = np.clip(cos_t * xs[None, :] + sin_t * ys[:, None] + cx, 0.0, w - 1.0)
-    rot_y = np.clip(-sin_t * xs[None, :] + cos_t * ys[:, None] + cy, 0.0, h - 1.0)
-    src_x = np.clip((rot_x + 0.5) * (crop_w / w) - 0.5, 0.0, crop_w - 1.0) + off_x
-    src_y = np.clip((rot_y + 0.5) * (crop_h / h) - 0.5, 0.0, crop_h - 1.0) + off_y
-    return _round_u8(_sample_bilinear(pixels, src_x, src_y) * gain)
+    ys = (np.arange(h, dtype=np.float64) - cy)[:, None]
+    out = np.empty((3, len(batch), h, w), dtype=np.uint8)
+    step = max(1, WARP_PIXELS // (h * w))
+    for k in range(0, len(batch), step):
+        cos_t, sin_t, cw, ch, ox, oy, g = per_image[:, k : k + step, None, None]
+        rot_x = np.clip(cos_t * xs + sin_t * ys + cx, 0.0, w - 1.0)
+        rot_y = np.clip(-sin_t * xs + cos_t * ys + cy, 0.0, h - 1.0)
+        src_x = np.clip((rot_x + 0.5) * (cw / w) - 0.5, 0.0, cw - 1.0) + ox
+        src_y = np.clip((rot_y + 0.5) * (ch / h) - 0.5, 0.0, ch - 1.0) + oy
+        samples = _sample_bilinear(batch[k : k + step], src_x, src_y) * g[..., None]
+        out[:, k : k + step] = _round_u8(samples).transpose(3, 0, 1, 2)
+    return out.transpose(1, 2, 3, 0).reshape(pixels.shape)
 
 
-def augment(img: ImageBuffer, flip: bool, seed: int) -> ImageBuffer:
-    """Random crop-and-rescale, rotation, brightness, and a flip if allowed.
-
-    Every random draw happens unconditionally in a fixed order, so the output
-    is a pure function of (img, flip, seed) and the flip setting changes no
-    other stage.
-    """
+def _augment_draws(seed: int, width: int, height: int) -> tuple:
+    """One image's crop size and offset, angle, gain and mirror bit, drawn from its seed."""
     rng = rng_from_seed(seed)
     scale = float(rng.uniform(*SCALE_JITTER))
-    crop_w = max(1, round(img.width * scale))
-    crop_h = max(1, round(img.height * scale))
-    off_x = int(rng.integers(0, img.width - crop_w + 1))
-    off_y = int(rng.integers(0, img.height - crop_h + 1))
+    crop_w = max(1, round(width * scale))
+    crop_h = max(1, round(height * scale))
+    off_x = int(rng.integers(0, width - crop_w + 1))
+    off_y = int(rng.integers(0, height - crop_h + 1))
     angle = float(rng.uniform(-MAX_ROTATION_DEG, MAX_ROTATION_DEG))
     brightness = float(rng.uniform(-BRIGHTNESS_JITTER, BRIGHTNESS_JITTER))
     mirror = bool(rng.integers(0, 2))
+    return crop_w, crop_h, off_x, off_y, angle, 1.0 + brightness, mirror
 
-    out = _warp(img.pixels, crop_w, crop_h, off_x, off_y, angle, 1.0 + brightness)
-    return ImageBuffer(out[:, ::-1] if flip and mirror else out)
+
+def augment(images, flip: bool, seed):
+    """Random crop-and-rescale, rotation, brightness, and a flip if allowed.
+
+    Takes one ImageBuffer and its int seed, or uint8 [N, H, W, 3] pixels and
+    N int seeds, and returns the same kind.  Every random draw of an image
+    happens unconditionally in a fixed order from its own seed, so its output
+    is a pure function of (image, flip, seed) and the flip setting changes no
+    other stage.  The batch goes through one _warp call.
+    """
+    if isinstance(images, ImageBuffer):
+        return ImageBuffer(augment(images.pixels, flip, [seed]))
+    lead, (h, w) = images.shape[:-3], images.shape[-3:-1]
+    draws = [_augment_draws(s, w, h) for s in seed]
+    *params, mirror = (np.reshape(values, lead) for values in zip(*draws))
+    out = _warp(images, *params)
+    return np.where((flip & mirror)[..., None, None, None], out[..., ::-1, :], out)
 
 
 # ---------------------------------------------------------------------------

@@ -221,14 +221,23 @@ def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     return bits.view(np.float32)
 
 
-def _pool_taps(x: np.ndarray, kernel: int, stride: int) -> list[tuple[int, int, np.ndarray]]:
-    """(di, dj, view) per window offset in row-major order; view [N,C,OH,OW] holds
-    every window's element at that offset."""
+# column maxima a max pool holds at once: a few channels of v1.1@244's first
+# pool at batch 8, all of tiny@32's; blocks in cache beat one pass over the tensor
+POOL_BLOCK_BYTES = 1 << 20
+
+
+def _pool_out_hw(x: np.ndarray, kernel: int, stride: int) -> tuple[int, int]:
     _require_4d(x, "maxpool input")
     h, w = x.shape[2:]
     if kernel > h or kernel > w:
         raise ShapeError(f"pool window {kernel} larger than input {h}x{w}")
-    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    return (h - kernel) // stride + 1, (w - kernel) // stride + 1
+
+
+def _pool_taps(x: np.ndarray, kernel: int, stride: int) -> list[tuple[int, int, np.ndarray]]:
+    """(di, dj, view) per window offset in row-major order; view [N,C,OH,OW] holds
+    every window's element at that offset."""
+    oh, ow = _pool_out_hw(x, kernel, stride)
     return [
         (i, j, x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride])
         for i in range(kernel)
@@ -237,11 +246,27 @@ def _pool_taps(x: np.ndarray, kernel: int, stride: int) -> list[tuple[int, int, 
 
 
 def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    """Per-window maximum, floor output dims, no padding."""
-    taps = _pool_taps(x, kernel, stride)
-    y = taps[0][2].copy()
-    for _, _, tap in taps[1:]:
-        np.maximum(y, tap, out=y)
+    """Per-window maximum, floor output dims, no padding.
+
+    Separable, a block of channels at a time: every input row's maximum across
+    each window's columns first, then the window's rows in order.  That is the
+    tap order of a row-major chain of np.maximum, so among equal values (signed
+    zeros) and NaNs the same one wins.
+    """
+    oh, ow = _pool_out_hw(x, kernel, stride)
+    n, c = x.shape[:2]
+    rows = x[:, :, : stride * (oh - 1) + kernel]
+    y = np.empty((n, c, oh, ow), dtype=x.dtype)
+    step = max(1, POOL_BLOCK_BYTES // (n * rows.shape[2] * ow * x.itemsize))
+    for c0 in range(0, c, step):
+        block = rows[:, c0 : c0 + step]
+        row_max = block[..., : stride * ow : stride].copy()
+        for j in range(1, kernel):
+            np.maximum(row_max, block[..., j : j + stride * ow : stride], out=row_max)
+        out = y[:, c0 : c0 + step]
+        out[...] = row_max[:, :, : stride * oh : stride]
+        for i in range(1, kernel):
+            np.maximum(out, row_max[:, :, i : i + stride * oh : stride], out=out)
     return y
 
 

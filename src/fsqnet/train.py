@@ -9,20 +9,22 @@ velocity v and starts it at zero.
 Each epoch reshuffles the training set with seed XOR epoch_index, walks
 mini-batches (last partial batch kept), and reports epoch-mean loss, training
 accuracy as predicted during the epoch, and validation accuracy with dropout
-off.  Batches are assembled (augment + normalize + stack) in line, one at a
-time, on the training thread.  Deterministic mode zeroes the wall times, the
-only nondeterministic output, so runs are byte-reproducible.
+off.  Each batch is assembled in line on the training thread as one array:
+every image draws its augmentation from its own seed, then the batch is
+augmented once and normalized once.  Deterministic mode zeroes the wall
+times, the only nondeterministic output, so runs are byte-reproducible.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .data import Dataset, ImageBuffer, augment, fisher_yates_order, normalize
+from .data import Dataset, augment, fisher_yates_order, normalize
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import Model, clone_params, model_backward, model_forward
 from .tensor import derive_seed
@@ -44,8 +46,8 @@ class TrainConfig:
     deterministic: bool = False
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0,1), got {self.momentum}")
         if self.batch_size < 1:
@@ -144,14 +146,11 @@ def _check_input_sizes(dataset: Dataset, size: int, what: str) -> None:
 
 
 def _assemble_batch(dataset: Dataset, idx, seeds=None, flip=False):
-    """Normalized images `idx` and their labels; augmented only when given seeds."""
-    tensors = []
-    for k, i in enumerate(idx):
-        image = ImageBuffer(dataset.samples[i])
-        if seeds is not None:
-            image = augment(image, flip, seeds[k])
-        tensors.append(normalize(image, dataset.channel_means))
-    return np.stack(tensors), dataset.labels[idx]
+    """Normalized images `idx` and their labels; augmented only when given a seed per image."""
+    images = dataset.samples[idx]
+    if seeds is not None:
+        images = augment(images, flip, seeds)
+    return normalize(images, dataset.channel_means), dataset.labels[idx]
 
 
 def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int):
@@ -211,8 +210,7 @@ def evaluate(model: Model, dataset: Dataset) -> tuple[float, np.ndarray]:
     m = len(dataset.label_names)
     confusion = np.zeros((m, m), dtype=np.int64)
     for start in range(0, len(dataset), EVAL_BATCH):
-        idx = range(start, min(start + EVAL_BATCH, len(dataset)))
-        batch, labels = _assemble_batch(dataset, idx)
+        batch, labels = _assemble_batch(dataset, slice(start, start + EVAL_BATCH))
         predicted = model_forward(model, batch, training=False).argmax(axis=1)
         np.add.at(confusion, (labels, predicted), 1)
     accuracy = float(np.trace(confusion) / confusion.sum())

@@ -78,6 +78,20 @@ def naive_maxpool2d(x, kernel: int, stride: int) -> np.ndarray:
     return out
 
 
+def tap_chain_maxpool2d(x, kernel: int, stride: int) -> np.ndarray:
+    """Window maxima as one np.maximum chain over the window offsets in row-major
+    order.  Which of equal values (signed zeros) or of NaNs wins is numpy's
+    choice, which Python's max does not make, so bytes are compared with this."""
+    n, c, h, w = x.shape
+    oh, ow = (h - kernel) // stride + 1, (w - kernel) // stride + 1
+    y = None
+    for i in range(kernel):
+        for j in range(kernel):
+            tap = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            y = tap.copy() if y is None else np.maximum(y, tap, out=y)
+    return y
+
+
 def naive_maxpool2d_backward(x, kernel: int, stride: int, d_out) -> np.ndarray:
     """Each upstream value added, in window order, to its window's first maximum.
 

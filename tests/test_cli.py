@@ -58,6 +58,11 @@ class TestUsageErrors:
         assert main(["train", "--data", "d", "--out", "o", "--epochs", "0"]) == 2
         assert main(["train", "--data", "d", "--out", "o", "--image-size", "8"]) == 2
 
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_non_finite_learning_rate(self, capsys, rate):
+        assert main(["train", "--data", "d", "--out", "o", "--lr", rate]) == 2
+        assert "--lr" in capsys.readouterr().err
+
     def test_inspect_needs_exactly_one_source(self, capsys):
         assert main(["inspect"]) == 2
         assert main(["inspect", "--checkpoint", "x", "--arch-only"]) == 2

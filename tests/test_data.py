@@ -193,6 +193,18 @@ class TestNormalize:
             per_channel = stacked.mean(axis=(0, 2, 3))
             assert np.abs(per_channel).max() < 1e-4, shape
 
+    def test_matches_the_float64_formula_bit_for_bit(self):
+        # every byte value in every channel, one image and a batch
+        rng = np.random.default_rng(5)
+        pixels = rng.permuted(np.tile(np.arange(256, dtype=np.uint8), (3, 3)), axis=1)
+        batch = pixels.T.reshape(2, 16, 24, 3)
+        means = tuple(float(m) for m in rng.uniform(0.0, 1.0, 3))
+        direct = batch.astype(np.float64) / 255.0
+        direct -= np.asarray(means, dtype=np.float64)
+        direct = direct.transpose(0, 3, 1, 2).astype(np.float32)
+        assert normalize(batch, means).tobytes() == direct.tobytes()
+        assert normalize(ImageBuffer(batch[1]), means).tobytes() == direct[1].tobytes()
+
     def test_bad_means(self):
         with pytest.raises(ConfigError):
             normalize(_solid(1, 1, (0, 0, 0)), (0.5, 1.5, 0.5))

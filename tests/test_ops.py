@@ -1,10 +1,12 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsqnet.ops
 from fsqnet.errors import ConfigError, NumericError, ShapeError
 from fsqnet.model import Dropout
 from fsqnet.ops import (
@@ -34,6 +36,7 @@ from oracles import (
     naive_maxpool2d,
     naive_maxpool2d_backward,
     rel_error,
+    tap_chain_maxpool2d,
 )
 
 FD_TOL = 1e-3
@@ -296,6 +299,32 @@ class TestMaxPool:
             maxpool2d_backward(x, y, kernel, stride, d_out),
             naive_maxpool2d_backward(x, kernel, stride, d_out),
         )
+
+    @given(
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.sampled_from([(2, 2), (3, 2), (2, 1), (3, 1), (3, 3)]),
+        st.booleans(),
+        st.sampled_from([1, 200, fsqnet.ops.POOL_BLOCK_BYTES]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100)
+    def test_matches_tap_chain_bytes_on_signed_zero_and_nan_plateaus(
+        self, n, c, window, with_nans, block_bytes, seed
+    ):
+        # array_equal cannot tell +0 from -0 or one NaN from another; small
+        # blocks split the channels as large tensors are split
+        kernel, stride = window
+        rng = np.random.default_rng(seed)
+        h, w = (int(v) for v in rng.integers(kernel, 12, size=2))
+        values = np.array([0.0, -0.0, 1.0, -1.0], np.float32)
+        if with_nans:
+            nans = np.array([0x7FC00000, 0xFFC00000, 0x7FC00123, 0x7F800001], np.uint32)
+            values = np.concatenate([values, nans.view(np.float32)])
+        x = rng.choice(values, size=(n, c, h, w))
+        with mock.patch.object(fsqnet.ops, "POOL_BLOCK_BYTES", block_bytes):
+            y = maxpool2d(x, kernel, stride)
+        assert y.tobytes() == tap_chain_maxpool2d(x, kernel, stride).tobytes()
 
     def test_backward_shape_checks(self):
         x = np.zeros((1, 1, 4, 4), np.float32)

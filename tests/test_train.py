@@ -3,13 +3,15 @@ import math
 import statistics
 import threading
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsqnet.data import Dataset, ImageBuffer
+import fsqnet.data
+from fsqnet.data import Dataset, ImageBuffer, augment, compute_channel_means, normalize
 from fsqnet.errors import ConfigError, DataError, NumericError, StateError
 from fsqnet.model import Model, build_model, clone_params, model_backward, model_forward, tiny_config
 from fsqnet.synthetic import make_dataset
@@ -17,6 +19,7 @@ from fsqnet.train import (
     EpochMetrics,
     History,
     TrainConfig,
+    _assemble_batch,
     cross_entropy,
     evaluate,
     fit,
@@ -51,6 +54,11 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ConfigError):
+            TrainConfig(learning_rate=rate)
 
     def test_zero_learning_rate_allowed(self):
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0
@@ -228,6 +236,59 @@ class TestTrainEpoch:
             train_epoch(model, _zero_velocity(model), dataset, dataset,
                         TrainConfig(batch_size=2), 1)
         assert threading.active_count() == threads
+
+
+def _pixel_dataset(samples: np.ndarray) -> Dataset:
+    labels = np.arange(len(samples)) % 2
+    return Dataset(samples, labels, ["a", "b"], compute_channel_means(samples))
+
+
+def _per_image_chain(dataset: Dataset, idx, seeds, flip) -> np.ndarray:
+    """The batch built one image at a time: augment, normalize, stack."""
+    means = dataset.channel_means
+    if seeds is None:
+        return np.stack([normalize(ImageBuffer(dataset.samples[i]), means) for i in idx])
+    return np.stack([normalize(augment(ImageBuffer(dataset.samples[i]), flip, seed), means)
+                     for i, seed in zip(idx, seeds)])
+
+
+class TestAssembleBatch:
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_equals_the_per_image_chain(self, data):
+        width, height = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        count = data.draw(st.integers(1, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dataset = _pixel_dataset(rng.integers(0, 256, (count, height, width, 3), np.uint8))
+        idx = data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=8))
+        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(idx),
+                                   max_size=len(idx)))
+        flip = data.draw(st.booleans())
+        # a small budget warps the batch in several groups, as at full size
+        warp_pixels = data.draw(st.sampled_from([1, 100, fsqnet.data.WARP_PIXELS]))
+        for batch_seeds in (seeds, None):
+            with mock.patch.object(fsqnet.data, "WARP_PIXELS", warp_pixels):
+                batch, labels = _assemble_batch(dataset, idx, batch_seeds, flip)
+            chain = _per_image_chain(dataset, idx, batch_seeds, flip)
+            assert batch.shape == (len(idx), 3, height, width) and batch.dtype == np.float32
+            assert batch.tobytes() == chain.tobytes()
+            assert labels.tolist() == dataset.labels[idx].tolist()
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("idx", [[2], [1, 1, 1], [0, 3, 0, 2]])
+    def test_one_image_and_repeated_indices(self, idx, flip):
+        samples = np.random.default_rng(21).integers(0, 256, (4, 5, 9, 3), np.uint8)
+        dataset = _pixel_dataset(samples)
+        seeds = [7 + 1000 * k for k in range(len(idx))]
+        batch, _ = _assemble_batch(dataset, idx, seeds, flip)
+        assert batch.tobytes() == _per_image_chain(dataset, idx, seeds, flip).tobytes()
+
+    def test_a_slice_selects_like_an_index_list(self):
+        dataset = _pixel_dataset(np.random.default_rng(22).integers(0, 256, (5, 6, 6, 3), np.uint8))
+        sliced, sliced_labels = _assemble_batch(dataset, slice(1, 4))
+        listed, listed_labels = _assemble_batch(dataset, [1, 2, 3])
+        assert sliced.tobytes() == listed.tobytes()
+        assert sliced_labels.tolist() == listed_labels.tolist()
 
 
 def _rigged_class0_model() -> Model:

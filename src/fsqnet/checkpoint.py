@@ -27,6 +27,7 @@ import zlib
 
 import numpy as np
 
+from .data import check_channel_means
 from .errors import CompatibilityError, ConfigError, CorruptionError, FormatError, StateError
 from .model import Model, ModelConfig, expected_param_shapes
 from .train import History
@@ -41,10 +42,8 @@ def _canonical_json(obj) -> bytes:
 
 def save_checkpoint(model: Model, history: History, channel_means, label_names, path) -> None:
     """Serialize the model atomically to `path`."""
-    means = [float(m) for m in channel_means]
+    means = list(check_channel_means(channel_means))
     names = [str(n) for n in label_names]
-    if len(means) != 3:
-        raise ConfigError(f"channel_means must have 3 entries, got {len(means)}")
     if len(names) != model.config.num_classes:
         raise ConfigError(
             f"{len(names)} label names for {model.config.num_classes} classes"
@@ -129,7 +128,7 @@ def load_checkpoint(path) -> tuple[Model, History, tuple[float, float, float], l
     try:
         config_obj = json.loads(reader.text())
         config = ModelConfig.from_dict(config_obj["model"])
-        means = tuple(float(m) for m in config_obj["channel_means"])
+        means = check_channel_means(config_obj["channel_means"])
         label_names = [str(n) for n in config_obj["label_names"]]
         tensors: dict[str, np.ndarray] = {}
         for _ in range(reader.u32()):
@@ -143,8 +142,6 @@ def load_checkpoint(path) -> tuple[Model, History, tuple[float, float, float], l
         raise FormatError(f"malformed checkpoint structure: {exc}")
     if reader.offset != len(reader.data):
         raise FormatError(f"{len(reader.data) - reader.offset} unexpected trailing bytes")
-    if len(means) != 3:
-        raise FormatError(f"channel_means must have 3 entries, got {len(means)}")
 
     expected = expected_param_shapes(config)
     problems = []

@@ -3,14 +3,13 @@
 Images are 8-bit RGB buffers.  The preprocessing chain for the network is
 resize (bilinear, half-pixel centers) -> optional augmentation -> normalize
 (divide by 255, subtract per-channel training means), producing a [3, S, S]
-float32 tensor.  Augmentation composes its crop, rescale, rotation and
-brightness into one bilinear resampling with one rounding.  Resize and
-augmentation share one sampler, which gathers the uint8 channel planes of a
-batch of images with flat 1-D takes.  Augment and normalize also take a
-uint8 [N, S, S, 3] batch: each image draws from its own seed, the batch is
-warped and rounded at once and normalized into [N, 3, S, S] by looking each
-pixel up in its channel's table of 256 float32 values.  Channel means are
-exact integer sums per channel.
+float32 tensor.  Augmentation takes only a uint8 [N, S, S, 3] batch: each
+image draws its crop, rescale, rotation and brightness from its own seed,
+and the batch is warped as one bilinear resampling with one rounding.
+Resize and augmentation share one sampler, which gathers the uint8 channel
+planes of a batch of images with flat 1-D takes.  Normalize takes one image
+or a batch and looks each pixel up in its channel's table of 256 float32
+values.  Channel means are exact integer sums per channel.
 
 Binary PPM (P6) is the always-available image format since it decodes in a
 few lines with no dependencies; PGM (P5) grayscale is replicated to three
@@ -244,6 +243,14 @@ def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
     return ImageBuffer(_round_u8(_sample_bilinear(img.pixels[None], sx, sy[:, None]))[0])
 
 
+def check_channel_means(channel_means) -> tuple[float, float, float]:
+    """The means as 3 floats; ConfigError unless each is in [0, 1] (NaN is not)."""
+    means = tuple(float(m) for m in channel_means)
+    if len(means) != 3 or any(not 0.0 <= m <= 1.0 for m in means):
+        raise ConfigError(f"channel means must be 3 floats in [0,1], got {channel_means}")
+    return means
+
+
 def normalize(images, channel_means) -> np.ndarray:
     """Pixel/255 minus the per-channel mean as float32, channels first: [3, H, W]
     for one ImageBuffer, [..., 3, H, W] for uint8 [..., H, W, 3] pixels.
@@ -252,9 +259,7 @@ def normalize(images, channel_means) -> np.ndarray:
     float32; the pixels then look them up, which gives the bits of converting
     every pixel without a float64 copy of the images.
     """
-    means = tuple(float(m) for m in channel_means)
-    if len(means) != 3 or any(not 0.0 <= m <= 1.0 for m in means):
-        raise ConfigError(f"channel means must be 3 floats in [0,1], got {channel_means}")
+    means = check_channel_means(channel_means)
     pixels = images.pixels if isinstance(images, ImageBuffer) else images
     table = (np.arange(256) / 255.0 - np.asarray(means)[:, None]).astype(np.float32)
     out = np.empty((*pixels.shape[:-3], 3, *pixels.shape[-3:-1]), dtype=np.float32)
@@ -286,31 +291,29 @@ def _warp(pixels: np.ndarray, crop_w, crop_h, off_x, off_y, angle_deg, gain) -> 
     clamp to the image, then map it into the crop with resize's half-pixel formula
     and clamp to the crop.  Sampled and rounded once; identity returns the input.
 
-    pixels are [..., H, W, 3] and each parameter holds one value per image: a
-    scalar for one image, an array of the leading shape for a batch.  Each
-    image's trigonometry is done in Python floats.  The [n, H, W] grids of as
-    many images as fit in WARP_PIXELS output pixels are built and sampled at once.
+    pixels are uint8 [N, H, W, 3] and each parameter holds N values, one per
+    image.  Each image's trigonometry is done in Python floats.  The [n, H, W]
+    grids of as many images as fit in WARP_PIXELS output pixels are built and
+    sampled at once.
     """
-    h, w = pixels.shape[-3:-1]
-    batch = pixels.reshape(-1, h, w, 3)
-    thetas = [math.radians(a) for a in np.ravel(angle_deg)]
+    n, h, w = pixels.shape[:3]
+    thetas = [math.radians(a) for a in angle_deg]
     per_image = np.array([[math.cos(t) for t in thetas], [math.sin(t) for t in thetas],
-                          *(np.ravel(v) for v in (crop_w, crop_h, off_x, off_y, gain))],
-                         dtype=np.float64)
+                          crop_w, crop_h, off_x, off_y, gain], dtype=np.float64)
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     xs = np.arange(w, dtype=np.float64) - cx
     ys = (np.arange(h, dtype=np.float64) - cy)[:, None]
-    out = np.empty((3, len(batch), h, w), dtype=np.uint8)
+    out = np.empty((3, n, h, w), dtype=np.uint8)
     step = max(1, WARP_PIXELS // (h * w))
-    for k in range(0, len(batch), step):
+    for k in range(0, n, step):
         cos_t, sin_t, cw, ch, ox, oy, g = per_image[:, k : k + step, None, None]
         rot_x = np.clip(cos_t * xs + sin_t * ys + cx, 0.0, w - 1.0)
         rot_y = np.clip(-sin_t * xs + cos_t * ys + cy, 0.0, h - 1.0)
         src_x = np.clip((rot_x + 0.5) * (cw / w) - 0.5, 0.0, cw - 1.0) + ox
         src_y = np.clip((rot_y + 0.5) * (ch / h) - 0.5, 0.0, ch - 1.0) + oy
-        samples = _sample_bilinear(batch[k : k + step], src_x, src_y) * g[..., None]
+        samples = _sample_bilinear(pixels[k : k + step], src_x, src_y) * g[..., None]
         out[:, k : k + step] = _round_u8(samples).transpose(3, 0, 1, 2)
-    return out.transpose(1, 2, 3, 0).reshape(pixels.shape)
+    return out.transpose(1, 2, 3, 0)
 
 
 def _augment_draws(seed: int, width: int, height: int) -> tuple:
@@ -327,22 +330,19 @@ def _augment_draws(seed: int, width: int, height: int) -> tuple:
     return crop_w, crop_h, off_x, off_y, angle, 1.0 + brightness, mirror
 
 
-def augment(images, flip: bool, seed):
+def augment(images: np.ndarray, flip: bool, seed) -> np.ndarray:
     """Random crop-and-rescale, rotation, brightness, and a flip if allowed.
 
-    Takes one ImageBuffer and its int seed, or uint8 [N, H, W, 3] pixels and
-    N int seeds, and returns the same kind.  Every random draw of an image
-    happens unconditionally in a fixed order from its own seed, so its output
-    is a pure function of (image, flip, seed) and the flip setting changes no
-    other stage.  The batch goes through one _warp call.
+    Takes a batch: uint8 [N, H, W, 3] pixels and N int seeds, one per image.
+    Every random draw of an image happens unconditionally in a fixed order
+    from its own seed, so its output is a pure function of (image, flip, seed)
+    and the flip setting changes no other stage.  The batch goes through one
+    _warp call.
     """
-    if isinstance(images, ImageBuffer):
-        return ImageBuffer(augment(images.pixels, flip, [seed]))
-    lead, (h, w) = images.shape[:-3], images.shape[-3:-1]
-    draws = [_augment_draws(s, w, h) for s in seed]
-    *params, mirror = (np.reshape(values, lead) for values in zip(*draws))
+    h, w = images.shape[1:3]
+    *params, mirror = zip(*(_augment_draws(s, w, h) for s in seed))
     out = _warp(images, *params)
-    return np.where((flip & mirror)[..., None, None, None], out[..., ::-1, :], out)
+    return np.where((flip & np.array(mirror))[:, None, None, None], out[..., ::-1, :], out)
 
 
 # ---------------------------------------------------------------------------

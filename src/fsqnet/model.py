@@ -39,6 +39,7 @@ from .ops import (
     global_avg_pool_backward,
     maxpool2d,
     maxpool2d_backward,
+    pool_out_hw,
     relu,
     relu_backward,
     softmax,
@@ -249,10 +250,7 @@ class Pool(Layer):
     kind: ClassVar[str] = "pool"
 
     def out_shape(self, shape):
-        c, h, w = shape
-        if POOL_KERNEL > h or POOL_KERNEL > w:
-            raise ShapeError(f"pool window {POOL_KERNEL} larger than {h}x{w}")
-        return (c, (h - POOL_KERNEL) // POOL_STRIDE + 1, (w - POOL_KERNEL) // POOL_STRIDE + 1)
+        return (shape[0], *pool_out_hw(*shape[1:], POOL_KERNEL, POOL_STRIDE))
 
     def forward(self, params, x, dropout_seed):
         y = maxpool2d(x, POOL_KERNEL, POOL_STRIDE)

@@ -226,9 +226,8 @@ def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 POOL_BLOCK_BYTES = 1 << 20
 
 
-def _pool_out_hw(x: np.ndarray, kernel: int, stride: int) -> tuple[int, int]:
-    _require_4d(x, "maxpool input")
-    h, w = x.shape[2:]
+def pool_out_hw(h: int, w: int, kernel: int, stride: int) -> tuple[int, int]:
+    """Output dims of an unpadded max pool over an h x w input."""
     if kernel > h or kernel > w:
         raise ShapeError(f"pool window {kernel} larger than input {h}x{w}")
     return (h - kernel) // stride + 1, (w - kernel) // stride + 1
@@ -237,7 +236,8 @@ def _pool_out_hw(x: np.ndarray, kernel: int, stride: int) -> tuple[int, int]:
 def _pool_taps(x: np.ndarray, kernel: int, stride: int) -> list[tuple[int, int, np.ndarray]]:
     """(di, dj, view) per window offset in row-major order; view [N,C,OH,OW] holds
     every window's element at that offset."""
-    oh, ow = _pool_out_hw(x, kernel, stride)
+    _require_4d(x, "maxpool input")
+    oh, ow = pool_out_hw(*x.shape[2:], kernel, stride)
     return [
         (i, j, x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride])
         for i in range(kernel)
@@ -253,7 +253,8 @@ def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     tap order of a row-major chain of np.maximum, so among equal values (signed
     zeros) and NaNs the same one wins.
     """
-    oh, ow = _pool_out_hw(x, kernel, stride)
+    _require_4d(x, "maxpool input")
+    oh, ow = pool_out_hw(*x.shape[2:], kernel, stride)
     n, c = x.shape[:2]
     rows = x[:, :, : stride * (oh - 1) + kernel]
     y = np.empty((n, c, oh, ow), dtype=x.dtype)

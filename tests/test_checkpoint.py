@@ -1,6 +1,9 @@
 import json
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,10 @@ from fsqnet.errors import (
     FormatError,
 )
 from fsqnet.model import Model, build_model, model_forward, parameter_count, tiny_config
+from fsqnet.synthetic import write_dataset
 from fsqnet.train import EpochMetrics, History
+
+HEXDUMP = Path(__file__).resolve().parents[1] / "scripts" / "checkpoint_hexdump.py"
 
 
 def _fixture(seed=3):
@@ -186,6 +192,51 @@ class TestValidation:
             load_checkpoint(path)
         assert main(["inspect", "--checkpoint", str(path)]) == 3
         assert "malformed checkpoint structure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("means", [(2.0, 0.5, float("nan")), (-0.1, 0.4, 0.4),
+                                       (0.4, float("inf"), 0.4)])
+    def test_channel_means_outside_unit_interval(self, tmp_path, capsys, means):
+        model, history, good_means, labels = _fixture()
+        path = tmp_path / "m.fsq"
+        with pytest.raises(ConfigError):
+            save_checkpoint(model, history, means, labels, path)
+        save_checkpoint(model, history, good_means, labels, path)
+        _forge(path, lambda c, h: (c | {"channel_means": list(means)}, h))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+        data = write_dataset(tmp_path / "data", num_classes=3, per_class=1, size=8, seed=0)
+        for argv in (["inspect"], ["eval", "--data", str(data)],
+                     ["predict", "--image", str(data / "a" / "000.ppm")]):
+            assert main(argv + ["--checkpoint", str(path)]) == 3, argv
+            assert "channel means" in capsys.readouterr().err
+
+
+class TestHexdump:
+    @staticmethod
+    def _dump(path) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, str(HEXDUMP), str(path)],
+                              capture_output=True, text=True)
+
+    def test_walks_a_checkpoint_and_checks_its_crc(self, tmp_path):
+        model, history, means, labels = _fixture()
+        path = tmp_path / "m.fsq"
+        save_checkpoint(model, history, means, labels, path)
+        data = path.read_bytes()
+        fresh = self._dump(path)
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout.splitlines()[-1].endswith("ok")
+
+        flipped = bytearray(data)
+        flipped[len(data) // 2] ^= 0x01  # deep inside the tensor payload
+        path.write_bytes(bytes(flipped))
+        mismatch = self._dump(path)
+        assert mismatch.returncode == 1
+        assert "MISMATCH" in mismatch.stdout.splitlines()[-1]
+
+        path.write_bytes(data[: len(data) // 2])
+        truncated = self._dump(path)
+        assert truncated.returncode != 0
+        assert "truncated" in truncated.stderr
 
 
 class TestAtomicity:

@@ -194,6 +194,15 @@ class TestDeterminism:
                 for threads in ("1", "2")]
         assert runs[0] == runs[1]
 
+    def test_blas_thread_count_leaves_paper_scale_step_bytes_unchanged(self):
+        # tiny@32 never reaches OpenBLAS's threaded paths; a v1.1@244 batch-8 step does
+        digests = [subprocess.run([sys.executable, "-c", _PAPER_SCALE_STEP],
+                                  env=_env_without_malloc_settings(OPENBLAS_NUM_THREADS=threads),
+                                  check=True, capture_output=True, text=True).stdout
+                   for threads in ("1", "2")]
+        assert len(digests[0].strip()) == 64
+        assert digests[0] == digests[1]
+
     def test_allocator_setting_leaves_bytes_unchanged(self, workspace, tmp_path):
         # the plain run keeps glibc's heap; keep_heap leaves a user's malloc setting alone
         runs = [self._train_in_subprocess(workspace["data"], tmp_path / name,
@@ -201,6 +210,24 @@ class TestDeterminism:
                 for name, extra in (("plain", {}),
                                     ("user", {"MALLOC_MMAP_THRESHOLD_": "131072"}))]
         assert runs[0] == runs[1]
+
+
+# one SHA-256 over the probabilities and every gradient of one v1.1@244 batch-8 training step
+_PAPER_SCALE_STEP = """
+import hashlib
+import numpy as np
+from fsqnet.model import ModelConfig, build_model, model_backward, model_forward
+from fsqnet.train import cross_entropy
+
+model = build_model(ModelConfig(), seed=0)
+x = np.random.default_rng(0).standard_normal((8, 3, 244, 244), dtype=np.float32)
+probs, tape = model_forward(model, x, training=True, dropout_seed=0)
+grads = model_backward(tape, cross_entropy(probs, np.arange(8))[1])
+digest = hashlib.sha256(probs.tobytes())
+for name in sorted(grads):
+    digest.update(name.encode() + grads[name].tobytes())
+print(digest.hexdigest())
+"""
 
 
 # 3 warm-up steps, then the minor page faults per tiny@32 batch-32 training step

@@ -234,32 +234,37 @@ class TestChannelMeans:
             compute_channel_means(np.zeros((0, 3, 3, 3), np.uint8))
 
 
+def _warp_one(pixels, *args):
+    """_warp of one [H, W, 3] image: a batch of one, one value per parameter."""
+    return _warp(pixels[None], *([a] for a in args))[0]
+
+
 class TestAugment:
     def test_deterministic_per_seed(self):
-        img = _random_image(np.random.default_rng(6), 12, 12)
-        a = augment(img, True, seed=33)
-        b = augment(img, True, seed=33)
-        assert np.array_equal(a.pixels, b.pixels)
+        batch = _random_image(np.random.default_rng(6), 12, 12).pixels[None]
+        a = augment(batch, True, [33])
+        b = augment(batch, True, [33])
+        assert np.array_equal(a, b)
 
     def test_seed_varies_output(self):
-        img = _random_image(np.random.default_rng(7), 12, 12)
-        outputs = {augment(img, False, seed=s).pixels.tobytes() for s in range(8)}
+        batch = _random_image(np.random.default_rng(7), 12, 12).pixels[None]
+        outputs = {augment(batch, False, [s]).tobytes() for s in range(8)}
         assert len(outputs) > 1
 
     def test_flip_only_mirrors(self):
-        img = _random_image(np.random.default_rng(8), 9, 5)
+        batch = _random_image(np.random.default_rng(8), 9, 5).pixels[None]
         mirrored = set()
         for s in range(8):
-            flipped = augment(img, True, seed=s).pixels
-            plain = augment(img, False, seed=s).pixels
+            flipped = augment(batch, True, [s])[0]
+            plain = augment(batch, False, [s])[0]
             assert np.array_equal(flipped, plain) or np.array_equal(flipped, plain[:, ::-1])
             mirrored.add(not np.array_equal(flipped, plain))
         assert mirrored == {False, True}
 
     def test_size_preserved(self):
-        img = _random_image(np.random.default_rng(9), 10, 14)
-        out = augment(img, True, seed=2)
-        assert (out.width, out.height) == (10, 14)
+        batch = _random_image(np.random.default_rng(9), 10, 14).pixels[None]
+        out = augment(batch, True, [2])
+        assert out.shape == (1, 14, 10, 3) and out.dtype == np.uint8
 
     @pytest.mark.parametrize("width,height", [(7, 5), (8, 6)])
     @pytest.mark.parametrize("angle", [0.0, 7.5, -10.0, 90.0, 180.0])
@@ -269,7 +274,7 @@ class TestAugment:
         for dw, dh, off_x, off_y, gain in [(0, 0, 0, 0, 1.1), (2, 1, 1, 1, 0.9),
                                            (1, 2, 1, 2, 1.1)]:
             args = (width - dw, height - dh, off_x, off_y, angle, gain)
-            ours = _warp(img.pixels, *args)
+            ours = _warp_one(img.pixels, *args)
             assert ours.tolist() == scalar_warp(img.pixels.tolist(), *args), args
 
     @given(st.data())
@@ -282,12 +287,12 @@ class TestAugment:
                 data.draw(st.floats(-180.0, 180.0)), data.draw(st.floats(0.5, 1.5)))
         img = _random_image(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
                             width, height)
-        ours = _warp(img.pixels, *args)
+        ours = _warp_one(img.pixels, *args)
         assert ours.tolist() == scalar_warp(img.pixels.tolist(), *args), args
 
     def test_identity_warp_returns_input(self):
         img = _random_image(np.random.default_rng(12), 8, 6)
-        assert np.array_equal(_warp(img.pixels, 8, 6, 0, 0, 0.0, 1.0), img.pixels)
+        assert np.array_equal(_warp_one(img.pixels, 8, 6, 0, 0, 0.0, 1.0), img.pixels)
 
     def test_one_pass_matches_two_pass_chain_on_a_ramp(self, monkeypatch):
         # bilinear sampling is exact on a linear image, so the paths differ by the
@@ -304,8 +309,8 @@ class TestAugment:
 
         monkeypatch.setattr(fsqnet.data, "_warp", warp)
         for seed in range(50):
-            ours = augment(ImageBuffer(ramp), False, seed).pixels
-            crop_w, crop_h, off_x, off_y, angle, gain = calls[-1]
+            ours = augment(ramp[None], False, [seed])[0]
+            (crop_w,), (crop_h,), (off_x,), (off_y,), (angle,), (gain,) = calls[-1]
             crop = [row[off_x:off_x + crop_w] for row in ramp[off_y:off_y + crop_h].tolist()]
             rotated = scalar_rotate_edge_clamped(
                 scalar_resize_bilinear(crop, width, height), angle)

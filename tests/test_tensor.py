@@ -1,42 +1,6 @@
 import numpy as np
-import pytest
 
-from fsqnet.errors import NumericError, ShapeError
-from fsqnet.tensor import (
-    MAX_NDIM,
-    check_finite,
-    check_shape,
-    derive_seed,
-    he_init,
-    rng_from_seed,
-)
-
-
-class TestShape:
-    def test_valid_shapes(self):
-        assert check_shape((3,)) == (3,)
-        assert check_shape([2, 3, 4, 5]) == (2, 3, 4, 5)
-
-    def test_too_many_dims(self):
-        with pytest.raises(ShapeError):
-            check_shape((1,) * (MAX_NDIM + 1))
-
-    def test_empty_and_nonpositive(self):
-        with pytest.raises(ShapeError):
-            check_shape(())
-        with pytest.raises(ShapeError):
-            check_shape((2, 0))
-        with pytest.raises(ShapeError):
-            check_shape((-1, 3))
-
-
-class TestCheckFinite:
-    def test_check_finite(self):
-        bad = np.array([1.0, np.nan], dtype=np.float32)
-        with pytest.raises(NumericError):
-            check_finite(bad)
-        with pytest.raises(NumericError):
-            check_finite(np.array([np.inf], dtype=np.float32))
+from fsqnet.tensor import derive_seed, he_init, rng_from_seed
 
 
 class TestHeInit:
@@ -55,10 +19,6 @@ class TestHeInit:
         draws = he_init((200, 200), fan_in=fan_in, seed=0)
         expected = np.sqrt(2.0 / fan_in)
         assert abs(draws.std() - expected) < 0.05 * expected
-
-    def test_bad_fan_in(self):
-        with pytest.raises(ShapeError):
-            he_init((2, 2), fan_in=0, seed=0)
 
 
 class TestRng:

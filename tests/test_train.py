@@ -248,7 +248,7 @@ def _per_image_chain(dataset: Dataset, idx, seeds, flip) -> np.ndarray:
     means = dataset.channel_means
     if seeds is None:
         return np.stack([normalize(ImageBuffer(dataset.samples[i]), means) for i in idx])
-    return np.stack([normalize(augment(ImageBuffer(dataset.samples[i]), flip, seed), means)
+    return np.stack([normalize(augment(dataset.samples[[i]], flip, [seed])[0], means)
                      for i, seed in zip(idx, seeds)])
 
 

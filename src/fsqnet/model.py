@@ -191,7 +191,8 @@ class Conv(Layer):
 
     def forward(self, params, x, dropout_seed):
         w, b = self._weights(params)
-        y = relu(conv2d_forward(x, w, b, self.conv))
+        y = conv2d_forward(x, w, b, self.conv)
+        relu(y, out=y)  # in place: the product is a fresh array
         return y, (x, w, y)
 
     def backward(self, tape, d, grads):
@@ -362,19 +363,13 @@ def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def layer_summary(config: ModelConfig) -> list[dict]:
-    """Per-layer name, output shape (channel-first, no batch dim) and parameter count.
-
-    Raises ConfigError when the pooling stack shrinks the input below 1x1.
-    """
+    """Per-layer name, output shape (channel-first, no batch dim) and parameter count."""
     rows = []
     shape: tuple[int, ...] = (3, config.input_size, config.input_size)
-    try:
-        for layer in layer_plan(config):
-            shape = layer.out_shape(shape)
-            count = sum(int(np.prod(s)) for s in layer.param_shapes().values())
-            rows.append({"name": layer.name, "output_shape": list(shape), "params": count})
-    except ShapeError as exc:
-        raise ConfigError(f"input_size {config.input_size} too small for the pooling stack: {exc}")
+    for layer in layer_plan(config):
+        shape = layer.out_shape(shape)
+        count = sum(int(np.prod(s)) for s in layer.param_shapes().values())
+        rows.append({"name": layer.name, "output_shape": list(shape), "params": count})
     return rows
 
 
@@ -388,7 +383,6 @@ class Model:
 
 def build_model(config: ModelConfig, seed: int) -> Model:
     """He-initialized model; bit-identical for identical (config, seed)."""
-    layer_summary(config)  # validates the pooling stack up front
     params: dict[str, np.ndarray] = {}
     for index, (name, shape) in enumerate(expected_param_shapes(config).items()):
         if name.endswith("/weight"):

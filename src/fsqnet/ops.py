@@ -2,16 +2,20 @@
 
 All activations are NCHW float32.  Convolution is cross-correlation (no
 kernel flip), the usual deep-learning convention, so stored weights are
-unambiguous.  Conv and dense forwards run their products through BLAS in
-float64: every float32 product is exact there, the sums differ from any
-fixed order only by float64 rounding, and the result is rounded to float32
-once.  The ordered path is kept as the bit-exact reference:
-``conv2d_reference`` and ``_linear`` accumulate in float64 in (channel,
-kh, kw) order starting from the bias, so a naive loop that sums in the same
-order reproduces them bit for bit, and the tests bound the BLAS kernels
-against them.  Backward passes are exact gradients of those forward maps,
-checked against finite differences.  Max pooling and its backward are
-exact, so loop oracles match them bit for bit.
+unambiguous.  The conv forward and its input gradient are float32 BLAS
+products on float32 patches; each output sums at most a few thousand
+terms.  The conv weight and bias gradients sum over every position of the
+batch, ~10^5 terms at paper scale in an order that OpenBLAS changes with
+its thread count, so they run in float64, as do the dense layers: every
+float32 product is exact there, the sums differ from any fixed order only
+by float64 rounding, and the result is rounded to float32 once.  The
+ordered path is kept as the bit-exact reference: ``conv2d_reference`` and
+``_linear`` accumulate in float64 in (channel, kh, kw) order starting from
+the bias, so a naive loop that sums in the same order reproduces them bit
+for bit, and the tests bound the BLAS kernels against them.  Backward
+passes are exact gradients of those forward maps, checked against finite
+differences.  Max pooling and its backward are exact, so loop oracles
+match them bit for bit.
 """
 
 from __future__ import annotations
@@ -69,14 +73,17 @@ def _require_4d(x: np.ndarray, what: str) -> None:
 
 
 def _patches(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, int, int]:
-    """Patches of x as float64 [N, C*kh*kw, OH*OW], rows ordered (c, kh, kw)."""
+    """Patches of x as [N, C*kh*kw, OH*OW] in x's dtype, rows ordered (c, kh, kw).
+
+    A pointwise conv's patches are x itself, a view when x is contiguous.
+    """
     n, c, h, w = x.shape
     oh, ow = spec.out_hw(h, w)
     if spec.pointwise:
-        return x.reshape(n, c, h * w).astype(np.float64), oh, ow
+        return x.reshape(n, c, h * w), oh, ow
     kh, kw, s, p = spec.kernel_h, spec.kernel_w, spec.stride, spec.pad
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=np.float64)
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
@@ -84,14 +91,15 @@ def _patches(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, int, int]:
 
 
 def _col2im(d_cols: np.ndarray, shape: tuple[int, ...], spec: ConvSpec) -> np.ndarray:
-    """Adjoint of _patches: float64 gradient at x from patch gradients [N, C*kh*kw, OH*OW]."""
+    """Adjoint of _patches: gradient at x, in d_cols's dtype, from patch gradients
+    [N, C*kh*kw, OH*OW], each input's taps added in (kh, kw) order."""
     if spec.pointwise:
         return d_cols.reshape(shape)
     n, c, h, w = shape
     kh, kw, s, p = spec.kernel_h, spec.kernel_w, spec.stride, spec.pad
     oh, ow = spec.out_hw(h, w)
     d_cols = d_cols.reshape(n, c, kh, kw, oh, ow)
-    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=np.float64)
+    dxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=d_cols.dtype)
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += d_cols[:, :, i, j]
@@ -99,7 +107,7 @@ def _col2im(d_cols: np.ndarray, shape: tuple[int, ...], spec: ConvSpec) -> np.nd
 
 
 def _im2col(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, int, int]:
-    """Patches of x as float64 [N*OH*OW, C*kh*kw], K ordered (c, kh, kw)."""
+    """Patches of x as [N*OH*OW, C*kh*kw] in x's dtype, K ordered (c, kh, kw)."""
     cols, oh, ow = _patches(x, spec)
     return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1]), oh, ow
 
@@ -128,8 +136,8 @@ def _check_conv_d_out(x, spec: ConvSpec, d_out) -> tuple[int, int]:
 
 
 def _weight_matrix(weight: np.ndarray) -> np.ndarray:
-    """Conv weight [O,C,kh,kw] as float64 [O, C*kh*kw]."""
-    return weight.reshape(weight.shape[0], -1).astype(np.float64)
+    """Conv weight [O,C,kh,kw] as [O, C*kh*kw], a view."""
+    return weight.reshape(weight.shape[0], -1)
 
 
 def _linear(a: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -154,26 +162,33 @@ def _linear_grads(a: np.ndarray, w: np.ndarray, d: np.ndarray):
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Cross-correlate x [N,C,H,W] with weight [O,C,kh,kw] plus per-channel bias.
 
-    One float64 product [O,K] @ [K,OH*OW] per image gives NCHW directly.
+    One float32 product [O,K] @ [K,OH*OW] per image gives NCHW directly; the
+    bias is added to it in float32.
     """
     _check_conv_shapes(x, weight, spec)
     _check_conv_bias(bias, spec)
     cols, oh, ow = _patches(x, spec)
     acc = _weight_matrix(weight) @ cols
-    acc += bias.astype(np.float64)[:, None]
-    return acc.reshape(x.shape[0], spec.out_channels, oh, ow).astype(np.float32)
+    acc += bias[:, None]
+    return acc.reshape(x.shape[0], spec.out_channels, oh, ow)
 
 
 def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np.ndarray) -> LayerGrads:
-    """Exact gradients of conv2d_forward for upstream d_out [N,O,OH,OW]."""
+    """Exact gradients of conv2d_forward for upstream d_out [N,O,OH,OW].
+
+    The input gradient is float32, like the forward.  The weight and bias
+    gradients sum over all N*OH*OW positions in float64: the input is cast
+    before its patches are built, not the larger patch matrix.
+    """
     _check_conv_shapes(x, weight, spec)
     oh, ow = _check_conv_d_out(x, spec, d_out)
-    d = d_out.reshape(x.shape[0], spec.out_channels, oh * ow).astype(np.float64)
-    cols, _, _ = _patches(x, spec)
+    d = d_out.reshape(x.shape[0], spec.out_channels, oh * ow)
+    d_input = _col2im(_weight_matrix(weight).T @ d, x.shape, spec)
+    d = d.astype(np.float64)
+    cols, _, _ = _patches(x.astype(np.float64), spec)
     d_weight = (d @ cols.transpose(0, 2, 1)).sum(axis=0)
-    d_cols = _weight_matrix(weight).T @ d
     return LayerGrads(
-        d_input=_col2im(d_cols, x.shape, spec).astype(np.float32),
+        d_input=d_input,
         d_weight=d_weight.reshape(weight.shape).astype(np.float32),
         d_bias=d.sum(axis=(0, 2)).astype(np.float32),
     )
@@ -186,8 +201,8 @@ def conv2d_reference(
     _check_conv_shapes(x, weight, spec)
     _check_conv_bias(bias, spec)
     n = x.shape[0]
-    cols, oh, ow = _im2col(x, spec)
-    acc = _linear(cols, _weight_matrix(weight).T, bias)
+    cols, oh, ow = _im2col(x.astype(np.float64), spec)
+    acc = _linear(cols, _weight_matrix(weight).T.astype(np.float64), bias)
     return acc.reshape(n, oh, ow, spec.out_channels).transpose(0, 3, 1, 2).astype(np.float32)
 
 
@@ -199,8 +214,9 @@ def conv2d_backward_reference(
     oh, ow = _check_conv_d_out(x, spec, d_out)
     n = x.shape[0]
     dout2 = d_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, spec.out_channels).astype(np.float64)
-    cols, _, _ = _im2col(x, spec)
-    d_cols, d_weight, d_bias = _linear_grads(cols, _weight_matrix(weight).T, dout2)
+    cols, _, _ = _im2col(x.astype(np.float64), spec)
+    w64 = _weight_matrix(weight).T.astype(np.float64)
+    d_cols, d_weight, d_bias = _linear_grads(cols, w64, dout2)
     d_cols = d_cols.reshape(n, oh * ow, -1).transpose(0, 2, 1)
     return LayerGrads(
         d_input=_col2im(d_cols, x.shape, spec).astype(np.float32),
@@ -209,8 +225,9 @@ def conv2d_backward_reference(
     )
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, np.float32(0.0))
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0); out=x applies it in place."""
+    return np.maximum(x, np.float32(0.0), out=out)
 
 
 def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:

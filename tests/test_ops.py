@@ -82,6 +82,39 @@ def _assert_within_reordering_bound(fast, ref, magnitude, terms):
     assert (np.abs(fast64 - ref64) <= bound).all()
 
 
+def _gamma(m, u):
+    """Higham's gamma_m = m*u / (1 - m*u) for unit roundoff u."""
+    return m * u / (1 - m * u)
+
+
+def _assert_within_float32_bound(fast, ref, magnitude, terms):
+    """fast sums `terms` float32 products in float32, in some order; ref is
+    the float64 sum of the same products, rounded to float32 once.
+
+    Each value takes part in at most `terms` float32 roundings, its product's
+    included, so fast lies within gamma_m*S of the exact sum, with m = terms,
+    u = 2^-24 and S the sum of the terms' magnitudes (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1).  Before its rounding ref lies
+    within the same bound at u = 2^-53, and rounding it to float32 moves it by
+    at most half the float32 spacing at ref.  `magnitude` is the reference on
+    |inputs|, a float64 sum rounded to float32, so S is below magnitude plus
+    its spacing.  Valid while nothing underflows, as with normal samples.
+    """
+    assert fast.dtype == np.float32 and fast.shape == ref.shape
+    s = magnitude.astype(np.float64) + np.spacing(magnitude).astype(np.float64)
+    rounding = np.spacing(np.abs(ref)).astype(np.float64) / 2
+    bound = (_gamma(terms, 2.0**-24) + _gamma(terms, 2.0**-53)) * s + rounding
+    assert (np.abs(fast.astype(np.float64) - ref.astype(np.float64)) <= bound).all()
+
+
+# the stem (K = 27) and fire7/8's 3x3 expand (K = 576, the largest K of v1.1)
+# at v1.1's channel counts, on small planes: (x shape, spec)
+PAPER_SCALE_CONVS = {
+    "stem": ((2, 3, 35, 35), ConvSpec(64, 3, 3, 3, stride=2)),
+    "fire7_expand3x3": ((2, 64, 14, 14), ConvSpec(256, 64, 3, 3, pad=1)),
+}
+
+
 class TestConvSpec:
     def test_out_hw_floor(self):
         spec = ConvSpec(1, 1, 3, 3, stride=2, pad=0)
@@ -139,15 +172,26 @@ class TestConvForward:
         naive = naive_conv2d(x, weight, bias, stride, pad)
         assert np.array_equal(ours, naive)
 
-    @given(*CONV_CASES)
-    @settings(max_examples=40)
-    def test_fast_within_reordering_bound_of_reference(self, n, c, o, k, stride, pad, seed):
-        _, x, weight, bias, spec = _conv_case(n, c, o, k, stride, pad, seed)
+    @staticmethod
+    def _check_float32_bound(x, weight, bias, spec):
         fast = conv2d_forward(x, weight, bias, spec)
         ref = conv2d_reference(x, weight, bias, spec)
         magnitude = conv2d_reference(np.abs(x), np.abs(weight), np.abs(bias), spec)
-        assert fast.dtype == np.float32 and fast.shape == ref.shape
-        _assert_within_reordering_bound(fast, ref, magnitude, terms=c * k * k + 1)
+        terms = spec.in_channels * spec.kernel_h * spec.kernel_w + 1  # K products and the bias
+        _assert_within_float32_bound(fast, ref, magnitude, terms)
+
+    @given(*CONV_CASES)
+    @settings(max_examples=40)
+    def test_float32_within_error_bound_of_reference(self, n, c, o, k, stride, pad, seed):
+        _, x, weight, bias, spec = _conv_case(n, c, o, k, stride, pad, seed)
+        self._check_float32_bound(x, weight, bias, spec)
+
+    @pytest.mark.parametrize("name", PAPER_SCALE_CONVS)
+    def test_float32_within_error_bound_at_paper_scale_k(self, name):
+        shape, spec = PAPER_SCALE_CONVS[name]
+        rng = np.random.default_rng(17)
+        weight = _randn(rng, spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
+        self._check_float32_bound(_randn(rng, *shape), weight, _randn(rng, spec.out_channels), spec)
 
     def test_batch_equals_per_image(self):
         rng = np.random.default_rng(12)
@@ -197,20 +241,33 @@ class TestConvBackward:
         assert rel_error(fd_gradient(forward, w, d_out), g.d_weight) < FD_TOL
         assert rel_error(fd_gradient(forward, b, d_out), g.d_bias) < FD_TOL
 
+    @staticmethod
+    def _check_bounds(x, weight, spec, d_out):
+        """d_input within the float32 bound; d_weight and d_bias, float64 sums
+        over every position, within the float64 reordering bound."""
+        fast = conv2d_backward(x, weight, spec, d_out)
+        ref = conv2d_backward_reference(x, weight, spec, d_out)
+        magnitude = conv2d_backward_reference(np.abs(x), np.abs(weight), spec, np.abs(d_out))
+        terms = spec.out_channels * spec.kernel_h * spec.kernel_w  # W.T @ d, then _col2im's adds
+        _assert_within_float32_bound(fast.d_input, ref.d_input, magnitude.d_input, terms)
+        for name in ("d_weight", "d_bias"):
+            fast_g, ref_g, mag_g = (getattr(g, name) for g in (fast, ref, magnitude))
+            assert fast_g.dtype == np.float32 and fast_g.shape == ref_g.shape
+            _assert_within_reordering_bound(fast_g, ref_g, mag_g, d_out.size // spec.out_channels)
 
     @given(*CONV_CASES)
     @settings(max_examples=40)
     def test_fast_within_reordering_bound_of_reference(self, n, c, o, k, stride, pad, seed):
         rng, x, weight, _, spec = _conv_case(n, c, o, k, stride, pad, seed)
-        d_out = _randn(rng, n, o, *spec.out_hw(*x.shape[2:]))
-        fast = conv2d_backward(x, weight, spec, d_out)
-        ref = conv2d_backward_reference(x, weight, spec, d_out)
-        magnitude = conv2d_backward_reference(np.abs(x), np.abs(weight), spec, np.abs(d_out))
-        positions = n * d_out.shape[2] * d_out.shape[3]
-        for name, terms in (("d_input", o * k * k), ("d_weight", positions), ("d_bias", positions)):
-            fast_g, ref_g = getattr(fast, name), getattr(ref, name)
-            assert fast_g.dtype == np.float32 and fast_g.shape == ref_g.shape
-            _assert_within_reordering_bound(fast_g, ref_g, getattr(magnitude, name), terms)
+        self._check_bounds(x, weight, spec, _randn(rng, n, o, *spec.out_hw(*x.shape[2:])))
+
+    @pytest.mark.parametrize("name", PAPER_SCALE_CONVS)
+    def test_within_error_bounds_at_paper_scale_k(self, name):
+        shape, spec = PAPER_SCALE_CONVS[name]
+        rng = np.random.default_rng(18)
+        weight = _randn(rng, spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
+        d_out = _randn(rng, shape[0], spec.out_channels, *spec.out_hw(*shape[2:]))
+        self._check_bounds(_randn(rng, *shape), weight, spec, d_out)
 
 
 class TestRelu:

@@ -8,23 +8,31 @@ ones that cover the other augmentation settings and a resume: `--flip`,
 `inspect --checkpoint`, `eval --confusion` and `predict --top 3` on one
 image, plus two `inspect --arch-only` calls.  Last, it runs `predict` with
 the v1.1 checkpoint on a non-square 300x97 image, whose resize to 64 px
-downscales one axis past 4x.  It prints one `sha256  name` line per
-checkpoint, metrics file, command output and confusion CSV: 21 lines.  Every
-path is relative to WORKDIR, so the metrics headers, and with them the
-hashes, are comparable between two checkouts.  The fsqnet package is
-imported from the checkout this script belongs to:
+downscales one axis past 4x.  It prints two `#` lines that name the numpy
+version and the configuration of the OpenBLAS numpy loaded, core included,
+since the float32 kernels may round differently on another build.  Then it
+prints one `sha256  name` line per checkpoint, metrics file, command output
+and confusion CSV: 21 lines.  Every path is relative to WORKDIR, so the
+metrics headers, and with them the hashes, are comparable between two
+checkouts.  The fsqnet package is imported from the checkout this script
+belongs to:
 
     python3 scripts/determinism_gate.py /tmp/gate-new > new.txt
     python3 /path/to/other/checkout/scripts/determinism_gate.py /tmp/gate-old > old.txt
     diff old.txt new.txt
 
-A refactor that should not change behaviour must leave every line equal.  A
-change that alters output on purpose lists its changed lines, with their new
-hashes, in CHANGES.md.
+A refactor that should not change behaviour must leave every line equal.
+`tests/determinism_gate.sha256` holds this script's output, and a tier-1 test
+compares every line with it.  A change that alters output on purpose
+rewrites that file and lists its changed lines, with their new hashes, in
+CHANGES.md:
+
+    python3 scripts/determinism_gate.py /tmp/gate > tests/determinism_gate.sha256
 """
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -52,6 +60,34 @@ TINY_VARIANTS = {
     "tiny-noaug": ["--no-augment"],
     "tiny-resumed": ["--resume", "tiny.ckpt"],
 }
+
+
+# the symbol that returns OpenBLAS's configuration string in the builds numpy ships
+BLAS_CONFIG_SYMBOLS = ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                       "openblas_get_config64_", "openblas_get_config")
+
+
+def blas_config() -> str:
+    """The runtime configuration of the BLAS numpy loaded, or "unknown".
+
+    Read from the library itself: np.show_config names the build target, not
+    the core OpenBLAS picked at load time.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    # a handle to the loaded extension also finds the symbols of its dependencies
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for symbol in BLAS_CONFIG_SYMBOLS:
+        try:
+            get_config = getattr(lib, symbol)
+        except AttributeError:
+            continue
+        get_config.argtypes = []
+        get_config.restype = ctypes.c_char_p
+        return get_config().decode()
+    return "unknown"
 
 
 def _run(argv: list[str], stdout_path: str | None = None) -> None:
@@ -100,6 +136,8 @@ def main(argv=None) -> int:
     _run(["predict", "--checkpoint", "v11.ckpt", "--image", "wide.ppm", "--top", "3"],
          "predict-v11-wide.json")
     artifacts.append("predict-v11-wide.json")
+    print(f"# numpy {np.__version__}")
+    print(f"# blas {blas_config()}")
     for name in artifacts:
         print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
     return 0

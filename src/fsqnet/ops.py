@@ -4,18 +4,21 @@ All activations are NCHW float32.  Convolution is cross-correlation (no
 kernel flip), the usual deep-learning convention, so stored weights are
 unambiguous.  The conv forward and its input gradient are float32 BLAS
 products on float32 patches; each output sums at most a few thousand
-terms.  The conv weight and bias gradients sum over every position of the
-batch, ~10^5 terms at paper scale in an order that OpenBLAS changes with
-its thread count, so they run in float64, as do the dense layers: every
-float32 product is exact there, the sums differ from any fixed order only
-by float64 rounding, and the result is rounded to float32 once.  The
-ordered path is kept as the bit-exact reference: ``conv2d_reference`` and
-``_linear`` accumulate in float64 in (channel, kh, kw) order starting from
-the bias, so a naive loop that sums in the same order reproduces them bit
-for bit, and the tests bound the BLAS kernels against them.  Backward
-passes are exact gradients of those forward maps, checked against finite
-differences.  Max pooling and its backward are exact, so loop oracles
-match them bit for bit.
+terms.  The conv weight gradient sums over every position of the batch,
+~10^5 terms at paper scale, and OpenBLAS orders a float32 product over a
+whole v1.1@244 plane differently at 1 and 2 threads.  So its float32
+products run over fixed blocks of WGRAD_BLOCK positions, each block's
+product summing at most that many terms, and the block products are summed
+in float64 in a fixed order and rounded to float32 once.  The conv bias
+gradient and the dense layers run in float64: every float32 product is
+exact there, the sums differ from any fixed order only by float64 rounding,
+and the result is rounded to float32 once.  The ordered path is kept as
+the bit-exact reference: ``conv2d_reference`` and ``_linear`` accumulate
+in float64 in (channel, kh, kw) order starting from the bias, so a naive
+loop that sums in the same order reproduces them bit for bit, and the tests
+bound the BLAS kernels against them.  Backward passes are exact gradients
+of those forward maps, checked against finite differences.  Max pooling and
+its backward are exact, so loop oracles match them bit for bit.
 """
 
 from __future__ import annotations
@@ -173,24 +176,43 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: Co
     return acc.reshape(x.shape[0], spec.out_channels, oh, ow)
 
 
+# output positions per float32 weight-gradient product.  On OpenBLAS 0.3.31's
+# SkylakeX kernels, whole-plane products change bytes with the thread count
+# from 841 positions up; blocks of 64 to 4,096 positions gave equal bytes at
+# every v1.1@244 conv
+WGRAD_BLOCK = 256
+
+
 def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np.ndarray) -> LayerGrads:
     """Exact gradients of conv2d_forward for upstream d_out [N,O,OH,OW].
 
-    The input gradient is float32, like the forward.  The weight and bias
-    gradients sum over all N*OH*OW positions in float64: the input is cast
-    before its patches are built, not the larger patch matrix.
+    The input gradient is float32, like the forward.  The weight gradient is
+    one float32 product per block of WGRAD_BLOCK output positions of each
+    image, the full blocks in one batched product and the tail in another;
+    the block products are summed in float64, image by image in block order,
+    and rounded once.  The bias gradient sums d in float64.
     """
     _check_conv_shapes(x, weight, spec)
     oh, ow = _check_conv_d_out(x, spec, d_out)
-    d = d_out.reshape(x.shape[0], spec.out_channels, oh * ow)
+    n, o = x.shape[0], spec.out_channels
+    d = d_out.reshape(n, o, oh * ow)
     d_input = _col2im(_weight_matrix(weight).T @ d, x.shape, spec)
-    d = d.astype(np.float64)
-    cols, _, _ = _patches(x.astype(np.float64), spec)
-    d_weight = (d @ cols.transpose(0, 2, 1)).sum(axis=0)
+    cols, _, _ = _patches(x, spec)
+    k = cols.shape[1]
+    blocks, tail = divmod(oh * ow, WGRAD_BLOCK)
+    full = blocks * WGRAD_BLOCK
+    parts = np.empty((n, blocks + (tail > 0), o, k), dtype=np.float32)
+    if blocks:
+        d_blocks = d[:, :, :full].reshape(n, o, blocks, WGRAD_BLOCK).transpose(0, 2, 1, 3)
+        col_blocks = cols[:, :, :full].reshape(n, k, blocks, WGRAD_BLOCK).transpose(0, 2, 3, 1)
+        np.matmul(d_blocks, col_blocks, out=parts[:, :blocks])
+    if tail:
+        np.matmul(d[:, :, full:], cols[:, :, full:].transpose(0, 2, 1), out=parts[:, blocks])
+    d_weight = parts.reshape(-1, o, k).sum(axis=0, dtype=np.float64)
     return LayerGrads(
         d_input=d_input,
         d_weight=d_weight.reshape(weight.shape).astype(np.float32),
-        d_bias=d.sum(axis=(0, 2)).astype(np.float32),
+        d_bias=d.sum(axis=(0, 2), dtype=np.float64).astype(np.float32),
     )
 
 

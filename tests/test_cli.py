@@ -212,6 +212,25 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
 
+GATE = Path(__file__).resolve().parents[1] / "scripts" / "determinism_gate.py"
+GATE_HASHES = Path(__file__).with_name("determinism_gate.sha256")
+
+
+@pytest.mark.parametrize("threads", [None, "1"], ids=["default-threads", "one-thread"])
+def test_determinism_gate_matches_checked_in_hashes(tmp_path, threads):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = subprocess.run([sys.executable, str(GATE), str(tmp_path / "gate")], env=env,
+                         check=True, capture_output=True, text=True).stdout.splitlines()
+    expected = GATE_HASHES.read_text().splitlines()
+    # the float32 kernels may round differently on another numpy or BLAS core
+    builds = [[line for line in lines if line.startswith("#")] for lines in (expected, out)]
+    if builds[0] != builds[1]:
+        pytest.skip(f"hashes recorded on {builds[0]}, this build is {builds[1]}")
+    assert out == expected
+
+
 # one SHA-256 over the probabilities and every gradient of one v1.1@244 batch-8 training step
 _PAPER_SCALE_STEP = """
 import hashlib

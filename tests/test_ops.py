@@ -1,4 +1,10 @@
+import dataclasses
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -107,11 +113,44 @@ def _assert_within_float32_bound(fast, ref, magnitude, terms):
     assert (np.abs(fast.astype(np.float64) - ref.astype(np.float64)) <= bound).all()
 
 
+def _assert_within_blocked_bound(fast, ref, magnitude, block, terms):
+    """fast sums `terms` float32 products as float32 sums over blocks of at most
+    `block` products, adds the block sums in float64 and rounds to float32
+    once; ref is the float64 sum of the same products, rounded to float32 once.
+
+    Each block sum lies within gamma_B(2^-24) times the magnitudes of its
+    terms of its exact value, B = block, so all of them together within
+    gamma_B(2^-24)*S.  Adding at most M = terms block sums in float64 moves the
+    total by at most gamma_M(2^-53) times their magnitudes, which are below
+    2*S, and ref lies within gamma_M(2^-53)*S of the exact sum before its
+    rounding; gamma_M + 2*gamma_M <= gamma_3M.  This is blocked summation
+    (Higham, Accuracy and Stability of Numerical Algorithms, 4.2).  Rounding
+    fast and ref to float32 moves each by at most half the float32 spacing at
+    it, together at most the spacing at the larger.  S is bounded as in
+    _assert_within_float32_bound.
+    """
+    assert fast.dtype == np.float32 and fast.shape == ref.shape
+    s = magnitude.astype(np.float64) + np.spacing(magnitude).astype(np.float64)
+    rounding = np.spacing(np.maximum(np.abs(fast), np.abs(ref))).astype(np.float64)
+    bound = (_gamma(block, 2.0**-24) + _gamma(3 * terms, 2.0**-53)) * s + rounding
+    assert (np.abs(fast.astype(np.float64) - ref.astype(np.float64)) <= bound).all()
+
+
 # the stem (K = 27) and fire7/8's 3x3 expand (K = 576, the largest K of v1.1)
 # at v1.1's channel counts, on small planes: (x shape, spec)
 PAPER_SCALE_CONVS = {
     "stem": ((2, 3, 35, 35), ConvSpec(64, 3, 3, 3, stride=2)),
     "fire7_expand3x3": ((2, 64, 14, 14), ConvSpec(256, 64, 3, 3, pad=1)),
+}
+
+# convs at v1.1 channel counts whose planes have output positions just below, at
+# and above a multiple of WGRAD_BLOCK = 256 (255, 256, 513) and past 4,096
+# (4,225), so the weight gradient's full-block product runs: (x shape, spec)
+WGRAD_BLOCK_CONVS = {
+    "p255": ((2, 16, 15, 17), ConvSpec(64, 16, 3, 3, pad=1)),
+    "p256": ((2, 128, 16, 16), ConvSpec(16, 128, 1, 1)),
+    "p513": ((2, 32, 55, 39), ConvSpec(128, 32, 3, 3, stride=2)),
+    "p4225": ((2, 16, 65, 65), ConvSpec(64, 16, 3, 3, pad=1)),
 }
 
 
@@ -243,31 +282,74 @@ class TestConvBackward:
 
     @staticmethod
     def _check_bounds(x, weight, spec, d_out):
-        """d_input within the float32 bound; d_weight and d_bias, float64 sums
-        over every position, within the float64 reordering bound."""
+        """d_input within the float32 bound, d_weight within the blocked bound
+        and d_bias, a float64 sum over every position, within the float64
+        reordering bound."""
         fast = conv2d_backward(x, weight, spec, d_out)
         ref = conv2d_backward_reference(x, weight, spec, d_out)
         magnitude = conv2d_backward_reference(np.abs(x), np.abs(weight), spec, np.abs(d_out))
         terms = spec.out_channels * spec.kernel_h * spec.kernel_w  # W.T @ d, then _col2im's adds
         _assert_within_float32_bound(fast.d_input, ref.d_input, magnitude.d_input, terms)
-        for name in ("d_weight", "d_bias"):
-            fast_g, ref_g, mag_g = (getattr(g, name) for g in (fast, ref, magnitude))
-            assert fast_g.dtype == np.float32 and fast_g.shape == ref_g.shape
-            _assert_within_reordering_bound(fast_g, ref_g, mag_g, d_out.size // spec.out_channels)
+        positions = d_out.size // spec.out_channels
+        _assert_within_blocked_bound(fast.d_weight, ref.d_weight, magnitude.d_weight,
+                                     fsqnet.ops.WGRAD_BLOCK, positions)
+        assert fast.d_bias.dtype == np.float32 and fast.d_bias.shape == ref.d_bias.shape
+        _assert_within_reordering_bound(fast.d_bias, ref.d_bias, magnitude.d_bias, positions)
+
+    @staticmethod
+    def _check_fixed_case(shape, spec):
+        rng = np.random.default_rng(18)
+        weight = _randn(rng, spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
+        d_out = _randn(rng, shape[0], spec.out_channels, *spec.out_hw(*shape[2:]))
+        TestConvBackward._check_bounds(_randn(rng, *shape), weight, spec, d_out)
 
     @given(*CONV_CASES)
     @settings(max_examples=40)
-    def test_fast_within_reordering_bound_of_reference(self, n, c, o, k, stride, pad, seed):
+    def test_fast_within_error_bounds_of_reference(self, n, c, o, k, stride, pad, seed):
         rng, x, weight, _, spec = _conv_case(n, c, o, k, stride, pad, seed)
         self._check_bounds(x, weight, spec, _randn(rng, n, o, *spec.out_hw(*x.shape[2:])))
 
     @pytest.mark.parametrize("name", PAPER_SCALE_CONVS)
     def test_within_error_bounds_at_paper_scale_k(self, name):
-        shape, spec = PAPER_SCALE_CONVS[name]
-        rng = np.random.default_rng(18)
-        weight = _randn(rng, spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-        d_out = _randn(rng, shape[0], spec.out_channels, *spec.out_hw(*shape[2:]))
-        self._check_bounds(_randn(rng, *shape), weight, spec, d_out)
+        self._check_fixed_case(*PAPER_SCALE_CONVS[name])
+
+    @pytest.mark.parametrize("name", WGRAD_BLOCK_CONVS)
+    def test_within_error_bounds_across_weight_gradient_blocks(self, name):
+        self._check_fixed_case(*WGRAD_BLOCK_CONVS[name])
+
+    def test_blas_thread_count_leaves_weight_gradient_bytes_unchanged(self):
+        # batch 8, as v1.1@244 trains, and v1.1@244's stem with 14,641 positions:
+        # whole-plane float32 products change bytes with the thread count there
+        cases = [[(8, *shape[1:]), dataclasses.astuple(spec)]
+                 for shape, spec in WGRAD_BLOCK_CONVS.values()]
+        cases.append([(8, 3, 244, 244), dataclasses.astuple(ConvSpec(64, 3, 3, 3, stride=2))])
+        src = str(Path(fsqnet.ops.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        digests = [subprocess.run([sys.executable, "-c", _WEIGHT_GRADIENT_DIGESTS, json.dumps(cases)],
+                                  env={**env, "OPENBLAS_NUM_THREADS": threads},
+                                  check=True, capture_output=True, text=True).stdout.split()
+                   for threads in ("1", "2")]
+        assert len(digests[0]) == len(cases)
+        assert digests[0] == digests[1]
+
+
+# one SHA-256 of conv2d_backward's d_weight per case, for the JSON list of
+# [x shape, ConvSpec fields] in argv[1]
+_WEIGHT_GRADIENT_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+from fsqnet.ops import ConvSpec, conv2d_backward
+
+for shape, fields in json.loads(sys.argv[1]):
+    spec = ConvSpec(*fields)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(shape, dtype=np.float32)
+    weight = rng.standard_normal((spec.out_channels, spec.in_channels, spec.kernel_h,
+                                  spec.kernel_w), dtype=np.float32)
+    d_out = rng.standard_normal((shape[0], spec.out_channels, *spec.out_hw(*shape[2:])),
+                                dtype=np.float32)
+    print(hashlib.sha256(conv2d_backward(x, weight, spec, d_out).d_weight.tobytes()).hexdigest())
+"""
 
 
 class TestRelu:

@@ -45,6 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fsqnet.cli import main as fsqnet_main  # noqa: E402
 from fsqnet.data import ImageBuffer, save_ppm  # noqa: E402
+from fsqnet.ops import openblas_function  # noqa: E402
 from fsqnet.synthetic import write_dataset  # noqa: E402
 
 COMMON = ["--deterministic", "--dropout", "--seed", "42", "--val-fraction", "0.25"]
@@ -62,32 +63,14 @@ TINY_VARIANTS = {
 }
 
 
-# the symbol that returns OpenBLAS's configuration string in the builds numpy ships
-BLAS_CONFIG_SYMBOLS = ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
-                       "openblas_get_config64_", "openblas_get_config")
-
-
 def blas_config() -> str:
     """The runtime configuration of the BLAS numpy loaded, or "unknown".
 
     Read from the library itself: np.show_config names the build target, not
     the core OpenBLAS picked at load time.
     """
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath
-    # a handle to the loaded extension also finds the symbols of its dependencies
-    lib = ctypes.CDLL(_multiarray_umath.__file__)
-    for symbol in BLAS_CONFIG_SYMBOLS:
-        try:
-            get_config = getattr(lib, symbol)
-        except AttributeError:
-            continue
-        get_config.argtypes = []
-        get_config.restype = ctypes.c_char_p
-        return get_config().decode()
-    return "unknown"
+    get_config = openblas_function("get_config", ctypes.c_char_p)
+    return "unknown" if get_config is None else get_config().decode()
 
 
 def _run(argv: list[str], stdout_path: str | None = None) -> None:

@@ -37,6 +37,7 @@ from .model import (
     model_forward,
     tiny_config,
 )
+from .ops import openblas_function
 from .train import History, TrainConfig, evaluate, fit
 
 ARCHES = ("v11", "tiny")
@@ -45,6 +46,7 @@ ARCHES = ("v11", "tiny")
 # of a v1.1@244 batch-32 training step (about 240 MB)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _HEAP_THRESHOLD = 1 << 30
 
 
@@ -56,9 +58,12 @@ def keep_heap() -> bool:
     the previous step's activations again.  A fixed 1 GiB mmap threshold
     puts those arrays in the heap and a 1 GiB trim threshold keeps their pages.
     The mmap threshold goes first: a trim threshold alone also switches off
-    glibc's dynamic mmap threshold, which is slower still.  Nothing is set
-    without glibc's mallopt, or when the mmap threshold is refused, or when
-    the environment already sets a glibc malloc option.
+    glibc's dynamic mmap threshold, which is slower still.  One arena keeps
+    the ops' worker threads in the same heap, so each thread reuses what the
+    others freed; with an arena per thread, each kept a high-water mark of
+    its own.  Nothing is set without glibc's mallopt, or when the mmap
+    threshold is refused, or when the environment already sets a glibc
+    malloc option.
     """
     if any(name.startswith("MALLOC_") for name in os.environ) or (
         "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")
@@ -72,10 +77,34 @@ def keep_heap() -> bool:
     mallopt.restype = ctypes.c_int
     if mallopt(_M_MMAP_THRESHOLD, _HEAP_THRESHOLD) != 1:
         return False
-    return mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD) == 1
+    return mallopt(_M_TRIM_THRESHOLD, _HEAP_THRESHOLD) == 1 and mallopt(_M_ARENA_MAX, 1) == 1
 
 
 _keep_heap_once = functools.cache(keep_heap)
+
+# environment variables that set OpenBLAS's thread count
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def single_blas_thread() -> bool:
+    """Hold OpenBLAS to one thread for the rest of the process; True if it applied.
+
+    fsqnet's ops then split each batch across the CPUs in threads of their own.
+    Two OpenBLAS threads would not combine with that: after each threaded
+    product the idle OpenBLAS worker spins on a core for a while, and a later
+    switch back to one thread does not stop it.  Nothing is set without
+    OpenBLAS, or when the environment already sets a thread count.
+    """
+    if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        return False
+    set_threads = openblas_function("set_num_threads", None, ctypes.c_int)
+    if set_threads is None:
+        return False
+    set_threads(1)
+    return True
+
+
+_single_blas_thread_once = functools.cache(single_blas_thread)
 
 
 def _positive_int(text: str) -> int:
@@ -176,6 +205,7 @@ def _model_config(arch: str, num_classes: int, image_size: int) -> ModelConfig:
 
 
 def cmd_train(args) -> int:
+    _single_blas_thread_once()
     # the resized set is left unbound, so only the two splits live through fit
     train_set, val_set = shuffle_split(resize_dataset(load_dataset(args.data), args.image_size),
                                        args.seed, args.val_fraction)
@@ -229,6 +259,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _single_blas_thread_once()
     model, _, means, label_names = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
     if dataset.label_names != label_names:

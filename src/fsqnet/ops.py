@@ -19,10 +19,22 @@ loop that sums in the same order reproduces them bit for bit, and the tests
 bound the BLAS kernels against them.  Backward passes are exact gradients
 of those forward maps, checked against finite differences.  Max pooling and
 its backward are exact, so loop oracles match them bit for bit.
+
+The ops that treat each image alone (the conv forward and backward, max
+pooling, ReLU and their backward passes) split a large batch into image
+ranges, one per CPU, each run on a thread of its own; the conv backward's
+two float64 sums then split by output channel.  Each image gets the same
+BLAS call on the same operands and every sum keeps its order, so the bytes
+do not depend on the split.  They split only while OpenBLAS runs one
+thread, as ``fsqnet train`` and ``fsqnet eval`` set it.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +80,79 @@ class LayerGrads:
     d_input: np.ndarray
     d_weight: np.ndarray | None = None
     d_bias: np.ndarray | None = None
+
+
+@functools.cache
+def openblas_function(name: str, restype, *argtypes):
+    """OpenBLAS's ``openblas_<name>`` in the library numpy loaded, or None.
+
+    numpy's wheels rename the symbols, as ``scipy_openblas_<name>64_``, so
+    each spelling is tried in turn.  None also when numpy uses another BLAS.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    try:
+        # a handle to the loaded extension also finds the symbols of its dependencies
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            fn = getattr(lib, f"{prefix}{name}{suffix}", None)
+            if fn is not None:
+                fn.restype, fn.argtypes = restype, argtypes
+                return fn
+    return None
+
+
+def _blas_threads() -> int | None:
+    """OpenBLAS's current thread count, or None without OpenBLAS."""
+    get_threads = openblas_function("get_num_threads", ctypes.c_int)
+    return None if get_threads is None else get_threads()
+
+
+# elements in an op's largest array below which its batch is not split.
+# Starting and joining a thread costs about 0.13 ms: tiny@32's largest ops at
+# batch 32 (460,800 elements) ran slower split, and a v1.1@244 batch-8 step
+# ran as fast as at 2^18 and faster than at 2^20
+SPLIT_ELEMENTS = 1 << 19
+
+
+def _split(n: int, size: int, work) -> None:
+    """Run work(lo, hi) over contiguous ranges that cover [0, n), one per CPU.
+
+    Splits only when n >= 2, size (elements in the op's largest array) is at
+    least SPLIT_ELEMENTS, and OpenBLAS runs one thread: a threaded product's
+    idle workers spin on the cores after it returns.  The first range runs on
+    the calling thread, the others on threads started here; all are joined
+    before the first exception a worker raised is raised again here.  work
+    must write only its own range of its outputs.
+    """
+    if n < 2 or size < SPLIT_ELEMENTS or _blas_threads() != 1:
+        work(0, n)
+        return
+    workers = min(n, len(os.sched_getaffinity(0)))
+    bounds = [n * i // workers for i in range(workers + 1)]
+    errors = []
+
+    def run(lo, hi):
+        try:
+            work(lo, hi)
+        except BaseException as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=r) for r in zip(bounds[1:-1], bounds[2:])]
+    for thread in threads:
+        thread.start()
+    try:
+        work(bounds[0], bounds[1])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _require_4d(x: np.ndarray, what: str) -> None:
@@ -166,14 +251,21 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: Co
     """Cross-correlate x [N,C,H,W] with weight [O,C,kh,kw] plus per-channel bias.
 
     One float32 product [O,K] @ [K,OH*OW] per image gives NCHW directly; the
-    bias is added to it in float32.
+    bias is added to it in float32.  Image ranges run on their own threads.
     """
     _check_conv_shapes(x, weight, spec)
     _check_conv_bias(bias, spec)
-    cols, oh, ow = _patches(x, spec)
-    acc = _weight_matrix(weight) @ cols
-    acc += bias[:, None]
-    return acc.reshape(x.shape[0], spec.out_channels, oh, ow)
+    n = x.shape[0]
+    oh, ow = spec.out_hw(*x.shape[2:])
+    w = _weight_matrix(weight)
+    acc = np.empty((n, spec.out_channels, oh * ow), dtype=np.result_type(w, x))
+
+    def work(lo, hi):
+        np.matmul(w, _patches(x[lo:hi], spec)[0], out=acc[lo:hi])
+        acc[lo:hi] += bias[:, None]
+
+    _split(n, n * max(w.shape) * oh * ow, work)
+    return acc.reshape(n, spec.out_channels, oh, ow)
 
 
 # output positions per float32 weight-gradient product.  On OpenBLAS 0.3.31's
@@ -190,29 +282,51 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np
     one float32 product per block of WGRAD_BLOCK output positions of each
     image, the full blocks in one batched product and the tail in another;
     the block products are summed in float64, image by image in block order,
-    and rounded once.  The bias gradient sums d in float64.
+    and rounded once.  The bias gradient sums d in float64.  Image ranges
+    run on their own threads, and then output-channel ranges of the two
+    float64 sums, so every sum keeps its order.
     """
     _check_conv_shapes(x, weight, spec)
     oh, ow = _check_conv_d_out(x, spec, d_out)
-    n, o = x.shape[0], spec.out_channels
+    n, c, h, w = x.shape
+    o = spec.out_channels
     d = d_out.reshape(n, o, oh * ow)
-    d_input = _col2im(_weight_matrix(weight).T @ d, x.shape, spec)
-    cols, _, _ = _patches(x, spec)
-    k = cols.shape[1]
+    w_t = _weight_matrix(weight).T
+    k = w_t.shape[0]
     blocks, tail = divmod(oh * ow, WGRAD_BLOCK)
     full = blocks * WGRAD_BLOCK
+    d_input = np.empty(x.shape, dtype=np.result_type(w_t, d))
     parts = np.empty((n, blocks + (tail > 0), o, k), dtype=np.float32)
-    if blocks:
-        d_blocks = d[:, :, :full].reshape(n, o, blocks, WGRAD_BLOCK).transpose(0, 2, 1, 3)
-        col_blocks = cols[:, :, :full].reshape(n, k, blocks, WGRAD_BLOCK).transpose(0, 2, 3, 1)
-        np.matmul(d_blocks, col_blocks, out=parts[:, :blocks])
-    if tail:
-        np.matmul(d[:, :, full:], cols[:, :, full:].transpose(0, 2, 1), out=parts[:, blocks])
-    d_weight = parts.reshape(-1, o, k).sum(axis=0, dtype=np.float64)
+
+    def images(lo, hi):
+        m, d_m = hi - lo, d[lo:hi]
+        if spec.pointwise:
+            np.matmul(w_t, d_m, out=d_input[lo:hi].reshape(m, c, h * w))
+        else:
+            d_input[lo:hi] = _col2im(w_t @ d_m, (m, c, h, w), spec)
+        cols = _patches(x[lo:hi], spec)[0]
+        if blocks:
+            d_blocks = d_m[:, :, :full].reshape(m, o, blocks, WGRAD_BLOCK).transpose(0, 2, 1, 3)
+            col_blocks = cols[:, :, :full].reshape(m, k, blocks, WGRAD_BLOCK).transpose(0, 2, 3, 1)
+            np.matmul(d_blocks, col_blocks, out=parts[lo:hi, :blocks])
+        if tail:
+            np.matmul(d_m[:, :, full:], cols[:, :, full:].transpose(0, 2, 1),
+                      out=parts[lo:hi, blocks])
+
+    _split(n, n * max(k, o) * oh * ow, images)
+    block_parts = parts.reshape(-1, o, k)
+    d_weight = np.empty((o, k), dtype=np.float64)
+    d_bias = np.empty(o, dtype=np.float64)
+
+    def channels(lo, hi):
+        block_parts[:, lo:hi].sum(axis=0, dtype=np.float64, out=d_weight[lo:hi])
+        d[:, lo:hi].sum(axis=(0, 2), dtype=np.float64, out=d_bias[lo:hi])
+
+    _split(o, max(parts.size, d.size), channels)
     return LayerGrads(
         d_input=d_input,
         d_weight=d_weight.reshape(weight.shape).astype(np.float32),
-        d_bias=d.sum(axis=(0, 2), dtype=np.float64).astype(np.float32),
+        d_bias=d_bias.astype(np.float32),
     )
 
 
@@ -249,14 +363,23 @@ def conv2d_backward_reference(
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, 0); out=x applies it in place."""
-    return np.maximum(x, np.float32(0.0), out=out)
+    if out is None:
+        out = np.empty_like(x)
+    _split(len(x), x.size, lambda lo, hi: np.maximum(x[lo:hi], np.float32(0.0), out=out[lo:hi]))
+    return out
 
 
 def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     if x.shape != d_out.shape:
         raise ShapeError(f"relu_backward shape mismatch: {x.shape} vs {d_out.shape}")
-    bits = np.negative(x > 0, dtype=np.int32)  # all ones where x > 0, else zero
-    bits &= np.asarray(d_out, np.float32).view(np.int32)  # so x <= 0 gives +0.0
+    d_bits = np.asarray(d_out, np.float32).view(np.int32)
+    bits = np.empty(x.shape, dtype=np.int32)
+
+    def work(lo, hi):
+        np.negative(x[lo:hi] > 0, dtype=np.int32, out=bits[lo:hi])  # all ones where x > 0
+        bits[lo:hi] &= d_bits[lo:hi]  # so x <= 0 gives +0.0
+
+    _split(len(x), x.size, work)
     return bits.view(np.float32)
 
 
@@ -290,23 +413,27 @@ def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     Separable, a block of channels at a time: every input row's maximum across
     each window's columns first, then the window's rows in order.  That is the
     tap order of a row-major chain of np.maximum, so among equal values (signed
-    zeros) and NaNs the same one wins.
+    zeros) and NaNs the same one wins.  Image ranges run on their own threads.
     """
     _require_4d(x, "maxpool input")
     oh, ow = pool_out_hw(*x.shape[2:], kernel, stride)
     n, c = x.shape[:2]
     rows = x[:, :, : stride * (oh - 1) + kernel]
     y = np.empty((n, c, oh, ow), dtype=x.dtype)
-    step = max(1, POOL_BLOCK_BYTES // (n * rows.shape[2] * ow * x.itemsize))
-    for c0 in range(0, c, step):
-        block = rows[:, c0 : c0 + step]
-        row_max = block[..., : stride * ow : stride].copy()
-        for j in range(1, kernel):
-            np.maximum(row_max, block[..., j : j + stride * ow : stride], out=row_max)
-        out = y[:, c0 : c0 + step]
-        out[...] = row_max[:, :, : stride * oh : stride]
-        for i in range(1, kernel):
-            np.maximum(out, row_max[:, :, i : i + stride * oh : stride], out=out)
+
+    def work(lo, hi):
+        step = max(1, POOL_BLOCK_BYTES // ((hi - lo) * rows.shape[2] * ow * x.itemsize))
+        for c0 in range(0, c, step):
+            block = rows[lo:hi, c0 : c0 + step]
+            row_max = block[..., : stride * ow : stride].copy()
+            for j in range(1, kernel):
+                np.maximum(row_max, block[..., j : j + stride * ow : stride], out=row_max)
+            out = y[lo:hi, c0 : c0 + step]
+            out[...] = row_max[:, :, : stride * oh : stride]
+            for i in range(1, kernel):
+                np.maximum(out, row_max[:, :, i : i + stride * oh : stride], out=out)
+
+    _split(n, x.size, work)
     return y
 
 
@@ -318,7 +445,8 @@ def maxpool2d_backward(
     y is maxpool2d(x, kernel, stride).  Ties break toward the lowest flat
     index, so the backward pass is deterministic even on plateaus (a window
     whose maximum is NaN routes to its first position).  Overlapping windows
-    accumulate in float64, in window order.
+    accumulate in float64, in window order, one image at a time.  Image
+    ranges run on their own threads.
     """
     taps = _pool_taps(x, kernel, stride)
     expected = taps[0][2].shape
@@ -326,23 +454,35 @@ def maxpool2d_backward(
         raise ShapeError(f"pool output {y.shape} and d_out {d_out.shape}, expected {expected}")
     n, c, h, w = x.shape
     oh, ow = y.shape[2:]
-    # tap number of each window's first maximum: scan from the last tap back so
-    # the lowest match is written last; first - (first - k) * match is a
-    # branch-free "k where match"
-    first = np.zeros(y.shape, dtype=np.min_scalar_type(-len(taps)))
-    step = np.empty_like(first)
-    match = np.empty(y.shape, dtype=bool)
-    for k in reversed(range(len(taps))):
-        np.equal(taps[k][2], y, out=match)
-        np.subtract(first, k, out=step)
-        step *= match
-        first -= step
-    offsets = np.array([i * w + j for i, j, _ in taps])
-    corners = (np.arange(n * c).reshape(n, c, 1, 1) * h + np.arange(oh)[:, None] * stride) * w
-    flat = offsets[first] + corners + np.arange(ow) * stride
-    # bincount adds in window order, in float64
-    d_input = np.bincount(flat.ravel(), weights=d_out.ravel(), minlength=x.size)
-    return d_input.reshape(x.shape).astype(np.float32)
+    # flat index within an image of each tap's offset and of each window's corner
+    index = np.int32 if c * h * w < 2**31 else np.int64
+    offsets = np.array([i * w + j for i, j, _ in taps], dtype=index)
+    i, j = np.arange(oh, dtype=index)[:, None], np.arange(ow, dtype=index)
+    corners = np.arange(c, dtype=index)[:, None, None] * (h * w) + (i * w + j) * stride
+    d_input = np.empty(x.shape, dtype=np.float32)
+
+    def work(lo, hi):
+        y_m = y[lo:hi]
+        # tap number of each window's first maximum: scan from the last tap back
+        # so the lowest match is written last; first - (first - k) * match is a
+        # branch-free "k where match"
+        first = np.zeros(y_m.shape, dtype=np.min_scalar_type(-len(taps)))
+        step = np.empty_like(first)
+        match = np.empty(y_m.shape, dtype=bool)
+        for k in reversed(range(len(taps))):
+            np.equal(taps[k][2][lo:hi], y_m, out=match)
+            np.subtract(first, k, out=step)
+            step *= match
+            first -= step
+        flat = offsets[first] + corners
+        for image in range(lo, hi):
+            # bincount adds in window order, in float64; one image's sums fit in cache
+            sums = np.bincount(flat[image - lo].ravel(), weights=d_out[image].ravel(),
+                               minlength=c * h * w)
+            d_input[image] = sums.reshape(c, h, w)
+
+    _split(n, x.size, work)
+    return d_input
 
 
 def channel_concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -195,13 +195,16 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
     def test_blas_thread_count_leaves_paper_scale_step_bytes_unchanged(self):
-        # tiny@32 never reaches OpenBLAS's threaded paths; a v1.1@244 batch-8 step does
-        digests = [subprocess.run([sys.executable, "-c", _PAPER_SCALE_STEP],
+        # tiny@32 never reaches OpenBLAS's threaded paths; a v1.1@244 batch-8 step
+        # does.  One BLAS thread splits the batch across the CPUs, two do not, and
+        # on one CPU nothing splits
+        one_cpu = "import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        digests = [subprocess.run([sys.executable, "-c", prefix + _PAPER_SCALE_STEP],
                                   env=_env_without_malloc_settings(OPENBLAS_NUM_THREADS=threads),
                                   check=True, capture_output=True, text=True).stdout
-                   for threads in ("1", "2")]
+                   for prefix, threads in (("", "1"), ("", "2"), (one_cpu, "1"))]
         assert len(digests[0].strip()) == 64
-        assert digests[0] == digests[1]
+        assert digests[0] == digests[1] == digests[2]
 
     def test_allocator_setting_leaves_bytes_unchanged(self, workspace, tmp_path):
         # the plain run keeps glibc's heap; keep_heap leaves a user's malloc setting alone
@@ -308,6 +311,52 @@ class TestKeepHeap:
         monkeypatch.setenv(name, value)
         monkeypatch.setattr(fsqnet.cli.ctypes, "CDLL", pytest.fail)
         assert fsqnet.cli.keep_heap() is False
+
+
+class TestSingleBlasThread:
+    def test_no_openblas_is_a_no_op(self, monkeypatch):
+        for name in fsqnet.cli._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        looked_up = []
+
+        def openblas_function(name, *types):
+            looked_up.append(name)
+
+        monkeypatch.setattr(fsqnet.cli, "openblas_function", openblas_function)
+        assert fsqnet.cli.single_blas_thread() is False
+        assert looked_up == ["set_num_threads"]
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                      "OMP_NUM_THREADS"])
+    def test_user_thread_setting_is_left_alone(self, monkeypatch, name):
+        monkeypatch.setenv(name, "2")
+        monkeypatch.setattr(fsqnet.cli, "openblas_function", pytest.fail)
+        assert fsqnet.cli.single_blas_thread() is False
+
+    def test_train_leaves_openblas_on_one_thread(self, workspace, tmp_path):
+        script = ("import sys\nfrom fsqnet.cli import main\nfrom fsqnet.ops import _blas_threads\n"
+                  "assert main(sys.argv[1:]) == 0\nprint(_blas_threads())\n")
+        env = {k: v for k, v in _env_without_malloc_settings().items()
+               if k not in fsqnet.cli._BLAS_THREAD_VARIABLES}
+        argv = ["train", "--data", str(workspace["data"]), "--out", "m.fsq"] + TRAIN_FLAGS
+        out = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path, env=env,
+                             check=True, capture_output=True, text=True).stdout.splitlines()
+        if out[-1] == "None":
+            pytest.skip("numpy does not use OpenBLAS")
+        assert out[-1] == "1"
+
+    def test_only_train_and_eval_set_it(self, workspace, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(fsqnet.cli, "_single_blas_thread_once", lambda: calls.append(1))
+        ckpt = ["--checkpoint", str(workspace["checkpoint"])]
+        image = next((workspace["data"] / "a").glob("*.ppm"))
+        assert main(["predict", *ckpt, "--image", str(image)]) == 0
+        assert main(["inspect", *ckpt]) == 0
+        assert calls == []
+        assert main(["eval", *ckpt, "--data", str(workspace["data"])]) == 0
+        assert main(["train", "--data", str(workspace["data"]), "--out", str(tmp_path / "m.fsq"),
+                     *TRAIN_FLAGS]) == 0
+        assert len(calls) == 2
 
 
 class TestEval:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -651,6 +652,79 @@ class TestDropout:
     def test_rate_one_rejected(self):
         with pytest.raises(ConfigError):
             dropout_mask((3,), 1.0, seed=0)
+
+
+def _force_split(monkeypatch, workers):
+    """Have fsqnet.ops split a large enough batch across this many workers."""
+    monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(fsqnet.ops.os, "sched_getaffinity", lambda pid: set(range(workers)))
+
+
+class TestSplit:
+    def test_ranges_cover_the_batch_on_their_own_threads(self, monkeypatch):
+        _force_split(monkeypatch, 3)
+        ranges = []
+        fsqnet.ops._split(5, fsqnet.ops.SPLIT_ELEMENTS,
+                          lambda lo, hi: ranges.append((lo, hi, threading.current_thread())))
+        assert sorted(r[:2] for r in ranges) == [(0, 1), (1, 3), (3, 5)]
+        assert len({r[2] for r in ranges}) == 3
+        assert (0, 1, threading.current_thread()) in ranges
+
+    @pytest.mark.parametrize("n,size,blas_threads", [
+        (1, fsqnet.ops.SPLIT_ELEMENTS, 1),
+        (5, fsqnet.ops.SPLIT_ELEMENTS - 1, 1),
+        (5, fsqnet.ops.SPLIT_ELEMENTS, 2),
+        (5, fsqnet.ops.SPLIT_ELEMENTS, None),
+    ], ids=["one-image", "small", "two-blas-threads", "no-openblas"])
+    def test_runs_on_the_caller_unless_every_condition_holds(self, monkeypatch, n, size,
+                                                             blas_threads):
+        _force_split(monkeypatch, 3)
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: blas_threads)
+        ranges = []
+        fsqnet.ops._split(n, size,
+                          lambda lo, hi: ranges.append((lo, hi, threading.current_thread())))
+        assert ranges == [(0, n, threading.current_thread())]
+
+    def test_worker_exception_reaches_the_caller_after_every_join(self, monkeypatch):
+        _force_split(monkeypatch, 3)
+        threads = threading.active_count()
+
+        def work(lo, hi):
+            if lo == 3:
+                raise ValueError(f"range {lo}-{hi}")
+
+        with pytest.raises(ValueError, match="range 3-5"):
+            fsqnet.ops._split(5, fsqnet.ops.SPLIT_ELEMENTS, work)
+        assert threading.active_count() == threads
+
+    @staticmethod
+    def _split_op_bytes() -> list[bytes]:
+        # a batch of 5 splits 1 + 2 + 2 over three workers; every op is above
+        # SPLIT_ELEMENTS, and the one-decimal values make pool windows tie
+        rng = np.random.default_rng(19)
+        x = np.round(_randn(rng, 5, 16, 96, 96), 1)
+        assert x.size >= fsqnet.ops.SPLIT_ELEMENTS
+        out = []
+        # 1x1; 3x3 with 8,836 positions, so a weight-gradient tail; 3x3 stride 2
+        for spec in (ConvSpec(16, 16, 1, 1), ConvSpec(24, 16, 3, 3),
+                     ConvSpec(16, 16, 3, 3, stride=2, pad=1)):
+            weight = _randn(rng, spec.out_channels, 16, spec.kernel_h, spec.kernel_w)
+            y = conv2d_forward(x, weight, _randn(rng, spec.out_channels), spec)
+            g = conv2d_backward(x, weight, spec, _randn(rng, *y.shape))
+            out += [y.tobytes(), g.d_input.tobytes(), g.d_weight.tobytes(), g.d_bias.tobytes()]
+        in_place = x.copy()
+        relu(in_place, out=in_place)
+        d = _randn(rng, *x.shape)
+        out += [relu(x).tobytes(), in_place.tobytes(), relu_backward(x, d).tobytes()]
+        y = maxpool2d(x, 3, 2)
+        out += [y.tobytes(), maxpool2d_backward(x, y, 3, 2, _randn(rng, *y.shape)).tobytes()]
+        return out
+
+    def test_every_split_op_gives_the_same_bytes_at_one_and_three_workers(self, monkeypatch):
+        _force_split(monkeypatch, 1)
+        one = self._split_op_bytes()
+        _force_split(monkeypatch, 3)
+        assert self._split_op_bytes() == one
 
 
 class TestPurity:

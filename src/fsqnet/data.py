@@ -4,12 +4,19 @@ Images are 8-bit RGB buffers.  The preprocessing chain for the network is
 resize (bilinear, half-pixel centers) -> optional augmentation -> normalize
 (divide by 255, subtract per-channel training means), producing a [3, S, S]
 float32 tensor.  Augmentation takes only a uint8 [N, S, S, 3] batch: each
-image draws its crop, rescale, rotation and brightness from its own seed,
-and the batch is warped as one bilinear resampling with one rounding.
+image draws its crop, rescale, rotation, brightness and mirror bit from its
+own seed, and the batch is warped as one bilinear resampling with one rounding.
 Resize and augmentation share one sampler, which gathers the uint8 channel
 planes of a batch of images with flat 1-D takes.  Normalize takes one image
 or a batch and looks each pixel up in its channel's table of 256 float32
 values.  Channel means are exact integer sums per channel.
+
+Decode-and-resize in ``resize_dataset``, the warp of ``augment`` and the table
+lookups of ``normalize`` treat each image alone, so they run contiguous image
+ranges on the CPUs through ``ops._split``, each range writing its own rows of
+one preallocated output; the bytes do not depend on the split.  A batch splits
+only when each output image has at least WARP_PIXELS pixels: a smaller image
+is mostly Python work under the GIL, and ran slower split (see WARP_PIXELS).
 
 Binary PPM (P6) is the always-available image format since it decodes in a
 few lines with no dependencies; PGM (P5) grayscale is replicated to three
@@ -30,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DecodeError
+from .ops import _split
 from .tensor import rng_from_seed
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -41,7 +49,9 @@ SCALE_JITTER = (0.9, 1.0)
 BRIGHTNESS_JITTER = 0.1
 
 # output pixels warped at once: a batch of 32 px images together, a 244 px image alone,
-# so the float64 grids and samples stay near the size of the caches
+# so the float64 grids and samples stay near the size of the caches.  Also the
+# per-image output size from which the data path splits a batch across the CPUs:
+# resize_dataset of 288 images at 40 -> 32 px ran 1.4-2x slower split
 WARP_PIXELS = 1 << 15
 
 
@@ -197,6 +207,12 @@ def save_ppm(img: ImageBuffer, path) -> None:
 # geometry and normalization
 
 
+def _split_images(n: int, h: int, w: int, work) -> None:
+    """work(lo, hi) over image ranges covering [0, n) of h x w output images, split
+    across the CPUs by ops._split only when each image has WARP_PIXELS pixels."""
+    _split(n, n * h * w * 3 if h * w >= WARP_PIXELS else 0, work)
+
+
 def _round_u8(values: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(values + 0.5), 0.0, 255.0).astype(np.uint8)
 
@@ -262,10 +278,16 @@ def normalize(images, channel_means) -> np.ndarray:
     means = check_channel_means(channel_means)
     pixels = images.pixels if isinstance(images, ImageBuffer) else images
     table = (np.arange(256) / 255.0 - np.asarray(means)[:, None]).astype(np.float32)
-    out = np.empty((*pixels.shape[:-3], 3, *pixels.shape[-3:-1]), dtype=np.float32)
-    for c in range(3):  # uint8 indices stay in the table; "clip" writes into out unbuffered
-        np.take(table[c], pixels[..., c], out=out[..., c, :, :], mode="clip")
-    return out
+    batch = pixels.reshape(-1, *pixels.shape[-3:])
+    n, h, w = batch.shape[:3]
+    out = np.empty((n, 3, h, w), dtype=np.float32)
+
+    def work(lo, hi):
+        for c in range(3):  # uint8 indices stay in the table; "clip" writes into out unbuffered
+            np.take(table[c], batch[lo:hi, ..., c], out=out[lo:hi, c], mode="clip")
+
+    _split_images(n, h, w, work)
+    return out.reshape(*pixels.shape[:-3], 3, h, w)
 
 
 def compute_channel_means(images) -> tuple[float, float, float]:
@@ -285,16 +307,19 @@ def compute_channel_means(images) -> tuple[float, float, float]:
 # augmentation
 
 
-def _warp(pixels: np.ndarray, crop_w, crop_h, off_x, off_y, angle_deg, gain) -> np.ndarray:
-    """Crop at (off_x, off_y), rescale to full size, rotate about the center and
-    scale by gain as one inverse map: rotate each output pixel by -angle_deg and
-    clamp to the image, then map it into the crop with resize's half-pixel formula
-    and clamp to the crop.  Sampled and rounded once; identity returns the input.
+def _warp(pixels: np.ndarray, crop_w, crop_h, off_x, off_y, angle_deg, gain,
+          mirror) -> np.ndarray:
+    """Crop at (off_x, off_y), rescale to full size, rotate about the center,
+    scale by gain and mirror left-right as one inverse map: rotate each output
+    pixel by -angle_deg and clamp to the image, then map it into the crop with
+    resize's half-pixel formula and clamp to the crop.  Sampled and rounded once;
+    identity returns the input.  A mirrored image takes its output columns in
+    reverse order, so its pixels are those of the unmirrored warp, reversed.
 
     pixels are uint8 [N, H, W, 3] and each parameter holds N values, one per
     image.  Each image's trigonometry is done in Python floats.  The [n, H, W]
     grids of as many images as fit in WARP_PIXELS output pixels are built and
-    sampled at once.
+    sampled at once, within the image ranges of _split_images.
     """
     n, h, w = pixels.shape[:3]
     thetas = [math.radians(a) for a in angle_deg]
@@ -302,17 +327,24 @@ def _warp(pixels: np.ndarray, crop_w, crop_h, off_x, off_y, angle_deg, gain) -> 
                           crop_w, crop_h, off_x, off_y, gain], dtype=np.float64)
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     xs = np.arange(w, dtype=np.float64) - cx
+    columns = np.where(np.asarray(mirror, dtype=bool)[:, None, None], xs[::-1], xs)
     ys = (np.arange(h, dtype=np.float64) - cy)[:, None]
     out = np.empty((3, n, h, w), dtype=np.uint8)
     step = max(1, WARP_PIXELS // (h * w))
-    for k in range(0, n, step):
-        cos_t, sin_t, cw, ch, ox, oy, g = per_image[:, k : k + step, None, None]
-        rot_x = np.clip(cos_t * xs + sin_t * ys + cx, 0.0, w - 1.0)
-        rot_y = np.clip(-sin_t * xs + cos_t * ys + cy, 0.0, h - 1.0)
-        src_x = np.clip((rot_x + 0.5) * (cw / w) - 0.5, 0.0, cw - 1.0) + ox
-        src_y = np.clip((rot_y + 0.5) * (ch / h) - 0.5, 0.0, ch - 1.0) + oy
-        samples = _sample_bilinear(pixels[k : k + step], src_x, src_y) * g[..., None]
-        out[:, k : k + step] = _round_u8(samples).transpose(3, 0, 1, 2)
+
+    def work(lo, hi):
+        for k in range(lo, hi, step):
+            j = min(k + step, hi)
+            cos_t, sin_t, cw, ch, ox, oy, g = per_image[:, k:j, None, None]
+            x = columns[k:j]
+            rot_x = np.clip(cos_t * x + sin_t * ys + cx, 0.0, w - 1.0)
+            rot_y = np.clip(-sin_t * x + cos_t * ys + cy, 0.0, h - 1.0)
+            src_x = np.clip((rot_x + 0.5) * (cw / w) - 0.5, 0.0, cw - 1.0) + ox
+            src_y = np.clip((rot_y + 0.5) * (ch / h) - 0.5, 0.0, ch - 1.0) + oy
+            samples = _sample_bilinear(pixels[k:j], src_x, src_y) * g[..., None]
+            out[:, k:j] = _round_u8(samples).transpose(3, 0, 1, 2)
+
+    _split_images(n, h, w, work)
     return out.transpose(1, 2, 3, 0)
 
 
@@ -337,12 +369,11 @@ def augment(images: np.ndarray, flip: bool, seed) -> np.ndarray:
     Every random draw of an image happens unconditionally in a fixed order
     from its own seed, so its output is a pure function of (image, flip, seed)
     and the flip setting changes no other stage.  The batch goes through one
-    _warp call.
+    _warp call, which mirrors the images whose bit is set when flip is allowed.
     """
     h, w = images.shape[1:3]
     *params, mirror = zip(*(_augment_draws(s, w, h) for s in seed))
-    out = _warp(images, *params)
-    return np.where((flip & np.array(mirror))[:, None, None, None], out[..., ::-1, :], out)
+    return _warp(images, *params, [flip and m for m in mirror])
 
 
 # ---------------------------------------------------------------------------
@@ -379,26 +410,37 @@ def load_dataset(root_dir) -> ImageFiles:
 
 
 def resize_dataset(files: ImageFiles, size: int) -> Dataset:
-    """Each file decoded and resized to size x size, one at a time, into one array.
+    """Each file decoded and resized to size x size into its row of one array,
+    in file ranges split across the CPUs (_split_images).
 
-    Undecodable files are skipped with a warning on stderr; a class left with
-    no decodable images is an error.
+    Undecodable files are skipped with a warning on stderr each, in file order;
+    a class left with no decodable images is an error.
     """
     pixels = np.empty((len(files), size, size, 3), dtype=np.uint8)
-    kept: list[int] = []
-    for index, path in enumerate(files.paths):
-        try:
-            image = load_image(path)
-        except DecodeError as exc:
+    errors: list[DecodeError | None] = [None] * len(files)
+
+    def work(lo, hi):
+        for index in range(lo, hi):
+            try:
+                image = load_image(files.paths[index])
+            except DecodeError as exc:
+                errors[index] = exc
+                continue
+            pixels[index] = resize_bilinear(image, size, size).pixels
+
+    _split_images(len(files), size, size, work)
+    kept = [index for index, exc in enumerate(errors) if exc is None]
+    for path, exc in zip(files.paths, errors):
+        if exc is not None:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
-            continue
-        pixels[len(kept)] = resize_bilinear(image, size, size).pixels
-        kept.append(index)
     labels = np.asarray(files.labels, dtype=np.intp)[kept]
     counts = np.bincount(labels, minlength=len(files.label_names))
     if not counts.all():
         raise DataError(f"class {files.label_names[counts.argmin()]!r} has no decodable images")
-    pixels = pixels[: len(kept)]
+    if len(kept) < len(files):  # move the kept rows up, in order, within the array
+        for row, index in enumerate(kept):
+            pixels[row] = pixels[index]
+        pixels = pixels[: len(kept)]
     return Dataset(pixels, labels, list(files.label_names), compute_channel_means(pixels))
 
 

@@ -234,10 +234,12 @@ def test_determinism_gate_matches_checked_in_hashes(tmp_path, threads):
     assert out == expected
 
 
-# one SHA-256 over the probabilities and every gradient of one v1.1@244 batch-8 training step
+# one SHA-256 over the probabilities and every gradient of one v1.1@244 batch-8 training step,
+# and over an augmented (flips allowed) and normalized uint8 batch of 8 at 244 px
 _PAPER_SCALE_STEP = """
 import hashlib
 import numpy as np
+from fsqnet.data import augment, normalize
 from fsqnet.model import ModelConfig, build_model, model_backward, model_forward
 from fsqnet.train import cross_entropy
 
@@ -248,6 +250,8 @@ grads = model_backward(tape, cross_entropy(probs, np.arange(8))[1])
 digest = hashlib.sha256(probs.tobytes())
 for name in sorted(grads):
     digest.update(name.encode() + grads[name].tobytes())
+pixels = np.random.default_rng(1).integers(0, 256, (8, 244, 244, 3), dtype=np.uint8)
+digest.update(normalize(augment(pixels, True, range(8)), (0.5, 0.4, 0.3)).tobytes())
 print(digest.hexdigest())
 """
 

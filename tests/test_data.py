@@ -1,5 +1,6 @@
 import math
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,11 @@ from fsqnet.data import (
     shuffle_split,
 )
 import fsqnet.data
-from fsqnet.data import _warp
+import fsqnet.ops
+from fsqnet.data import WARP_PIXELS, _augment_draws, _warp
 from fsqnet.errors import ConfigError, DataError, DecodeError
 from oracles import scalar_resize_bilinear, scalar_rotate_edge_clamped, scalar_warp
+from test_ops import _force_split
 
 
 def _solid(width, height, rgb):
@@ -235,8 +238,8 @@ class TestChannelMeans:
 
 
 def _warp_one(pixels, *args):
-    """_warp of one [H, W, 3] image: a batch of one, one value per parameter."""
-    return _warp(pixels[None], *([a] for a in args))[0]
+    """_warp of one unmirrored [H, W, 3] image: a batch of one, one value per parameter."""
+    return _warp(pixels[None], *([a] for a in args), [False])[0]
 
 
 class TestAugment:
@@ -310,7 +313,7 @@ class TestAugment:
         monkeypatch.setattr(fsqnet.data, "_warp", warp)
         for seed in range(50):
             ours = augment(ramp[None], False, [seed])[0]
-            (crop_w,), (crop_h,), (off_x,), (off_y,), (angle,), (gain,) = calls[-1]
+            (crop_w,), (crop_h,), (off_x,), (off_y,), (angle,), (gain,), _ = calls[-1]
             crop = [row[off_x:off_x + crop_w] for row in ramp[off_y:off_y + crop_h].tolist()]
             rotated = scalar_rotate_edge_clamped(
                 scalar_resize_bilinear(crop, width, height), angle)
@@ -487,3 +490,96 @@ class TestDataset:
             Dataset(images, [0], ["a", "b"], (0.5, 0.5, 0.5))
         with pytest.raises(DataError):
             Dataset(images, [0, 0], ["a", "a"], (0.5, 0.5, 0.5))
+
+
+# 5 images at 192 px: each has WARP_PIXELS output pixels, the batch 2**19 elements
+# or more, so a forced split runs them 1 + 2 + 2 over three workers
+SPLIT_SIZE = 192
+SPLIT_SEEDS = [3, 4, 5, 6, 7]
+
+
+def _write_split_sources(root, bad=()):
+    """Five PPMs of assorted sizes near SPLIT_SIZE, 3 in class a and 2 in b, in
+    file order; the indices in `bad` are truncated."""
+    rng = np.random.default_rng(29)
+    for index, (name, width, height) in enumerate(
+            [("a", 200, 190), ("a", 192, 192), ("a", 230, 210), ("b", 180, 200), ("b", 256, 192)]):
+        (root / name).mkdir(exist_ok=True)
+        path = root / name / f"{index}.ppm"
+        if index in bad:
+            path.write_bytes(b"P6\n200 200\n255\nshort")
+        else:
+            save_ppm(_random_image(rng, width, height), path)
+
+
+def _record_split_threads(monkeypatch) -> list[int]:
+    """Per data-path split call from now on, the number of threads its ranges ran on."""
+    split, counts = fsqnet.data._split, []
+
+    def recording(n, size, work):
+        threads = set()
+
+        def traced(lo, hi):
+            threads.add(threading.current_thread())
+            work(lo, hi)
+
+        split(n, size, traced)
+        counts.append(len(threads))
+
+    monkeypatch.setattr(fsqnet.data, "_split", recording)
+    return counts
+
+
+class TestSplitByImage:
+    @staticmethod
+    def _op_bytes(root) -> list[bytes]:
+        pixels = np.random.default_rng(31).integers(
+            0, 256, (len(SPLIT_SEEDS), SPLIT_SIZE, SPLIT_SIZE, 3), dtype=np.uint8)
+        assert SPLIT_SIZE**2 >= WARP_PIXELS and pixels.size >= fsqnet.ops.SPLIT_ELEMENTS
+        augmented = augment(pixels, True, SPLIT_SEEDS)
+        dataset = resize_dataset(load_dataset(root), SPLIT_SIZE)
+        return [augmented.tobytes(), normalize(augmented, (0.5, 0.4, 0.3)).tobytes(),
+                dataset.samples.tobytes(), dataset.labels.tobytes()]
+
+    def test_same_bytes_at_one_and_three_workers(self, tmp_path, monkeypatch):
+        # the seeds mirror some images and not others
+        assert {_augment_draws(s, SPLIT_SIZE, SPLIT_SIZE)[-1] for s in SPLIT_SEEDS} == {
+            False, True}
+        _write_split_sources(tmp_path)
+        _force_split(monkeypatch, 1)
+        one = self._op_bytes(tmp_path)
+        _force_split(monkeypatch, 3)
+        threads = _record_split_threads(monkeypatch)
+        assert self._op_bytes(tmp_path) == one
+        assert threads == [3, 3, 3]  # augment's warp, normalize, resize_dataset
+
+    def test_small_images_stay_on_the_caller(self, monkeypatch):
+        # below WARP_PIXELS per image nothing splits, however large the batch
+        _force_split(monkeypatch, 3)
+        threads = _record_split_threads(monkeypatch)
+        pixels = np.zeros((600, 32, 32, 3), dtype=np.uint8)
+        assert pixels.size >= fsqnet.ops.SPLIT_ELEMENTS
+        normalize(augment(pixels, True, range(600)), (0.5, 0.5, 0.5))
+        assert threads == [1, 1]
+
+    def test_skips_match_the_unsplit_run(self, tmp_path, monkeypatch, capsys):
+        # file 2 is in the second of three ranges, file 4 in the third
+        _write_split_sources(tmp_path, bad=(2, 4))
+        runs = []
+        for workers in (1, 3):
+            _force_split(monkeypatch, workers)
+            dataset = resize_dataset(load_dataset(tmp_path), SPLIT_SIZE)
+            runs.append((dataset.samples.tobytes(), dataset.labels.tolist(),
+                         dataset.channel_means, capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == [0, 0, 1]
+        warnings = runs[0][3].splitlines()
+        assert len(warnings) == 2
+        assert "a/2.ppm" in warnings[0] and "b/4.ppm" in warnings[1]
+
+    def test_class_without_decodable_files_rejected(self, tmp_path, monkeypatch, capsys):
+        _write_split_sources(tmp_path, bad=(3, 4))
+        _force_split(monkeypatch, 3)
+        with pytest.raises(DataError, match="'b' has no decodable images"):
+            resize_dataset(load_dataset(tmp_path), SPLIT_SIZE)
+        assert len(capsys.readouterr().err.splitlines()) == 2

@@ -8,13 +8,17 @@ layer.  These checks load `perfbench/tracer.py` by path and fail first.
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fsqnet.data
 import fsqnet.train
 from fsqnet.data import Dataset
+from test_data import SPLIT_SIZE, _record_split_threads, _write_split_sources
+from test_ops import _force_split
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
@@ -67,3 +71,29 @@ def test_batch_assembly_is_traced_as_data(tracer):
         fsqnet.train._assemble_batch(dataset, slice(0, 3))
     assert [(s.name, s.layer) for s in recorder.spans] == [
         ("data.augment", "data"), ("data.normalize", "data"), ("data.normalize", "data")]
+
+
+
+def test_split_decode_and_resize_are_traced_on_every_thread(tracer, tmp_path, monkeypatch):
+    _write_split_sources(tmp_path)
+    files = fsqnet.data.load_dataset(tmp_path)
+    _force_split(monkeypatch, 3)
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        fsqnet.data.resize_dataset(files, SPLIT_SIZE)
+    counts = Counter(s.name for s in recorder.spans)
+    assert counts["data.load_image"] == 5 and counts["data.resize_bilinear"] == 5
+    assert len({s.thread for s in recorder.spans if s.name == "data.load_image"}) >= 2
+
+
+def test_split_batch_assembly_is_traced_as_data(tracer, monkeypatch):
+    samples = np.random.default_rng(0).integers(0, 256, (5, SPLIT_SIZE, SPLIT_SIZE, 3), np.uint8)
+    dataset = Dataset(samples, [0, 1, 0, 1, 0], ["a", "b"], (0.5, 0.5, 0.5))
+    _force_split(monkeypatch, 3)
+    threads = _record_split_threads(monkeypatch)
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        fsqnet.train._assemble_batch(dataset, [4, 0, 1, 2, 3], [11, 12, 13, 14, 15], True)
+    assert threads == [3, 3]  # augment's warp and normalize ran split
+    assert [(s.name, s.layer) for s in recorder.spans] == [
+        ("data.augment", "data"), ("data.normalize", "data")]

@@ -133,6 +133,8 @@ def load_checkpoint(path) -> tuple[Model, History, tuple[float, float, float], l
         tensors: dict[str, np.ndarray] = {}
         for _ in range(reader.u32()):
             name = reader.text()
+            if name in tensors:
+                raise FormatError(f"duplicate tensor {name!r}")
             dims = tuple(reader.u32() for _ in range(reader.u32()))
             # one copy: native float32, writable, and not pinning the file buffer
             payload = reader.take(4 * math.prod(dims))

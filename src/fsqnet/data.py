@@ -11,12 +11,8 @@ planes of a batch of images with flat 1-D takes.  Normalize takes one image
 or a batch and looks each pixel up in its channel's table of 256 float32
 values.  Channel means are exact integer sums per channel.
 
-Decode-and-resize in ``resize_dataset``, the warp of ``augment`` and the table
-lookups of ``normalize`` treat each image alone, so they run contiguous image
-ranges on the CPUs through ``ops._split``, each range writing its own rows of
-one preallocated output; the bytes do not depend on the split.  A batch splits
-only when each output image has at least WARP_PIXELS pixels: a smaller image
-is mostly Python work under the GIL, and ran slower split (see WARP_PIXELS).
+Decode-and-resize, augment and normalize split a batch by image across the
+CPUs (``ops._split``); README's Threads section tells when and why.
 
 Binary PPM (P6) is the always-available image format since it decodes in a
 few lines with no dependencies; PGM (P5) grayscale is replicated to three

@@ -63,6 +63,8 @@ class FireSpec:
     expand_3x3: int
 
     def __post_init__(self):
+        if any(type(width) is not int for width in astuple(self)):
+            raise ConfigError(f"fire widths must be integers, got {self}")
         if min(self.squeeze_1x1, self.expand_1x1, self.expand_3x3) < 1:
             raise ConfigError(f"fire widths must be >= 1, got {self}")
         if self.squeeze_1x1 > self.expand_1x1 + self.expand_3x3:

@@ -3,30 +3,16 @@
 All activations are NCHW float32.  Convolution is cross-correlation (no
 kernel flip), the usual deep-learning convention, so stored weights are
 unambiguous.  The conv forward and its input gradient are float32 BLAS
-products on float32 patches; each output sums at most a few thousand
-terms.  The conv weight gradient sums over every position of the batch,
-~10^5 terms at paper scale, and OpenBLAS orders a float32 product over a
-whole v1.1@244 plane differently at 1 and 2 threads.  So its float32
-products run over fixed blocks of WGRAD_BLOCK positions, each block's
-product summing at most that many terms, and the block products are summed
-in float64 in a fixed order and rounded to float32 once.  The conv bias
-gradient and the dense layers run in float64: every float32 product is
-exact there, the sums differ from any fixed order only by float64 rounding,
-and the result is rounded to float32 once.  The ordered path is kept as
-the bit-exact reference: ``conv2d_reference`` and ``_linear`` accumulate
-in float64 in (channel, kh, kw) order starting from the bias, so a naive
-loop that sums in the same order reproduces them bit for bit, and the tests
-bound the BLAS kernels against them.  Backward passes are exact gradients
-of those forward maps, checked against finite differences.  Max pooling and
-its backward are exact, so loop oracles match them bit for bit.
+products; the conv weight gradient is float32 products over fixed blocks of
+positions, summed in float64 (see WGRAD_BLOCK); the conv bias gradient and
+the dense layers run in float64, where every float32 product is exact.  The
+float64 sums round to float32 once.  The tests bound these kernels against
+an ordered float64 reference that a naive loop reproduces bit for bit, and
+check each backward pass against finite differences.  Max pooling and its
+backward are exact, so loop oracles match them bit for bit.
 
-The ops that treat each image alone (the conv forward and backward, max
-pooling, ReLU and their backward passes) split a large batch into image
-ranges, one per CPU, each run on a thread of its own; the conv backward's
-two float64 sums then split by output channel.  Each image gets the same
-BLAS call on the same operands and every sum keeps its order, so the bytes
-do not depend on the split.  They split only while OpenBLAS runs one
-thread, as ``fsqnet train`` and ``fsqnet eval`` set it.
+The ops that treat each image alone split a large batch across the CPUs
+(``_split``); README's Threads section tells when and why.
 """
 
 from __future__ import annotations
@@ -133,7 +119,10 @@ def _split(n: int, size: int, work) -> None:
     if n < 2 or size < SPLIT_ELEMENTS or _blas_threads() != 1:
         work(0, n)
         return
-    workers = min(n, len(os.sched_getaffinity(0)))
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        workers = min(n, len(os.sched_getaffinity(0)))
+    else:  # macOS and Windows: every CPU
+        workers = min(n, os.cpu_count() or 1)
     bounds = [n * i // workers for i in range(workers + 1)]
     errors = []
 
@@ -194,12 +183,6 @@ def _col2im(d_cols: np.ndarray, shape: tuple[int, ...], spec: ConvSpec) -> np.nd
     return dxp[:, :, p : p + h, p : p + w]
 
 
-def _im2col(x: np.ndarray, spec: ConvSpec) -> tuple[np.ndarray, int, int]:
-    """Patches of x as [N*OH*OW, C*kh*kw] in x's dtype, K ordered (c, kh, kw)."""
-    cols, oh, ow = _patches(x, spec)
-    return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1]), oh, ow
-
-
 def _check_conv_shapes(x, weight, spec: ConvSpec) -> None:
     _require_4d(x, "conv input")
     _require_4d(weight, "conv weight")
@@ -210,43 +193,6 @@ def _check_conv_shapes(x, weight, spec: ConvSpec) -> None:
         raise ShapeError(f"conv input has {x.shape[1]} channels, spec wants {spec.in_channels}")
 
 
-def _check_conv_bias(bias, spec: ConvSpec) -> None:
-    if bias.shape != (spec.out_channels,):
-        raise ShapeError(f"conv bias shape {bias.shape}, expected ({spec.out_channels},)")
-
-
-def _check_conv_d_out(x, spec: ConvSpec, d_out) -> tuple[int, int]:
-    n, _, h, w = x.shape
-    oh, ow = spec.out_hw(h, w)
-    if d_out.shape != (n, spec.out_channels, oh, ow):
-        raise ShapeError(f"conv d_out shape {d_out.shape}, expected {(n, spec.out_channels, oh, ow)}")
-    return oh, ow
-
-
-def _weight_matrix(weight: np.ndarray) -> np.ndarray:
-    """Conv weight [O,C,kh,kw] as [O, C*kh*kw], a view."""
-    return weight.reshape(weight.shape[0], -1)
-
-
-def _linear(a: np.ndarray, w: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Float64 a [M,K] @ w [K,O] + bias, summed from the bias in k order.
-
-    The reference product under conv2d_reference and the dense oracle test:
-    one partial product per k keeps the documented accumulation order.
-    """
-    acc = np.broadcast_to(bias.astype(np.float64), (a.shape[0], w.shape[1])).copy()
-    tmp = np.empty_like(acc)
-    for k in range(w.shape[0]):
-        np.multiply(a[:, k, None], w[None, k, :], out=tmp)
-        np.add(acc, tmp, out=acc)
-    return acc
-
-
-def _linear_grads(a: np.ndarray, w: np.ndarray, d: np.ndarray):
-    """Float64 gradients of _linear at upstream d [M,O]: (d_a, d_w, d_bias)."""
-    return d @ w.T, a.T @ d, d.sum(axis=0)
-
-
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """Cross-correlate x [N,C,H,W] with weight [O,C,kh,kw] plus per-channel bias.
 
@@ -254,10 +200,11 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: Co
     bias is added to it in float32.  Image ranges run on their own threads.
     """
     _check_conv_shapes(x, weight, spec)
-    _check_conv_bias(bias, spec)
+    if bias.shape != (spec.out_channels,):
+        raise ShapeError(f"conv bias shape {bias.shape}, expected ({spec.out_channels},)")
     n = x.shape[0]
     oh, ow = spec.out_hw(*x.shape[2:])
-    w = _weight_matrix(weight)
+    w = weight.reshape(spec.out_channels, -1)
     acc = np.empty((n, spec.out_channels, oh * ow), dtype=np.result_type(w, x))
 
     def work(lo, hi):
@@ -282,16 +229,17 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np
     one float32 product per block of WGRAD_BLOCK output positions of each
     image, the full blocks in one batched product and the tail in another;
     the block products are summed in float64, image by image in block order,
-    and rounded once.  The bias gradient sums d in float64.  Image ranges
-    run on their own threads, and then output-channel ranges of the two
-    float64 sums, so every sum keeps its order.
+    and rounded once.  The bias gradient sums d in float64.
+    Image ranges, then output-channel ranges, run on their own threads.
     """
     _check_conv_shapes(x, weight, spec)
-    oh, ow = _check_conv_d_out(x, spec, d_out)
     n, c, h, w = x.shape
     o = spec.out_channels
+    oh, ow = spec.out_hw(h, w)
+    if d_out.shape != (n, o, oh, ow):
+        raise ShapeError(f"conv d_out shape {d_out.shape}, expected {(n, o, oh, ow)}")
     d = d_out.reshape(n, o, oh * ow)
-    w_t = _weight_matrix(weight).T
+    w_t = weight.reshape(o, -1).T
     k = w_t.shape[0]
     blocks, tail = divmod(oh * ow, WGRAD_BLOCK)
     full = blocks * WGRAD_BLOCK
@@ -330,37 +278,6 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np
     )
 
 
-def conv2d_reference(
-    x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec
-) -> np.ndarray:
-    """conv2d_forward summed by _linear in the documented order: the bit-exact reference."""
-    _check_conv_shapes(x, weight, spec)
-    _check_conv_bias(bias, spec)
-    n = x.shape[0]
-    cols, oh, ow = _im2col(x.astype(np.float64), spec)
-    acc = _linear(cols, _weight_matrix(weight).T.astype(np.float64), bias)
-    return acc.reshape(n, oh, ow, spec.out_channels).transpose(0, 3, 1, 2).astype(np.float32)
-
-
-def conv2d_backward_reference(
-    x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np.ndarray
-) -> LayerGrads:
-    """Gradients of conv2d_reference through _linear_grads on the [N*OH*OW, K] patches."""
-    _check_conv_shapes(x, weight, spec)
-    oh, ow = _check_conv_d_out(x, spec, d_out)
-    n = x.shape[0]
-    dout2 = d_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, spec.out_channels).astype(np.float64)
-    cols, _, _ = _im2col(x.astype(np.float64), spec)
-    w64 = _weight_matrix(weight).T.astype(np.float64)
-    d_cols, d_weight, d_bias = _linear_grads(cols, w64, dout2)
-    d_cols = d_cols.reshape(n, oh * ow, -1).transpose(0, 2, 1)
-    return LayerGrads(
-        d_input=_col2im(d_cols, x.shape, spec).astype(np.float32),
-        d_weight=d_weight.T.reshape(weight.shape).astype(np.float32),
-        d_bias=d_bias.astype(np.float32),
-    )
-
-
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """max(x, 0); out=x applies it in place."""
     if out is None:
@@ -393,18 +310,6 @@ def pool_out_hw(h: int, w: int, kernel: int, stride: int) -> tuple[int, int]:
     if kernel > h or kernel > w:
         raise ShapeError(f"pool window {kernel} larger than input {h}x{w}")
     return (h - kernel) // stride + 1, (w - kernel) // stride + 1
-
-
-def _pool_taps(x: np.ndarray, kernel: int, stride: int) -> list[tuple[int, int, np.ndarray]]:
-    """(di, dj, view) per window offset in row-major order; view [N,C,OH,OW] holds
-    every window's element at that offset."""
-    _require_4d(x, "maxpool input")
-    oh, ow = pool_out_hw(*x.shape[2:], kernel, stride)
-    return [
-        (i, j, x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride])
-        for i in range(kernel)
-        for j in range(kernel)
-    ]
 
 
 def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -445,18 +350,21 @@ def maxpool2d_backward(
     y is maxpool2d(x, kernel, stride).  Ties break toward the lowest flat
     index, so the backward pass is deterministic even on plateaus (a window
     whose maximum is NaN routes to its first position).  Overlapping windows
-    accumulate in float64, in window order, one image at a time.  Image
-    ranges run on their own threads.
+    accumulate in float64, in window order, one image at a time.
+    Image ranges run on their own threads.
     """
-    taps = _pool_taps(x, kernel, stride)
-    expected = taps[0][2].shape
+    _require_4d(x, "maxpool input")
+    n, c, h, w = x.shape
+    oh, ow = pool_out_hw(h, w, kernel, stride)
+    expected = (n, c, oh, ow)
     if y.shape != expected or d_out.shape != expected:
         raise ShapeError(f"pool output {y.shape} and d_out {d_out.shape}, expected {expected}")
-    n, c, h, w = x.shape
-    oh, ow = y.shape[2:]
+    # every window's element at each offset, in row-major offset order
+    taps = [x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            for i in range(kernel) for j in range(kernel)]
     # flat index within an image of each tap's offset and of each window's corner
     index = np.int32 if c * h * w < 2**31 else np.int64
-    offsets = np.array([i * w + j for i, j, _ in taps], dtype=index)
+    offsets = np.array([i * w + j for i in range(kernel) for j in range(kernel)], dtype=index)
     i, j = np.arange(oh, dtype=index)[:, None], np.arange(ow, dtype=index)
     corners = np.arange(c, dtype=index)[:, None, None] * (h * w) + (i * w + j) * stride
     d_input = np.empty(x.shape, dtype=np.float32)
@@ -470,7 +378,7 @@ def maxpool2d_backward(
         step = np.empty_like(first)
         match = np.empty(y_m.shape, dtype=bool)
         for k in reversed(range(len(taps))):
-            np.equal(taps[k][2][lo:hi], y_m, out=match)
+            np.equal(taps[k][lo:hi], y_m, out=match)
             np.subtract(first, k, out=step)
             step *= match
             first -= step
@@ -531,13 +439,11 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dense_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray) -> LayerGrads:
     if d_out.shape != (x.shape[0], w.shape[1]):
         raise ShapeError(f"dense d_out shape {d_out.shape}, expected {(x.shape[0], w.shape[1])}")
-    d_input, d_weight, d_bias = _linear_grads(
-        x.astype(np.float64), w.astype(np.float64), d_out.astype(np.float64)
-    )
+    d = d_out.astype(np.float64)
     return LayerGrads(
-        d_input=d_input.astype(np.float32),
-        d_weight=d_weight.astype(np.float32),
-        d_bias=d_bias.astype(np.float32),
+        d_input=(d @ w.astype(np.float64).T).astype(np.float32),
+        d_weight=(x.astype(np.float64).T @ d).astype(np.float32),
+        d_bias=d.sum(axis=0).astype(np.float32),
     )
 
 

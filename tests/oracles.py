@@ -2,7 +2,11 @@
 
 Everything here is deliberately written the slow, obvious way (Python loops
 over lists, closed-form arithmetic) so a bug in the vectorized code cannot
-hide in a shared helper.
+hide in a shared helper.  The one exception is the float64 reference conv at
+the end, which reuses the package's patch helpers ``_patches`` and
+``_col2im``: criterion 3 checks that reference bit for bit against
+``naive_conv2d``, and the finite-difference tests check ``_col2im`` through
+``conv2d_backward``.
 """
 
 from __future__ import annotations
@@ -10,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from fsqnet.ops import LayerGrads, _col2im, _patches
 
 
 def naive_conv2d(x, w, b, stride: int, pad: int) -> np.ndarray:
@@ -228,3 +234,51 @@ def fd_gradient(f, x, d_out, delta: float = 1e-3) -> np.ndarray:
         flat[i] = original
         grad_flat[i] = (plus - minus) / (2.0 * delta)
     return grad
+
+
+# Float64 reference kernels.  The tests bound the package's float32 and
+# blocked BLAS kernels against these, which sum in a documented order.
+
+
+def _im2col(x, spec):
+    """Patches of x as [N*OH*OW, C*kh*kw] in x's dtype, K ordered (c, kh, kw)."""
+    cols, oh, ow = _patches(x, spec)
+    return cols.transpose(0, 2, 1).reshape(-1, cols.shape[1]), oh, ow
+
+
+def _linear(a, w, bias) -> np.ndarray:
+    """Float64 a [M,K] @ w [K,O] + bias, summed from the bias in k order.
+
+    One partial product per k keeps the order naive_conv2d and naive_matmul
+    use, so those reproduce it bit for bit.
+    """
+    acc = np.broadcast_to(bias.astype(np.float64), (a.shape[0], w.shape[1])).copy()
+    tmp = np.empty_like(acc)
+    for k in range(w.shape[0]):
+        np.multiply(a[:, k, None], w[None, k, :], out=tmp)
+        np.add(acc, tmp, out=acc)
+    return acc
+
+
+def conv2d_reference(x, weight, bias, spec) -> np.ndarray:
+    """conv2d_forward summed by _linear in (c, kh, kw) order: the bit-exact reference."""
+    n = x.shape[0]
+    cols, oh, ow = _im2col(x.astype(np.float64), spec)
+    acc = _linear(cols, weight.reshape(spec.out_channels, -1).T.astype(np.float64), bias)
+    return acc.reshape(n, oh, ow, spec.out_channels).transpose(0, 3, 1, 2).astype(np.float32)
+
+
+def conv2d_backward_reference(x, weight, spec, d_out) -> LayerGrads:
+    """Float64 gradients of conv2d_reference: d @ W, cols.T @ d and the sum of d
+    over the [N*OH*OW, K] patches, the patch gradient folded back by _col2im."""
+    n = x.shape[0]
+    oh, ow = spec.out_hw(*x.shape[2:])
+    d = d_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, spec.out_channels).astype(np.float64)
+    cols, _, _ = _im2col(x.astype(np.float64), spec)
+    w64 = weight.reshape(spec.out_channels, -1).T.astype(np.float64)
+    d_cols = (d @ w64.T).reshape(n, oh * ow, -1).transpose(0, 2, 1)
+    return LayerGrads(
+        d_input=_col2im(d_cols, x.shape, spec).astype(np.float32),
+        d_weight=(cols.T @ d).T.reshape(weight.shape).astype(np.float32),
+        d_bias=d.sum(axis=0).astype(np.float32),
+    )

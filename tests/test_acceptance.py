@@ -33,7 +33,6 @@ from fsqnet.ops import (
     channel_split,
     conv2d_backward,
     conv2d_forward,
-    conv2d_reference,
     dense_backward,
     dense_forward,
     dropout_mask,
@@ -55,7 +54,13 @@ from fsqnet.train import (
     pearson_correlation,
 )
 
-from oracles import closed_form_param_count, fd_gradient, naive_conv2d, rel_error
+from oracles import (
+    closed_form_param_count,
+    conv2d_reference,
+    fd_gradient,
+    naive_conv2d,
+    rel_error,
+)
 
 DATA_ENV = "FSQNET_ASL_DATA"
 RESULTS: list[str] = []

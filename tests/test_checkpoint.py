@@ -94,6 +94,9 @@ MALFORMED = {
     "history entry is not an object": lambda c, h: (c, [1, *h[1:]]),
     "fire spec has two widths":
         lambda c, h: (c | {"model": c["model"] | {"fire_specs": [[2, 2], [2, 2, 2]]}}, h),
+    # 2.0 gives the same tensor shapes as the saved width 2
+    "fire width is a float":
+        lambda c, h: (c | {"model": c["model"] | {"fire_specs": [[2.0, 2, 2], [2, 2, 2]]}}, h),
     "one class": lambda c, h: (c | {"model": c["model"] | {"num_classes": 1}}, h),
     "infinite class count":
         lambda c, h: (c | {"model": c["model"] | {"num_classes": float("inf")}}, h),
@@ -173,6 +176,17 @@ class TestValidation:
         path = tmp_path / "m.fsq"
         save_checkpoint(broken, history, means, labels, path)
         with pytest.raises(CompatibilityError, match="dense2/bias"):
+            load_checkpoint(path)
+
+    def test_duplicate_tensor_name_is_format_error(self, tmp_path):
+        model, history, means, labels = _fixture()
+        # a later all-zero copy of conv1/weight, saved under a name of the same length
+        params = dict(model.params, **{"conv1/weighX": np.zeros_like(model.params["conv1/weight"])})
+        path = tmp_path / "m.fsq"
+        save_checkpoint(Model(model.config, params), history, means, labels, path)
+        body = path.read_bytes()[:-4].replace(b"conv1/weighX", b"conv1/weight")
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        with pytest.raises(FormatError, match="duplicate tensor 'conv1/weight'"):
             load_checkpoint(path)
 
     def test_label_count_must_match_classes(self, tmp_path):

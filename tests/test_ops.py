@@ -13,18 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsqnet.model
 import fsqnet.ops
 from fsqnet.errors import ConfigError, NumericError, ShapeError
-from fsqnet.model import Dropout
+from fsqnet.model import Dropout, ModelConfig, build_model, model_backward, model_forward
 from fsqnet.ops import (
     ConvSpec,
-    _linear,
     channel_concat,
     channel_split,
     conv2d_backward,
-    conv2d_backward_reference,
     conv2d_forward,
-    conv2d_reference,
     dense_backward,
     dense_forward,
     dropout_mask,
@@ -36,7 +34,11 @@ from fsqnet.ops import (
     relu_backward,
     softmax,
 )
+from fsqnet.train import cross_entropy
 from oracles import (
+    _linear,
+    conv2d_backward_reference,
+    conv2d_reference,
     fd_gradient,
     naive_conv2d,
     naive_matmul,
@@ -697,6 +699,29 @@ class TestSplit:
             fsqnet.ops._split(5, fsqnet.ops.SPLIT_ELEMENTS, work)
         assert threading.active_count() == threads
 
+    def test_splits_over_cpu_count_without_sched_getaffinity(self, monkeypatch):
+        # macOS and Windows Python have no os.sched_getaffinity
+        rng = np.random.default_rng(20)
+        x = np.round(_randn(rng, 5, 16, 96, 96), 1)
+        spec = ConvSpec(24, 16, 3, 3)
+        weight, bias = _randn(rng, 24, 16, 3, 3), _randn(rng, 24)
+        y = maxpool2d(x, 3, 2)
+        d = _randn(rng, *y.shape)
+
+        def op_bytes():
+            return [conv2d_forward(x, weight, bias, spec).tobytes(),
+                    maxpool2d_backward(x, y, 3, 2, d).tobytes()]
+
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: None)
+        unsplit = op_bytes()
+        monkeypatch.delattr(fsqnet.ops.os, "sched_getaffinity")
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(fsqnet.ops.os, "cpu_count", lambda: 3)
+        ranges = []
+        fsqnet.ops._split(5, fsqnet.ops.SPLIT_ELEMENTS, lambda lo, hi: ranges.append((lo, hi)))
+        assert sorted(ranges) == [(0, 1), (1, 3), (3, 5)]
+        assert op_bytes() == unsplit
+
     @staticmethod
     def _split_op_bytes() -> list[bytes]:
         # a batch of 5 splits 1 + 2 + 2 over three workers; every op is above
@@ -725,6 +750,37 @@ class TestSplit:
         one = self._split_op_bytes()
         _force_split(monkeypatch, 3)
         assert self._split_op_bytes() == one
+
+
+class TestPaperScaleStep:
+    def test_every_conv_of_a_split_v11_step_within_bounds_of_reference(self, monkeypatch):
+        # each conv of one v1.1@244 batch-2 training step is checked on the inputs
+        # it was given, so errors do not compound from layer to layer
+        _force_split(monkeypatch, 2)
+        forwards, backwards = [], []
+
+        def record(calls, op):
+            def wrapper(*args):
+                calls.append(args)
+                return op(*args)
+            return wrapper
+
+        monkeypatch.setattr(fsqnet.model, "conv2d_forward", record(forwards, conv2d_forward))
+        monkeypatch.setattr(fsqnet.model, "conv2d_backward", record(backwards, conv2d_backward))
+        model = build_model(ModelConfig(), seed=0)
+        x = np.random.default_rng(21).standard_normal((2, 3, 244, 244), dtype=np.float32)
+        probs, tape = model_forward(model, x, training=True, dropout_seed=0)
+        model_backward(tape, cross_entropy(probs, np.arange(2))[1])
+        assert len(forwards) == len(backwards) == 25
+        for x, weight, bias, spec in forwards:
+            TestConvForward._check_float32_bound(x, weight, bias, spec)
+            # the reference shares _patches with the fast path, so it is held bit for
+            # bit to the loop oracle on a 5x5 corner of the same input, at two channels
+            corner, w2, b2 = x[:1, :, :5, :5], weight[:2], bias[:2]
+            ours = conv2d_reference(corner, w2, b2, dataclasses.replace(spec, out_channels=2))
+            assert np.array_equal(ours, naive_conv2d(corner, w2, b2, spec.stride, spec.pad))
+        for args in backwards:
+            TestConvBackward._check_bounds(*args)
 
 
 class TestPurity:

@@ -129,7 +129,9 @@ def load_checkpoint(path) -> tuple[Model, History, tuple[float, float, float], l
         config_obj = json.loads(reader.text())
         config = ModelConfig.from_dict(config_obj["model"])
         means = check_channel_means(config_obj["channel_means"])
-        label_names = [str(n) for n in config_obj["label_names"]]
+        label_names = config_obj["label_names"]
+        if type(label_names) is not list or any(type(n) is not str for n in label_names):
+            raise TypeError(f"label names must be a list of strings, got {label_names!r}")
         tensors: dict[str, np.ndarray] = {}
         for _ in range(reader.u32()):
             name = reader.text()

@@ -28,6 +28,7 @@ import io
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -256,11 +257,13 @@ def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
 
 
 def check_channel_means(channel_means) -> tuple[float, float, float]:
-    """The means as 3 floats; ConfigError unless each is in [0, 1] (NaN is not)."""
-    means = tuple(float(m) for m in channel_means)
-    if len(means) != 3 or any(not 0.0 <= m <= 1.0 for m in means):
-        raise ConfigError(f"channel means must be 3 floats in [0,1], got {channel_means}")
-    return means
+    """The means as 3 floats; ConfigError unless each is a number in [0, 1] (NaN is not)."""
+    means = tuple(channel_means)
+    if len(means) != 3 or any(
+        isinstance(m, bool) or not isinstance(m, Real) or not 0.0 <= m <= 1.0 for m in means
+    ):
+        raise ConfigError(f"channel means must be 3 numbers in [0,1], got {channel_means}")
+    return tuple(float(m) for m in means)
 
 
 def normalize(images, channel_means) -> np.ndarray:

@@ -7,9 +7,9 @@ The classifier head replaces the usual conv10 with global average pooling
 followed by two dense layers and a softmax, which keeps the parameter count
 small while still producing per-class probabilities.
 
-Each layer kind is one class that owns its parameter shapes, output shape,
-forward and backward; ``layer_plan`` lists the layers in call order, and the
-parameter table, layer summary, forward and backward passes all loop over it.
+Each layer kind is one class that owns its parameter shapes, forward and
+backward; ``layer_plan`` lists the layers in call order, and the parameter
+table, layer summary, forward and backward passes all loop over it.
 
 Parameters live in a flat name -> array dict using ``<layer>/weight`` and
 ``<layer>/bias`` keys, fully determined by the config, which is what lets
@@ -19,7 +19,8 @@ list of (layer, layer tape) pairs, instead of keeping it on the model.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
+from numbers import Real
 from typing import ClassVar
 
 import numpy as np
@@ -39,7 +40,6 @@ from .ops import (
     global_avg_pool_backward,
     maxpool2d,
     maxpool2d_backward,
-    pool_out_hw,
     relu,
     relu_backward,
     softmax,
@@ -99,6 +99,12 @@ class ModelConfig:
     variant: str = "v1.1"
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.num_classes, self.input_size, self.head_hidden)):
+            raise ConfigError(f"num_classes, input_size and head_hidden must be integers: {self}")
+        if isinstance(self.dropout_rate, bool) or not isinstance(self.dropout_rate, Real):
+            raise ConfigError(f"dropout_rate must be a number, got {self.dropout_rate!r}")
+        if type(self.variant) is not str:
+            raise ConfigError(f"variant must be a string, got {self.variant!r}")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.input_size < MIN_INPUT_SIZE:
@@ -116,14 +122,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(
-            num_classes=int(d["num_classes"]),
-            input_size=int(d["input_size"]),
-            fire_specs=tuple(FireSpec(*f) for f in d["fire_specs"]),
-            head_hidden=int(d["head_hidden"]),
-            dropout_rate=float(d["dropout_rate"]),
-            variant=str(d["variant"]),
-        )
+        """Inverse of to_dict: every field by name, no default and no other key."""
+        names = [f.name for f in fields(cls)]
+        if sorted(d) != sorted(names):
+            raise ConfigError(f"model config keys {sorted(d)}, expected {sorted(names)}")
+        return cls(**{**d, "fire_specs": tuple(FireSpec(*f) for f in d["fire_specs"])})
 
 
 def tiny_config(num_classes: int = 3, input_size: int = 32) -> ModelConfig:
@@ -150,8 +153,7 @@ class Layer:
     ``forward(params, x, dropout_seed)`` returns the output and a tape holding
     what ``backward(tape, d, grads)`` needs, weights included; backward stores the
     layer's parameter gradients into ``grads`` and returns the gradient at
-    its input.  ``out_shape`` maps a channel-first shape without the batch
-    dim through the layer.
+    its input.
     """
 
     name: str
@@ -159,9 +161,6 @@ class Layer:
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         return {}
-
-    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
-        return shape
 
     def _weights(self, params) -> tuple[np.ndarray, ...]:
         shapes = self.param_shapes()
@@ -187,9 +186,6 @@ class Conv(Layer):
             f"{self.name}/weight": (c.out_channels, c.in_channels, c.kernel_h, c.kernel_w),
             f"{self.name}/bias": (c.out_channels,),
         }
-
-    def out_shape(self, shape):
-        return (self.conv.out_channels, *self.conv.out_hw(*shape[1:]))
 
     def forward(self, params, x, dropout_seed):
         w, b = self._weights(params)
@@ -226,9 +222,6 @@ class Fire(Layer):
             **self.expand3x3.param_shapes(),
         }
 
-    def out_shape(self, shape):
-        return (self.fire.out_channels, *shape[1:])
-
     def forward(self, params, x, dropout_seed):
         s, s_tape = self.squeeze.forward(params, x, dropout_seed)
         e1, (_, w1, _) = self.expand1x1.forward(params, s, dropout_seed)
@@ -252,9 +245,6 @@ class Pool(Layer):
 
     kind: ClassVar[str] = "pool"
 
-    def out_shape(self, shape):
-        return (shape[0], *pool_out_hw(*shape[1:], POOL_KERNEL, POOL_STRIDE))
-
     def forward(self, params, x, dropout_seed):
         y = maxpool2d(x, POOL_KERNEL, POOL_STRIDE)
         return y, (x, y)
@@ -267,9 +257,6 @@ class Pool(Layer):
 @dataclass
 class GlobalAvgPool(Layer):
     kind: ClassVar[str] = "gap"
-
-    def out_shape(self, shape):
-        return shape[:1]
 
     def forward(self, params, x, dropout_seed):
         return global_avg_pool(x), x.shape[2:]
@@ -290,9 +277,6 @@ class Dense(Layer):
             f"{self.name}/weight": (self.in_features, self.units),
             f"{self.name}/bias": (self.units,),
         }
-
-    def out_shape(self, shape):
-        return (self.units,)
 
     def forward(self, params, x, dropout_seed):
         w, b = self._weights(params)
@@ -365,13 +349,19 @@ def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 
 def layer_summary(config: ModelConfig) -> list[dict]:
-    """Per-layer name, output shape (channel-first, no batch dim) and parameter count."""
+    """Per-layer name, output shape (channel-first, no batch dim) and parameter count.
+
+    Each output shape is read from the layer's own forward on an empty batch
+    with zero parameters, so the summary cannot disagree with the network.
+    """
     rows = []
-    shape: tuple[int, ...] = (3, config.input_size, config.input_size)
+    x = np.zeros((0, 3, config.input_size, config.input_size), dtype=np.float32)
     for layer in layer_plan(config):
-        shape = layer.out_shape(shape)
-        count = sum(int(np.prod(s)) for s in layer.param_shapes().values())
-        rows.append({"name": layer.name, "output_shape": list(shape), "params": count})
+        shapes = layer.param_shapes()
+        params = {name: np.zeros(shape, dtype=np.float32) for name, shape in shapes.items()}
+        x, _ = layer.forward(params, x, None)
+        count = sum(int(np.prod(s)) for s in shapes.values())
+        rows.append({"name": layer.name, "output_shape": list(x.shape[1:]), "params": count})
     return rows
 
 

@@ -338,7 +338,8 @@ def maxpool2d(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
             for i in range(1, kernel):
                 np.maximum(out, row_max[:, :, i : i + stride * oh : stride], out=out)
 
-    _split(n, x.size, work)
+    if n:  # the block size divides by the image count
+        _split(n, x.size, work)
     return y
 
 

@@ -20,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -67,13 +68,17 @@ class EpochMetrics:
     seconds: float
 
     def __post_init__(self):
+        if type(self.epoch) is not int or any(
+            isinstance(v, bool) or not isinstance(v, Real) for v in astuple(self)[1:]
+        ):
+            raise ConfigError(f"epoch must be an integer and the rest numbers: {self}")
         if not 0.0 <= self.train_acc <= 1.0 or not 0.0 <= self.val_acc <= 1.0:
             raise ConfigError(f"accuracies must be in [0,1]: {self}")
 
     @classmethod
     def from_record(cls, r: dict) -> "EpochMetrics":
-        """Inverse of asdict: the epoch coerced to int, every other field to float."""
-        return cls(int(r["epoch"]), *(float(r[f.name]) for f in fields(cls)[1:]))
+        """Inverse of asdict: every field by name, no other key."""
+        return cls(**r)
 
     def to_json_line(self) -> str:
         return json.dumps(asdict(self), separators=(",", ":"))

@@ -89,6 +89,15 @@ def _forge(path, edit):
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
+def _saved_with_crc(tmp_path, edit):
+    """The fixture saved, its bytes before the CRC replaced by edit(bytes), with a valid CRC."""
+    path = tmp_path / "m.fsq"
+    save_checkpoint(*_fixture(), path)
+    body = edit(path.read_bytes()[:-4])
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
 MALFORMED = {
     "config block is a list": lambda c, h: ([c], h),
     "history entry is not an object": lambda c, h: (c, [1, *h[1:]]),
@@ -102,6 +111,23 @@ MALFORMED = {
         lambda c, h: (c | {"model": c["model"] | {"num_classes": float("inf")}}, h),
     "accuracy above one": lambda c, h: (c, [h[0] | {"val_acc": 5}, *h[1:]]),
     "history starts at epoch 2": lambda c, h: (c, [h[0] | {"epoch": 2}, *h[1:]]),
+    # each value below is checked for its type, not converted
+    "class count is a float":
+        lambda c, h: (c | {"model": c["model"] | {"num_classes": 2.9}}, h),
+    "head width is a string":
+        lambda c, h: (c | {"model": c["model"] | {"head_hidden": "32"}}, h),
+    "variant is a number": lambda c, h: (c | {"model": c["model"] | {"variant": 7}}, h),
+    "dropout rate is a string":
+        lambda c, h: (c | {"model": c["model"] | {"dropout_rate": "0.5"}}, h),
+    "unknown model key": lambda c, h: (c | {"model": c["model"] | {"depth": 3}}, h),
+    "missing model key":
+        lambda c, h: (c | {"model": {k: v for k, v in c["model"].items() if k != "variant"}}, h),
+    "label names are not strings": lambda c, h: (c | {"label_names": [None, 5, "c"]}, h),
+    "channel means are not numbers": lambda c, h: (c | {"channel_means": ["0.5", 0.5, True]}, h),
+    "history epoch is a float": lambda c, h: (c, [h[0] | {"epoch": 1.9}, *h[1:]]),
+    "history accuracy is a bool": lambda c, h: (c, [h[0] | {"val_acc": True}, *h[1:]]),
+    "history loss is a string": lambda c, h: (c, [h[0] | {"train_loss": "0.25"}, *h[1:]]),
+    "unknown history key": lambda c, h: (c, [h[0] | {"lr": 0.1}, *h[1:]]),
 }
 
 
@@ -223,6 +249,34 @@ class TestValidation:
                      ["predict", "--image", str(data / "a" / "000.ppm")]):
             assert main(argv + ["--checkpoint", str(path)]) == 3, argv
             assert "channel means" in capsys.readouterr().err
+
+    def test_config_length_past_the_end_is_truncated(self, tmp_path):
+        header = len(MAGIC) + 4
+        path = _saved_with_crc(
+            tmp_path, lambda b: b[:header] + struct.pack("<I", len(b)) + b[header + 4 :])
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_bytes_after_the_history_block(self, tmp_path):
+        path = _saved_with_crc(tmp_path, lambda b: b + b"\0")
+        with pytest.raises(FormatError, match="1 unexpected trailing bytes"):
+            load_checkpoint(path)
+
+    def test_extra_tensor_is_compatibility_error(self, tmp_path):
+        model, history, means, labels = _fixture()
+        extra = Model(model.config, dict(model.params, **{"extra/bias": np.zeros(2, np.float32)}))
+        path = tmp_path / "m.fsq"
+        save_checkpoint(extra, history, means, labels, path)
+        with pytest.raises(CompatibilityError, match="unexpected tensor 'extra/bias'"):
+            load_checkpoint(path)
+
+    def test_three_label_names_for_two_classes(self, tmp_path):
+        path = tmp_path / "m.fsq"
+        _, history, means, _ = _fixture()
+        save_checkpoint(build_model(tiny_config(num_classes=2), 0), history, means, ["a", "b"], path)
+        _forge(path, lambda c, h: (c | {"label_names": ["a", "b", "c"]}, h))
+        with pytest.raises(CompatibilityError, match="3 label names for 2 classes"):
+            load_checkpoint(path)
 
 
 class TestHexdump:

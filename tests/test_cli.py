@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -63,6 +64,11 @@ class TestUsageErrors:
         assert main(["train", "--data", "d", "--out", "o", "--lr", rate]) == 2
         assert "--lr" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--momentum", "--val-fraction"])
+    def test_unit_interval_flag_excludes_one(self, capsys, flag):
+        assert main(["train", "--data", "d", "--out", "o", flag, "1"]) == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
     def test_inspect_needs_exactly_one_source(self, capsys):
         assert main(["inspect"]) == 2
         assert main(["inspect", "--checkpoint", "x", "--arch-only"]) == 2
@@ -112,6 +118,17 @@ class TestTrain:
         ] + flags)
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_resume_with_other_class_names_is_exit_3(self, workspace, tmp_path, capsys):
+        data = tmp_path / "renamed"
+        shutil.copytree(workspace["data"], data)
+        (data / "b").rename(data / "z")
+        code = main([
+            "train", "--data", str(data), "--out", str(tmp_path / "x.fsq"),
+            "--resume", str(workspace["checkpoint"]),
+        ] + TRAIN_FLAGS)
+        assert code == 3
+        assert "resume labels ['a', 'b'] do not match dataset ['a', 'z']" in capsys.readouterr().err
 
     def test_augmented_epoch_runs(self, workspace, tmp_path, capsys):
         code = main([

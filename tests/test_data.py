@@ -108,6 +108,18 @@ class TestPpm:
         with pytest.raises(DecodeError):
             load_image(path)
 
+    @pytest.mark.parametrize("data,message", [
+        (b"P6\n2 2", "truncated header"),
+        (b"P6\n2 x 255\n", "bad header token"),
+        (b"P6\n1 1\n255", "missing header terminator"),
+        (b"P6\n0 1\n255\n", "bad dimensions"),
+    ])
+    def test_bad_header_rejected(self, tmp_path, data, message):
+        path = tmp_path / "h.ppm"
+        path.write_bytes(data)
+        with pytest.raises(DecodeError, match=message):
+            load_image(path)
+
     def test_magic_needs_whitespace(self, tmp_path):
         path = tmp_path / "m.ppm"
         path.write_bytes(b"P61 1 255\n\x01\x02\x03")

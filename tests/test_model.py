@@ -73,6 +73,24 @@ class TestModelConfig:
             ModelConfig(fire_specs=())
         with pytest.raises(ConfigError):
             ModelConfig(dropout_rate=1.0)
+        with pytest.raises(ConfigError):
+            ModelConfig(head_hidden=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_classes", 3.0), ("num_classes", True), ("input_size", "64"),
+        ("head_hidden", 32.5), ("dropout_rate", "0.5"), ("dropout_rate", False),
+        ("variant", 7),
+    ])
+    def test_field_types(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: value})
+
+    def test_from_dict_needs_every_key_and_no_other(self):
+        d = tiny_config().to_dict()
+        with pytest.raises(ConfigError, match="keys"):
+            ModelConfig.from_dict({k: v for k, v in d.items() if k != "dropout_rate"})
+        with pytest.raises(ConfigError, match="keys"):
+            ModelConfig.from_dict(d | {"depth": 3})
 
     def test_dict_round_trip(self):
         config = tiny_config(num_classes=4, input_size=64)
@@ -327,6 +345,18 @@ class TestModelBackward:
         second = model_backward(model_forward(model, x, training=True)[1], d)
         for name in first:
             assert np.array_equal(first[name], second[name])
+
+    @pytest.mark.parametrize("config", [ModelConfig(), tiny_config()], ids=["v1.1", "tiny"])
+    def test_empty_batch(self, config):
+        model = build_model(config, 0)
+        x = np.zeros((0, 3, config.input_size, config.input_size), np.float32)
+        assert model_forward(model, x).shape == (0, config.num_classes)
+        probs, tape = model_forward(model, x, training=True, dropout_seed=1)
+        assert probs.shape == (0, config.num_classes)
+        grads = model_backward(tape, np.zeros((0, config.num_classes), np.float32))
+        assert set(grads) == set(model.params)
+        for name, grad in grads.items():
+            assert grad.shape == model.params[name].shape and not grad.any()
 
     def test_count_invariant_under_steps(self):
         model = _tiny_model()

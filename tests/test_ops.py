@@ -206,6 +206,16 @@ class TestConvForward:
                 ConvSpec(2, 2, 3, 3),
             )
 
+    @pytest.mark.parametrize("x_shape,w_shape,bias_len,message", [
+        ((3, 4, 4), (2, 3, 3, 3), 2, "4-D"),
+        ((1, 3, 4, 4), (2, 3, 1, 1), 2, "does not match"),
+        ((1, 3, 4, 4), (2, 3, 3, 3), 3, "bias shape"),
+    ], ids=["3-D input", "weight not the spec's", "bias length"])
+    def test_malformed_arguments(self, x_shape, w_shape, bias_len, message):
+        with pytest.raises(ShapeError, match=message):
+            conv2d_forward(np.zeros(x_shape, np.float32), np.zeros(w_shape, np.float32),
+                           np.zeros(bias_len, np.float32), ConvSpec(2, 3, 3, 3))
+
     @given(*CONV_CASES)
     @settings(max_examples=40)
     def test_matches_naive_oracle_bit_exactly(self, n, c, o, k, stride, pad, seed):
@@ -268,6 +278,11 @@ class TestConvBackward:
         assert g.d_input.shape == x.shape
         assert g.d_weight.shape == w.shape
         assert g.d_bias.shape == (4,)
+
+    def test_misshapen_upstream(self):
+        x, w = np.zeros((1, 2, 4, 4), np.float32), np.zeros((3, 2, 3, 3), np.float32)
+        with pytest.raises(ShapeError, match="d_out shape"):
+            conv2d_backward(x, w, ConvSpec(3, 2, 3, 3, pad=1), np.zeros((1, 3, 2, 2), np.float32))
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
@@ -367,6 +382,10 @@ class TestRelu:
         x = np.array([-1.0, 0.5, 0.0], np.float32)
         d = np.array([10.0, 20.0, 30.0], np.float32)
         assert relu_backward(x, d).tolist() == [0.0, 20.0, 0.0]
+
+    def test_backward_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            relu_backward(np.zeros((2, 3), np.float32), np.zeros((3, 2), np.float32))
 
     def test_backward_bytes_match_where(self):
         ds = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 3.5, -2.0], np.float32)
@@ -535,6 +554,10 @@ class TestGlobalAvgPool:
         fd = fd_gradient(lambda: global_avg_pool(x), x, d_out)
         assert rel_error(fd, global_avg_pool_backward(d_out, 3, 3)) < FD_TOL
 
+    def test_backward_needs_2d_upstream(self):
+        with pytest.raises(ShapeError):
+            global_avg_pool_backward(np.zeros((1, 2, 1, 1), np.float32), 3, 3)
+
 
 class TestDense:
     def test_identity_weight(self):
@@ -551,6 +574,14 @@ class TestDense:
         with pytest.raises(ShapeError):
             dense_forward(np.zeros((2, 3), np.float32), np.zeros((4, 5), np.float32),
                           np.zeros(5, np.float32))
+        with pytest.raises(ShapeError, match="must be"):  # a 3-D input
+            dense_forward(np.zeros((2, 1, 4), np.float32), np.zeros((4, 5), np.float32),
+                          np.zeros(5, np.float32))
+
+    def test_backward_misshapen_upstream(self):
+        x, w = np.zeros((2, 4), np.float32), np.zeros((4, 5), np.float32)
+        with pytest.raises(ShapeError, match="d_out shape"):
+            dense_backward(x, w, np.zeros((2, 4), np.float32))
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_matches_naive_matmul_bit_exactly(self, n, k, m, seed):

@@ -2,7 +2,7 @@ import json
 import math
 import statistics
 import threading
-from dataclasses import fields
+from dataclasses import asdict, fields
 from unittest import mock
 
 import numpy as np
@@ -109,6 +109,10 @@ class TestCrossEntropy:
             cross_entropy(probs, [0, 3])
         with pytest.raises(DataError):
             cross_entropy(probs, [-1, 0])
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(DataError, match="expected 2 labels"):
+            cross_entropy(np.full((2, 3), 1 / 3, dtype=np.float32), [0, 1, 2])
 
     def test_clamp_prevents_infinite_loss(self):
         probs = np.array([[1.0, 0.0]], dtype=np.float32)
@@ -397,6 +401,22 @@ class TestHistory:
     def test_accuracy_range_validated(self):
         with pytest.raises(ConfigError):
             EpochMetrics(1, 0.5, 1.5, 0.5, 0.0)
+
+    @pytest.mark.parametrize("values", [
+        (1.0, 0.5, 0.5, 0.5, 0.0), (True, 0.5, 0.5, 0.5, 0.0), (1, "0.5", 0.5, 0.5, 0.0),
+        (1, 0.5, True, 0.5, 0.0), (1, 0.5, 0.5, 0.5, None),
+    ])
+    def test_field_types_validated(self, values):
+        with pytest.raises(ConfigError, match="integer"):
+            EpochMetrics(*values)
+
+    def test_from_record_needs_every_key_and_no_other(self):
+        record = asdict(EpochMetrics(1, 0.5, 0.5, 0.5, 0.0))
+        assert EpochMetrics.from_record(record) == EpochMetrics(1, 0.5, 0.5, 0.5, 0.0)
+        with pytest.raises(TypeError):
+            EpochMetrics.from_record({k: v for k, v in record.items() if k != "seconds"})
+        with pytest.raises(TypeError):
+            EpochMetrics.from_record(record | {"lr": 0.1})
 
     def test_best_prefers_earliest_tie(self):
         history = History()

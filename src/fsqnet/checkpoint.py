@@ -43,7 +43,9 @@ def _canonical_json(obj) -> bytes:
 def save_checkpoint(model: Model, history: History, channel_means, label_names, path) -> None:
     """Serialize the model atomically to `path`."""
     means = list(check_channel_means(channel_means))
-    names = [str(n) for n in label_names]
+    names = list(label_names)
+    if not all(isinstance(n, str) for n in names):
+        raise ConfigError(f"label names must be strings, got {names!r}")
     if len(names) != model.config.num_classes:
         raise ConfigError(
             f"{len(names)} label names for {model.config.num_classes} classes"
@@ -127,6 +129,9 @@ def load_checkpoint(path) -> tuple[Model, History, tuple[float, float, float], l
     reader.take(len(MAGIC) + 4)  # magic + version, already checked
     try:
         config_obj = json.loads(reader.text())
+        if type(config_obj) is not dict or config_obj.keys() != {
+                "channel_means", "label_names", "model"}:
+            raise ValueError("config block must hold exactly channel_means, label_names and model")
         config = ModelConfig.from_dict(config_obj["model"])
         means = check_channel_means(config_obj["channel_means"])
         label_names = config_obj["label_names"]

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DecodeError
-from .ops import _split
+from .ops import SPLIT_ELEMENTS, _split
 from .tensor import rng_from_seed
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
@@ -206,8 +206,9 @@ def save_ppm(img: ImageBuffer, path) -> None:
 
 def _split_images(n: int, h: int, w: int, work) -> None:
     """work(lo, hi) over image ranges covering [0, n) of h x w output images, split
-    across the CPUs by ops._split only when each image has WARP_PIXELS pixels."""
-    _split(n, n * h * w * 3 if h * w >= WARP_PIXELS else 0, work)
+    across the CPUs by ops._split whenever each image has WARP_PIXELS pixels: two
+    such images split, although they hold fewer than SPLIT_ELEMENTS elements."""
+    _split(n, SPLIT_ELEMENTS if h * w >= WARP_PIXELS else 0, work)
 
 
 def _round_u8(values: np.ndarray) -> np.ndarray:

@@ -13,6 +13,11 @@ off.  Each batch is assembled in line on the training thread as one array:
 every image draws its augmentation from its own seed, then the batch is
 augmented once and normalized once.  Deterministic mode zeroes the wall
 times, the only nondeterministic output, so runs are byte-reproducible.
+
+Evaluation of images with at least WARP_PIXELS pixels, with OpenBLAS on one
+thread, splits the images across the CPUs once per pass, and each CPU runs
+its images through the whole network one at a time; otherwise images go
+EVAL_BATCH to a forward.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from numbers import Real
 
 import numpy as np
 
-from .data import Dataset, augment, fisher_yates_order, normalize
+from . import ops
+from .data import WARP_PIXELS, Dataset, _split_images, augment, fisher_yates_order, normalize
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import Model, clone_params, model_backward, model_forward
 from .tensor import derive_seed
@@ -210,14 +216,31 @@ def train_epoch(
 
 
 def evaluate(model: Model, dataset: Dataset) -> tuple[float, np.ndarray]:
-    """Accuracy and an m x m confusion matrix (true class by row)."""
-    _check_input_sizes(dataset, model.config.input_size, "eval")
+    """Accuracy and an m x m confusion matrix (true class by row).
+
+    Images of WARP_PIXELS pixels or more, with OpenBLAS on one thread, go one
+    to a forward, in image ranges split across the CPUs for the whole pass
+    (_split_images), so memory holds one image's activations per CPU.  Other
+    images go EVAL_BATCH to a forward, each op splitting the batch itself: a
+    smaller image's forward is too little work to pay for a forward of its
+    own, and threaded products ran slower one image at a time.  Each image's
+    probabilities are the bytes of its row in a batched forward.
+    """
+    size = model.config.input_size
+    _check_input_sizes(dataset, size, "eval")
+    step = 1 if size * size >= WARP_PIXELS and ops._blas_threads() == 1 else EVAL_BATCH
+    predicted = np.empty(len(dataset), dtype=np.intp)
+
+    def forward(lo, hi):
+        for start in range(lo, hi, step):
+            batch, _ = _assemble_batch(dataset, slice(start, min(start + step, hi)))
+            probs = model_forward(model, batch, training=False)
+            predicted[start : start + len(batch)] = probs.argmax(axis=1)
+
+    _split_images(len(dataset), size, size, forward)
     m = len(dataset.label_names)
     confusion = np.zeros((m, m), dtype=np.int64)
-    for start in range(0, len(dataset), EVAL_BATCH):
-        batch, labels = _assemble_batch(dataset, slice(start, start + EVAL_BATCH))
-        predicted = model_forward(model, batch, training=False).argmax(axis=1)
-        np.add.at(confusion, (labels, predicted), 1)
+    np.add.at(confusion, (dataset.labels, predicted), 1)
     accuracy = float(np.trace(confusion) / confusion.sum())
     return accuracy, confusion
 

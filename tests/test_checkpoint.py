@@ -100,6 +100,7 @@ def _saved_with_crc(tmp_path, edit):
 
 MALFORMED = {
     "config block is a list": lambda c, h: ([c], h),
+    "unknown config key": lambda c, h: (c | {"extra": 1}, h),
     "history entry is not an object": lambda c, h: (c, [1, *h[1:]]),
     "fire spec has two widths":
         lambda c, h: (c | {"model": c["model"] | {"fire_specs": [[2, 2], [2, 2, 2]]}}, h),
@@ -219,6 +220,14 @@ class TestValidation:
         model, history, means, _ = _fixture()
         with pytest.raises(ConfigError):
             save_checkpoint(model, history, means, ["a", "b"], tmp_path / "m.fsq")
+
+    def test_label_names_must_be_strings(self, tmp_path):
+        model, history, means, labels = _fixture()
+        assert len(labels) == 3
+        path = tmp_path / "m.fsq"
+        with pytest.raises(ConfigError, match="label names must be strings"):
+            save_checkpoint(model, history, means, [None, 5, "c"], path)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("edit", MALFORMED.values(), ids=list(MALFORMED))
     def test_malformed_structure_is_format_error(self, tmp_path, capsys, edit):

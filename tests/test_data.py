@@ -574,6 +574,17 @@ class TestSplitByImage:
         normalize(augment(pixels, True, range(600)), (0.5, 0.5, 0.5))
         assert threads == [1, 1]
 
+    def test_two_large_images_split(self, monkeypatch):
+        # 2 * 182 * 182 * 3 elements are fewer than SPLIT_ELEMENTS, but each image
+        # has WARP_PIXELS pixels
+        assert 182**2 >= WARP_PIXELS and 2 * 182**2 * 3 < fsqnet.ops.SPLIT_ELEMENTS
+        _force_split(monkeypatch, 3)
+        threads = _record_split_threads(monkeypatch)
+        ranges = []
+        fsqnet.data._split_images(2, 182, 182, lambda lo, hi: ranges.append((lo, hi)))
+        assert sorted(ranges) == [(0, 1), (1, 2)]
+        assert threads == [2]
+
     def test_skips_match_the_unsplit_run(self, tmp_path, monkeypatch, capsys):
         # file 2 is in the second of three ranges, file 4 in the third
         _write_split_sources(tmp_path, bad=(2, 4))

@@ -8,6 +8,7 @@ layer.  These checks load `perfbench/tracer.py` by path and fail first.
 import importlib.util
 import inspect
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pytest
 import fsqnet.data
 import fsqnet.train
 from fsqnet.data import Dataset
+from fsqnet.model import build_model, tiny_config
 from test_data import SPLIT_SIZE, _record_split_threads, _write_split_sources
 from test_ops import _force_split
 
@@ -97,3 +99,18 @@ def test_split_batch_assembly_is_traced_as_data(tracer, monkeypatch):
     assert threads == [3, 3]  # augment's warp and normalize ran split
     assert [(s.name, s.layer) for s in recorder.spans] == [
         ("data.augment", "data"), ("data.normalize", "data")]
+
+
+def test_split_evaluation_traces_one_image_per_forward_on_every_thread(tracer, monkeypatch):
+    samples = np.random.default_rng(0).integers(0, 256, (5, SPLIT_SIZE, SPLIT_SIZE, 3), np.uint8)
+    dataset = Dataset(samples, [0, 1, 0, 1, 0], ["a", "b"], (0.5, 0.5, 0.5))
+    model = build_model(tiny_config(num_classes=2, input_size=SPLIT_SIZE), 0)
+    _force_split(monkeypatch, 3)
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        fsqnet.train.evaluate(model, dataset)
+    forwards = [s for s in recorder.spans if s.name == "model.model_forward"]
+    assert [(s.attrs["n"], s.attrs["training"]) for s in forwards] == [(1, False)] * 5
+    assert len({s.thread for s in forwards}) >= 2
+    [evaluation] = [s for s in recorder.spans if s.name == "train.evaluate"]
+    assert evaluation.thread == threading.current_thread().name

@@ -1,7 +1,9 @@
 import json
 import math
 import statistics
+import sys
 import threading
+import tracemalloc
 from dataclasses import asdict, fields
 from unittest import mock
 
@@ -11,9 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsqnet.data
+import fsqnet.ops
 from fsqnet.data import Dataset, ImageBuffer, augment, compute_channel_means, normalize
 from fsqnet.errors import ConfigError, DataError, NumericError, StateError
-from fsqnet.model import Model, build_model, clone_params, model_backward, model_forward, tiny_config
+from fsqnet.model import (
+    Model,
+    ModelConfig,
+    build_model,
+    clone_params,
+    model_backward,
+    model_forward,
+    tiny_config,
+)
 from fsqnet.synthetic import make_dataset
 from fsqnet.train import (
     EpochMetrics,
@@ -28,6 +39,8 @@ from fsqnet.train import (
     train_epoch,
 )
 from oracles import naive_cross_entropy
+from test_data import SPLIT_SIZE
+from test_ops import _force_split
 
 
 def _split_synthetic(num_classes=2, per_class=10, seed=3):
@@ -337,6 +350,103 @@ class TestEvaluate:
             predicted = int(model_forward(model, tensor).argmax())
             hits += predicted == label
         assert accuracy == hits / len(dataset.samples)
+
+    @staticmethod
+    def _split_set(count=5, seed=3) -> Dataset:
+        """`count` random SPLIT_SIZE images in three classes: evaluation splits them by image."""
+        samples = np.random.default_rng(seed).integers(
+            0, 256, (count, SPLIT_SIZE, SPLIT_SIZE, 3), np.uint8)
+        return Dataset(samples, np.arange(count) % 3, ["a", "b", "c"],
+                       compute_channel_means(samples))
+
+    @staticmethod
+    def _record_forward_threads(monkeypatch) -> list[threading.Thread]:
+        """The thread of each evaluation forward from now on."""
+        forward, threads = fsqnet.train.model_forward, []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(fsqnet.train, "model_forward", recording)
+        return threads
+
+    @pytest.mark.parametrize("workers", [1, 3, 5])
+    def test_split_pass_equals_one_batched_forward(self, monkeypatch, workers):
+        dataset = self._split_set()
+        model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
+        probs = model_forward(model, normalize(dataset.samples, dataset.channel_means))
+        expected = np.zeros((3, 3), np.int64)
+        np.add.at(expected, (dataset.labels, probs.argmax(axis=1)), 1)
+        assert np.count_nonzero(expected.sum(axis=0)) > 1  # more than one class predicted
+        _force_split(monkeypatch, workers)
+        threads = self._record_forward_threads(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the workers interleave as often as they can
+        try:
+            accuracy, confusion = evaluate(model, dataset)
+        finally:
+            sys.setswitchinterval(interval)
+        assert confusion.tolist() == expected.tolist()
+        assert accuracy == np.trace(expected) / len(dataset)
+        assert len(threads) == len(dataset)  # one image per forward
+        assert len(set(threads)) == workers
+
+    @pytest.mark.parametrize("blas_threads", [2, None], ids=["two-blas-threads", "no-openblas"])
+    def test_without_one_blas_thread_the_batch_stays_whole(self, monkeypatch, blas_threads):
+        # threaded products ran slower one image at a time
+        dataset = self._split_set()
+        model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
+        _force_split(monkeypatch, 3)
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: blas_threads)
+        threads = self._record_forward_threads(monkeypatch)
+        _, confusion = evaluate(model, dataset)
+        assert threads == [threading.current_thread()]
+        assert confusion.sum() == len(dataset)
+
+    @pytest.mark.parametrize("config", [tiny_config(num_classes=3, input_size=SPLIT_SIZE),
+                                        ModelConfig(input_size=SPLIT_SIZE)], ids=["tiny", "v11"])
+    def test_each_image_gives_its_row_of_the_batched_forward(self, config):
+        dataset = self._split_set()
+        model = build_model(config, 8)
+        batch = normalize(dataset.samples, dataset.channel_means)
+        rows = model_forward(model, batch)
+        for i in range(len(dataset)):
+            assert model_forward(model, batch[i : i + 1]).tobytes() == rows[i : i + 1].tobytes()
+
+    def test_peak_memory_does_not_grow_with_the_images(self, monkeypatch):
+        # with one worker the peak does not depend on how the workers' peaks overlap
+        dataset = self._split_set(16)
+        model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
+
+        def peak(count, workers):
+            _force_split(monkeypatch, workers)
+            images = Dataset(dataset.samples[:count], dataset.labels[:count],
+                             dataset.label_names, dataset.channel_means)
+            tracemalloc.start()
+            try:
+                evaluate(model, images)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(4, 1)  # first-call allocations
+        one = peak(4, 1)
+        assert peak(16, 1) - one < 2**20
+        # three workers hold three images' activations, not a batch's
+        assert peak(16, 3) < 3 * one + 2**20
+
+    def test_non_finite_split_pass_raises_after_every_join(self, monkeypatch):
+        dataset = self._split_set()
+        model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
+        model.params["dense2/weight"][0, 0] = np.nan
+        _force_split(monkeypatch, 3)
+        forwards = self._record_forward_threads(monkeypatch)
+        threads = threading.active_count()
+        with pytest.raises(NumericError):
+            evaluate(model, dataset)
+        assert threading.active_count() == threads
+        assert len(set(forwards)) == 3  # each worker stopped at its first image
 
 
 class TestPearson:

@@ -14,7 +14,8 @@ table, layer summary, forward and backward passes all loop over it.
 Parameters live in a flat name -> array dict using ``<layer>/weight`` and
 ``<layer>/bias`` keys, fully determined by the config, which is what lets
 checkpoints validate shapes on load.  A training forward returns its tape, a
-list of (layer, layer tape) pairs, instead of keeping it on the model.
+list of (layer, layer tape) pairs, instead of keeping it on the model; the
+backward pass returns each parameter's gradient terms (ops.LayerGrads).
 """
 
 from __future__ import annotations
@@ -152,8 +153,8 @@ class Layer:
 
     ``forward(params, x, dropout_seed)`` returns the output and a tape holding
     what ``backward(tape, d, grads)`` needs, weights included; backward stores the
-    layer's parameter gradients into ``grads`` and returns the gradient at
-    its input.
+    terms of the layer's parameter gradients into ``grads`` and returns the
+    gradient at its input.
     """
 
     name: str
@@ -294,7 +295,10 @@ class Dense(Layer):
 
 @dataclass
 class Dropout(Layer):
-    """Inverted dropout; the identity unless a dropout_seed is given."""
+    """Inverted dropout; the identity unless a dropout_seed is given.
+
+    A (seed, row) pair masks one image with row `row` of its batch's mask.
+    """
 
     rate: float
     kind: ClassVar[str] = "dropout"
@@ -302,7 +306,8 @@ class Dropout(Layer):
     def forward(self, params, x, dropout_seed):
         if dropout_seed is None or self.rate == 0.0:
             return x, None
-        mask = dropout_mask(x.shape, self.rate, dropout_seed)
+        seed, row = dropout_seed if isinstance(dropout_seed, tuple) else (dropout_seed, 0)
+        mask = dropout_mask(x.shape, self.rate, seed, row)
         return x * mask, mask
 
     def backward(self, tape, d, grads):
@@ -399,7 +404,8 @@ def model_forward(
 
     With training=True it returns (probs, tape) for model_backward.  Dropout
     fires only when training and a dropout_seed is given, so evaluation passes
-    stay deterministic.
+    stay deterministic.  The seed is the batch's; an image trained alone passes
+    (seed, its row in the batch) to get its row of the batch's mask.
     """
     size = model.config.input_size
     if batch.ndim != 4 or batch.shape[1:] != (3, size, size):
@@ -415,7 +421,8 @@ def model_forward(
 
 
 def model_backward(tape: list, d_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradient per parameter given the loss gradient at the pre-softmax logits.
+    """Gradient terms per parameter (ops.LayerGrads) given the loss gradient at
+    the pre-softmax logits; ops.gradient gives each gradient from its terms.
 
     Pops the tape of a training forward from the end, so each layer's
     activations are freed as soon as its backward has run.

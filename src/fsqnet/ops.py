@@ -6,7 +6,8 @@ unambiguous.  The conv forward and its input gradient are float32 BLAS
 products; the conv weight gradient is float32 products over fixed blocks of
 positions, summed in float64 (see WGRAD_BLOCK); the conv bias gradient and
 the dense layers run in float64, where every float32 product is exact.  The
-float64 sums round to float32 once.  The tests bound these kernels against
+float64 sums round to float32 once, after the terms of every image are in
+(see LayerGrads).  The tests bound these kernels against
 an ordered float64 reference that a naive loop reproduces bit for bit, and
 check each backward pass against finite differences.  Max pooling and its
 backward are exact, so loop oracles match them bit for bit.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -61,11 +63,29 @@ class ConvSpec:
 
 @dataclass
 class LayerGrads:
-    """Gradients of a layer: input always, weight/bias when the layer has them."""
+    """Gradients of a layer: at its input always, and the terms of its weight and
+    bias gradients when it has them.
+
+    Terms are stacked along a leading axis.  Added one at a time, in order, to
+    float64 zeros (add_terms) and rounded once to float32 (gradient), they give
+    the gradient.  So the terms of images run apart, added in image order, give
+    the bytes of their batch's gradient.
+    """
 
     d_input: np.ndarray
     d_weight: np.ndarray | None = None
     d_bias: np.ndarray | None = None
+
+
+def add_terms(acc: np.ndarray, terms: np.ndarray) -> None:
+    """Add terms to the float64 sum acc one at a time, in order."""
+    for term in terms:
+        acc += term
+
+
+def gradient(terms: np.ndarray) -> np.ndarray:
+    """The float32 gradient of a batch's terms: sum(axis=0) adds them in add_terms's order."""
+    return terms.sum(axis=0, dtype=np.float64).astype(np.float32)
 
 
 @functools.cache
@@ -225,11 +245,14 @@ WGRAD_BLOCK = 256
 def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np.ndarray) -> LayerGrads:
     """Exact gradients of conv2d_forward for upstream d_out [N,O,OH,OW].
 
-    The input gradient is float32, like the forward.  The weight gradient is
-    one float32 product per block of WGRAD_BLOCK output positions of each
-    image, the full blocks in one batched product and the tail in another;
-    the block products are summed in float64, image by image in block order,
-    and rounded once.  The bias gradient sums d in float64.
+    The input gradient is float32, like the forward.  The weight gradient's
+    terms are one float32 product per block of WGRAD_BLOCK output positions of
+    each image, in (image, block) order: the full blocks in one batched product
+    and the tail in another.  The bias gradient's terms are float64 sums of d
+    over np.getbufsize() positions at a time, in (image, chunk) order, the order
+    in which numpy sums d over images and positions.  One image hands these
+    terms over as they are.  Several images' terms are summed here, in order,
+    into one float64 term each, so a batch holds its sums, not its terms.
     Image ranges, then output-channel ranges, run on their own threads.
     """
     _check_conv_shapes(x, weight, spec)
@@ -243,8 +266,11 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np
     k = w_t.shape[0]
     blocks, tail = divmod(oh * ow, WGRAD_BLOCK)
     full = blocks * WGRAD_BLOCK
+    chunk = np.getbufsize()
+    chunks = range(0, oh * ow, chunk)
     d_input = np.empty(x.shape, dtype=np.result_type(w_t, d))
     parts = np.empty((n, blocks + (tail > 0), o, k), dtype=np.float32)
+    sums = np.empty((n, len(chunks), o), dtype=np.float64)
 
     def images(lo, hi):
         m, d_m = hi - lo, d[lo:hi]
@@ -260,22 +286,23 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np
         if tail:
             np.matmul(d_m[:, :, full:], cols[:, :, full:].transpose(0, 2, 1),
                       out=parts[lo:hi, blocks])
+        for j, start in enumerate(chunks):
+            d_m[:, :, start : start + chunk].sum(axis=2, dtype=np.float64, out=sums[lo:hi, j])
 
     _split(n, n * max(k, o) * oh * ow, images)
-    block_parts = parts.reshape(-1, o, k)
-    d_weight = np.empty((o, k), dtype=np.float64)
-    d_bias = np.empty(o, dtype=np.float64)
+    weight_terms = parts.reshape(-1, o, k)
+    bias_terms = sums.reshape(-1, o)
+    if n > 1:
+        d_weight = np.empty((1, o, k), dtype=np.float64)
+        d_bias = np.empty((1, o), dtype=np.float64)
 
-    def channels(lo, hi):
-        block_parts[:, lo:hi].sum(axis=0, dtype=np.float64, out=d_weight[lo:hi])
-        d[:, lo:hi].sum(axis=(0, 2), dtype=np.float64, out=d_bias[lo:hi])
+        def channels(lo, hi):
+            weight_terms[:, lo:hi].sum(axis=0, dtype=np.float64, out=d_weight[0, lo:hi])
+            bias_terms[:, lo:hi].sum(axis=0, out=d_bias[0, lo:hi])
 
-    _split(o, max(parts.size, d.size), channels)
-    return LayerGrads(
-        d_input=d_input,
-        d_weight=d_weight.reshape(weight.shape).astype(np.float32),
-        d_bias=d_bias.astype(np.float32),
-    )
+        _split(o, parts.size, channels)
+        weight_terms, bias_terms = d_weight, d_bias
+    return LayerGrads(d_input, weight_terms.reshape(-1, *weight.shape), bias_terms)
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -443,8 +470,8 @@ def dense_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray) -> LayerGrad
     d = d_out.astype(np.float64)
     return LayerGrads(
         d_input=(d @ w.astype(np.float64).T).astype(np.float32),
-        d_weight=(x.astype(np.float64).T @ d).astype(np.float32),
-        d_bias=d.sum(axis=0).astype(np.float32),
+        d_weight=(x.astype(np.float64).T @ d)[None],  # for one image, its exact outer product
+        d_bias=d,
     )
 
 
@@ -460,9 +487,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
 
 
-def dropout_mask(shape, rate: float, seed: int) -> np.ndarray:
-    """Inverted-dropout mask: 0 with probability rate, else 1/(1-rate)."""
+def dropout_mask(shape, rate: float, seed: int, row: int = 0) -> np.ndarray:
+    """Inverted-dropout mask: 0 with probability rate, else 1/(1-rate).
+
+    A [N, F] mask takes its values in order from seed's stream, one draw each;
+    from row > 0 on, the draws of the rows before it are skipped, so one image
+    gets row `row` of the mask of the batch it belongs to.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0,1), got {rate}")
-    keep = rng_from_seed(seed).random(shape) >= rate
+    rng = rng_from_seed(seed)
+    rng.bit_generator.advance(row * math.prod(shape[1:]))
+    keep = rng.random(shape) >= rate
     return (keep / (1.0 - rate)).astype(np.float32)

@@ -9,21 +9,24 @@ velocity v and starts it at zero.
 Each epoch reshuffles the training set with seed XOR epoch_index, walks
 mini-batches (last partial batch kept), and reports epoch-mean loss, training
 accuracy as predicted during the epoch, and validation accuracy with dropout
-off.  Each batch is assembled in line on the training thread as one array:
-every image draws its augmentation from its own seed, then the batch is
-augmented once and normalized once.  Deterministic mode zeroes the wall
-times, the only nondeterministic output, so runs are byte-reproducible.
+off.  Every image draws its augmentation from its own seed.  Deterministic
+mode zeroes the wall times, the only nondeterministic output, so runs are
+byte-reproducible.
 
-Evaluation of images with at least WARP_PIXELS pixels, with OpenBLAS on one
-thread, splits the images across the CPUs once per pass, and each CPU runs
-its images through the whole network one at a time; otherwise images go
-EVAL_BATCH to a forward.
+Images of at least WARP_PIXELS pixels, with OpenBLAS on one thread
+(_one_image_per_cpu), go through the whole network one at a time, split
+across the CPUs once per training step or evaluation pass.  A training step
+adds each image's gradient terms to float64 sums in image order, so it gives
+the bytes of the batched step.  Otherwise a training batch is assembled,
+augmented and normalized as one array and goes through each op together,
+and evaluation images go EVAL_BATCH to a forward.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 import time
 from dataclasses import asdict, astuple, dataclass, field
 from numbers import Real
@@ -34,6 +37,7 @@ from . import ops
 from .data import WARP_PIXELS, Dataset, _split_images, augment, fisher_yates_order, normalize
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import Model, clone_params, model_backward, model_forward
+from .ops import add_terms, gradient
 from .tensor import derive_seed
 
 LOG_CLAMP = 1e-12
@@ -130,10 +134,15 @@ def cross_entropy(probs: np.ndarray, labels) -> tuple[float, np.ndarray]:
         raise DataError(f"label outside [0, {m})")
     picked = probs[np.arange(n), labels].astype(np.float64)
     loss = float(-np.log(np.clip(picked, LOG_CLAMP, 1.0)).sum() / n)
+    return loss, _logit_gradient(probs, labels, n)
+
+
+def _logit_gradient(probs: np.ndarray, labels: np.ndarray, n: int) -> np.ndarray:
+    """(p - y)/n for rows of an n-image batch, computed in float64 and rounded once."""
     d_logits = probs.astype(np.float64)
-    d_logits[np.arange(n), labels] -= 1.0
+    d_logits[np.arange(len(probs)), labels] -= 1.0
     d_logits /= n
-    return loss, d_logits.astype(np.float32)
+    return d_logits.astype(np.float32)
 
 
 def sgd_step(params: dict, velocity: dict, grads: dict, config: TrainConfig) -> None:
@@ -156,6 +165,18 @@ def _check_input_sizes(dataset: Dataset, size: int, what: str) -> None:
         raise DataError(f"{what} images are {width}x{height}, expected {size}x{size}")
 
 
+def _one_image_per_cpu(size: int) -> bool:
+    """Whether size x size images go through the whole network one at a time,
+    split across the CPUs once per pass (_split_images): at WARP_PIXELS pixels
+    or more, with OpenBLAS on one thread.
+
+    Memory then holds one image's activations per CPU, not a batch's.  A
+    smaller image's forward is too little work to pay for a forward of its
+    own, and threaded products ran slower one image at a time.
+    """
+    return size * size >= WARP_PIXELS and ops._blas_threads() == 1
+
+
 def _assemble_batch(dataset: Dataset, idx, seeds=None, flip=False):
     """Normalized images `idx` and their labels; augmented only when given a seed per image."""
     images = dataset.samples[idx]
@@ -165,13 +186,77 @@ def _assemble_batch(dataset: Dataset, idx, seeds=None, flip=False):
 
 
 def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int):
+    """Each batch's image indices and augmentation seeds (None without augmentation)."""
     order = fisher_yates_order(len(train_set), config.seed ^ epoch_index)
     for start in range(0, len(order), config.batch_size):
         chunk = order[start : start + config.batch_size]
         seeds = None
         if config.augment:
             seeds = [derive_seed(config.seed, epoch_index, i) for i in chunk]
-        yield _assemble_batch(train_set, chunk, seeds, config.flip)
+        yield chunk, seeds
+
+
+def _batch_step(model: Model, dataset: Dataset, idx, seeds, flip, dropout_seed):
+    """Probabilities, mean loss and float32 gradients of one training batch, its
+    images assembled as one array and run through each op together."""
+    batch, labels = _assemble_batch(dataset, idx, seeds, flip)
+    probs, tape = model_forward(model, batch, training=True, dropout_seed=dropout_seed)
+    loss, d_logits = cross_entropy(probs, labels)
+    terms = model_backward(tape, d_logits)
+    return probs, loss, {name: gradient(t) for name, t in terms.items()}
+
+
+def _image_step(model: Model, dataset: Dataset, idx, seeds, flip, dropout_seed):
+    """As _batch_step, each image assembled and run forward and backward alone.
+
+    _split_images sets how many images each CPU runs; each time it takes the
+    batch's next image, so the images in flight are consecutive and no worker
+    waits long for its turn.  Image i's d_logits row is (p_i - y_i)/n and its
+    dropout mask row i of the batch's.  Its gradient terms are added to float64
+    sums once image i-1's are in, and a failed worker releases the waiting ones.
+    The loss comes from the whole batch's probabilities after the join, so every
+    output has the bytes of _batch_step's.
+    """
+    n, size = len(idx), model.config.input_size
+    labels = dataset.labels[idx]
+    probs = np.empty((n, model.config.num_classes), dtype=np.float32)
+    sums = {name: np.zeros(p.shape) for name, p in model.params.items()}
+    turn = threading.Condition()
+    taken = added = 0
+    failed = False
+
+    def run(lo, hi):
+        nonlocal taken, added, failed
+        try:
+            for _ in range(lo, hi):
+                with turn:
+                    if failed:
+                        return
+                    i, taken = taken, taken + 1
+                image, _ = _assemble_batch(dataset, idx[i : i + 1],
+                                           None if seeds is None else seeds[i : i + 1], flip)
+                seed = None if dropout_seed is None else (dropout_seed, i)
+                p, tape = model_forward(model, image, training=True, dropout_seed=seed)
+                probs[i] = p[0]
+                terms = model_backward(tape, _logit_gradient(p, labels[i : i + 1], n))
+                with turn:
+                    turn.wait_for(lambda: added == i or failed)
+                    if failed:
+                        return
+                for name, t in terms.items():  # no other worker adds until this one's turn ends
+                    add_terms(sums[name], t)
+                with turn:
+                    added += 1
+                    turn.notify_all()
+        except BaseException:
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
+
+    _split_images(n, size, size, run)
+    loss, _ = cross_entropy(probs, labels)
+    return probs, loss, {name: s.astype(np.float32) for name, s in sums.items()}
 
 
 def train_epoch(
@@ -188,20 +273,19 @@ def train_epoch(
     _check_input_sizes(train_set, size, "train")
     _check_input_sizes(val_set, size, "val")
 
+    step = _image_step if _one_image_per_cpu(size) else _batch_step
     loss_sum = 0.0
     correct = 0
     seen = 0
-    for batch_index, (batch, labels) in enumerate(_batches(train_set, config, epoch_index)):
+    for batch_index, (idx, seeds) in enumerate(_batches(train_set, config, epoch_index)):
         dropout_seed = (
             derive_seed(config.seed, epoch_index, batch_index, 0xD0) if config.dropout_on else None
         )
-        probs, tape = model_forward(model, batch, training=True, dropout_seed=dropout_seed)
-        loss, d_logits = cross_entropy(probs, labels)
-        grads = model_backward(tape, d_logits)
+        probs, loss, grads = step(model, train_set, idx, seeds, config.flip, dropout_seed)
         sgd_step(model.params, velocity, grads, config)
-        n = len(labels)
+        n = len(idx)
         loss_sum += loss * n
-        correct += int((probs.argmax(axis=1) == labels).sum())
+        correct += int((probs.argmax(axis=1) == train_set.labels[idx]).sum())
         seen += n
 
     val_acc, _ = evaluate(model, val_set)
@@ -218,17 +302,14 @@ def train_epoch(
 def evaluate(model: Model, dataset: Dataset) -> tuple[float, np.ndarray]:
     """Accuracy and an m x m confusion matrix (true class by row).
 
-    Images of WARP_PIXELS pixels or more, with OpenBLAS on one thread, go one
-    to a forward, in image ranges split across the CPUs for the whole pass
-    (_split_images), so memory holds one image's activations per CPU.  Other
-    images go EVAL_BATCH to a forward, each op splitting the batch itself: a
-    smaller image's forward is too little work to pay for a forward of its
-    own, and threaded products ran slower one image at a time.  Each image's
+    Under _one_image_per_cpu, images go one to a forward, in image ranges split
+    across the CPUs for the whole pass (_split_images).  Other images go
+    EVAL_BATCH to a forward, each op splitting the batch itself.  Each image's
     probabilities are the bytes of its row in a batched forward.
     """
     size = model.config.input_size
     _check_input_sizes(dataset, size, "eval")
-    step = 1 if size * size >= WARP_PIXELS and ops._blas_threads() == 1 else EVAL_BATCH
+    step = 1 if _one_image_per_cpu(size) else EVAL_BATCH
     predicted = np.empty(len(dataset), dtype=np.intp)
 
     def forward(lo, hi):

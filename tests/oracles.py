@@ -270,7 +270,8 @@ def conv2d_reference(x, weight, bias, spec) -> np.ndarray:
 
 def conv2d_backward_reference(x, weight, spec, d_out) -> LayerGrads:
     """Float64 gradients of conv2d_reference: d @ W, cols.T @ d and the sum of d
-    over the [N*OH*OW, K] patches, the patch gradient folded back by _col2im."""
+    over the [N*OH*OW, K] patches, the patch gradient folded back by _col2im.
+    The weight and bias gradients are one float64 term each."""
     n = x.shape[0]
     oh, ow = spec.out_hw(*x.shape[2:])
     d = d_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, spec.out_channels).astype(np.float64)
@@ -279,6 +280,6 @@ def conv2d_backward_reference(x, weight, spec, d_out) -> LayerGrads:
     d_cols = (d @ w64.T).reshape(n, oh * ow, -1).transpose(0, 2, 1)
     return LayerGrads(
         d_input=_col2im(d_cols, x.shape, spec).astype(np.float32),
-        d_weight=(cols.T @ d).T.reshape(weight.shape).astype(np.float32),
-        d_bias=d.sum(axis=0).astype(np.float32),
+        d_weight=(cols.T @ d).T.reshape(1, *weight.shape),
+        d_bias=d.sum(axis=0)[None],
     )

@@ -27,6 +27,7 @@ from fsqnet.ops import (
     dense_forward,
     dropout_mask,
     global_avg_pool,
+    gradient,
     maxpool2d,
     relu,
     softmax,
@@ -335,7 +336,7 @@ class TestModelBackward:
         grads = model_backward(tape, d_logits)
         assert set(grads) == set(model.params)
         for name in grads:
-            assert grads[name].shape == model.params[name].shape
+            assert gradient(grads[name]).shape == model.params[name].shape
 
     def test_deterministic(self):
         model = _tiny_model()
@@ -355,8 +356,8 @@ class TestModelBackward:
         assert probs.shape == (0, config.num_classes)
         grads = model_backward(tape, np.zeros((0, config.num_classes), np.float32))
         assert set(grads) == set(model.params)
-        for name, grad in grads.items():
-            assert grad.shape == model.params[name].shape and not grad.any()
+        for name, terms in grads.items():
+            assert gradient(terms).shape == model.params[name].shape and not terms.any()
 
     def test_count_invariant_under_steps(self):
         model = _tiny_model()
@@ -365,6 +366,6 @@ class TestModelBackward:
         probs, tape = model_forward(model, x, training=True)
         _, d_logits = cross_entropy(probs, [0, 2])
         velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
-        sgd_step(model.params, velocity, model_backward(tape, d_logits),
-                 TrainConfig(learning_rate=0.01))
+        grads = {name: gradient(t) for name, t in model_backward(tape, d_logits).items()}
+        sgd_step(model.params, velocity, grads, TrainConfig(learning_rate=0.01))
         assert parameter_count(model) == before

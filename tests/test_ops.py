@@ -19,6 +19,7 @@ from fsqnet.errors import ConfigError, NumericError, ShapeError
 from fsqnet.model import Dropout, ModelConfig, build_model, model_backward, model_forward
 from fsqnet.ops import (
     ConvSpec,
+    add_terms,
     channel_concat,
     channel_split,
     conv2d_backward,
@@ -28,6 +29,7 @@ from fsqnet.ops import (
     dropout_mask,
     global_avg_pool,
     global_avg_pool_backward,
+    gradient,
     maxpool2d,
     maxpool2d_backward,
     relu,
@@ -156,6 +158,13 @@ WGRAD_BLOCK_CONVS = {
     "p4225": ((2, 16, 65, 65), ConvSpec(64, 16, 3, 3, pad=1)),
 }
 
+# v1.1's stem at 244 px, whose 14,641 positions are two of numpy's 8,192-element
+# buffers of bias sums, and at 182 px, whose 8,100 are one: (x shape, spec)
+STEM_CONVS = {
+    "stem244": ((3, 3, 244, 244), ConvSpec(64, 3, 3, 3, stride=2)),
+    "stem182": ((3, 3, 182, 182), ConvSpec(64, 3, 3, 3, stride=2)),
+}
+
 
 class TestConvSpec:
     def test_out_hw_floor(self):
@@ -276,8 +285,8 @@ class TestConvBackward:
         spec = ConvSpec(4, 3, 3, 3, stride=2, pad=1)
         g = conv2d_backward(x, w, spec, _randn(rng, 2, 4, 3, 3))
         assert g.d_input.shape == x.shape
-        assert g.d_weight.shape == w.shape
-        assert g.d_bias.shape == (4,)
+        assert gradient(g.d_weight).shape == w.shape
+        assert gradient(g.d_bias).shape == (4,)
 
     def test_misshapen_upstream(self):
         x, w = np.zeros((1, 2, 4, 4), np.float32), np.zeros((3, 2, 3, 3), np.float32)
@@ -295,8 +304,8 @@ class TestConvBackward:
         g = conv2d_backward(x, w, spec, d_out)
         forward = lambda: conv2d_forward(x, w, b, spec)
         assert rel_error(fd_gradient(forward, x, d_out), g.d_input) < FD_TOL
-        assert rel_error(fd_gradient(forward, w, d_out), g.d_weight) < FD_TOL
-        assert rel_error(fd_gradient(forward, b, d_out), g.d_bias) < FD_TOL
+        assert rel_error(fd_gradient(forward, w, d_out), gradient(g.d_weight)) < FD_TOL
+        assert rel_error(fd_gradient(forward, b, d_out), gradient(g.d_bias)) < FD_TOL
 
     @staticmethod
     def _check_bounds(x, weight, spec, d_out):
@@ -309,10 +318,12 @@ class TestConvBackward:
         terms = spec.out_channels * spec.kernel_h * spec.kernel_w  # W.T @ d, then _col2im's adds
         _assert_within_float32_bound(fast.d_input, ref.d_input, magnitude.d_input, terms)
         positions = d_out.size // spec.out_channels
-        _assert_within_blocked_bound(fast.d_weight, ref.d_weight, magnitude.d_weight,
-                                     fsqnet.ops.WGRAD_BLOCK, positions)
-        assert fast.d_bias.dtype == np.float32 and fast.d_bias.shape == ref.d_bias.shape
-        _assert_within_reordering_bound(fast.d_bias, ref.d_bias, magnitude.d_bias, positions)
+        _assert_within_blocked_bound(gradient(fast.d_weight), gradient(ref.d_weight),
+                                     gradient(magnitude.d_weight), fsqnet.ops.WGRAD_BLOCK,
+                                     positions)
+        d_bias, ref_bias = gradient(fast.d_bias), gradient(ref.d_bias)
+        assert d_bias.dtype == np.float32 and d_bias.shape == ref_bias.shape
+        _assert_within_reordering_bound(d_bias, ref_bias, gradient(magnitude.d_bias), positions)
 
     @staticmethod
     def _check_fixed_case(shape, spec):
@@ -335,6 +346,27 @@ class TestConvBackward:
     def test_within_error_bounds_across_weight_gradient_blocks(self, name):
         self._check_fixed_case(*WGRAD_BLOCK_CONVS[name])
 
+    @pytest.mark.parametrize("name", [*WGRAD_BLOCK_CONVS, *STEM_CONVS])
+    def test_images_added_in_order_give_the_bytes_of_the_batch(self, name):
+        shape, spec = {**WGRAD_BLOCK_CONVS, **STEM_CONVS}[name]
+        rng = np.random.default_rng(23)
+        x = _randn(rng, 3, *shape[1:])
+        weight = _randn(rng, spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
+        d_out = _randn(rng, 3, spec.out_channels, *spec.out_hw(*shape[2:]))
+        d_out[d_out < -1.0] = 0.0  # as ReLU's backward leaves it
+        batch = conv2d_backward(x, weight, spec, d_out)
+        # the bias terms keep the order of numpy's own sum over images and positions
+        numpy_sum = d_out.sum(axis=(0, 2, 3), dtype=np.float64)
+        assert batch.d_bias.tobytes() == numpy_sum[None].tobytes()
+        d_weight, d_bias = np.zeros(weight.shape), np.zeros(spec.out_channels)
+        for i in range(len(x)):
+            image = conv2d_backward(x[i : i + 1], weight, spec, d_out[i : i + 1])
+            assert image.d_input.tobytes() == batch.d_input[i : i + 1].tobytes()
+            add_terms(d_weight, image.d_weight)
+            add_terms(d_bias, image.d_bias)
+        assert d_weight[None].tobytes() == batch.d_weight.tobytes()
+        assert d_bias[None].tobytes() == batch.d_bias.tobytes()
+
     def test_blas_thread_count_leaves_weight_gradient_bytes_unchanged(self):
         # batch 8, as v1.1@244 trains, and v1.1@244's stem with 14,641 positions:
         # whole-plane float32 products change bytes with the thread count there
@@ -351,12 +383,12 @@ class TestConvBackward:
         assert digests[0] == digests[1]
 
 
-# one SHA-256 of conv2d_backward's d_weight per case, for the JSON list of
+# one SHA-256 of conv2d_backward's weight gradient per case, for the JSON list of
 # [x shape, ConvSpec fields] in argv[1]
 _WEIGHT_GRADIENT_DIGESTS = """
 import hashlib, json, sys
 import numpy as np
-from fsqnet.ops import ConvSpec, conv2d_backward
+from fsqnet.ops import ConvSpec, conv2d_backward, gradient
 
 for shape, fields in json.loads(sys.argv[1]):
     spec = ConvSpec(*fields)
@@ -366,7 +398,8 @@ for shape, fields in json.loads(sys.argv[1]):
                                   spec.kernel_w), dtype=np.float32)
     d_out = rng.standard_normal((shape[0], spec.out_channels, *spec.out_hw(*shape[2:])),
                                 dtype=np.float32)
-    print(hashlib.sha256(conv2d_backward(x, weight, spec, d_out).d_weight.tobytes()).hexdigest())
+    terms = conv2d_backward(x, weight, spec, d_out).d_weight
+    print(hashlib.sha256(gradient(terms).tobytes()).hexdigest())
 """
 
 
@@ -560,6 +593,22 @@ class TestGlobalAvgPool:
 
 
 class TestDense:
+    # v1.1's and tiny's head layers: (images, features, units)
+    @pytest.mark.parametrize("n,f,u", [(5, 512, 512), (5, 512, 24), (5, 128, 32), (5, 32, 3)])
+    def test_images_added_in_order_give_the_bytes_of_the_batch(self, n, f, u):
+        rng = np.random.default_rng(24)
+        x, w, d_out = _randn(rng, n, f), _randn(rng, f, u), _randn(rng, n, u)
+        batch = dense_backward(x, w, d_out)
+        d_weight, d_bias = np.zeros((f, u)), np.zeros(u)
+        for i in range(n):
+            image = dense_backward(x[i : i + 1], w, d_out[i : i + 1])
+            assert image.d_input.tobytes() == batch.d_input[i : i + 1].tobytes()
+            add_terms(d_weight, image.d_weight)
+            add_terms(d_bias, image.d_bias)
+        # BLAS sums x.T @ d over the images in their order
+        assert d_weight[None].tobytes() == batch.d_weight.tobytes()
+        assert d_bias.tobytes() == batch.d_bias.sum(axis=0).tobytes()
+
     def test_identity_weight(self):
         x = np.random.default_rng(11).standard_normal((3, 4)).astype(np.float32)
         out = dense_forward(x, np.eye(4, dtype=np.float32), np.zeros(4, np.float32))
@@ -608,8 +657,8 @@ class TestDense:
         g = dense_backward(x, w, d_out)
         forward = lambda: dense_forward(x, w, b)
         assert rel_error(fd_gradient(forward, x, d_out), g.d_input) < FD_TOL
-        assert rel_error(fd_gradient(forward, w, d_out), g.d_weight) < FD_TOL
-        assert rel_error(fd_gradient(forward, b, d_out), g.d_bias) < FD_TOL
+        assert rel_error(fd_gradient(forward, w, d_out), gradient(g.d_weight)) < FD_TOL
+        assert rel_error(fd_gradient(forward, b, d_out), gradient(g.d_bias)) < FD_TOL
 
 
 class TestSoftmax:
@@ -677,6 +726,12 @@ class TestDropout:
     def test_deterministic_per_seed(self):
         a = dropout_mask((10, 10), 0.3, seed=7)
         assert np.array_equal(a, dropout_mask((10, 10), 0.3, seed=7))
+
+    def test_a_row_is_that_row_of_the_batch_mask(self):
+        batch = dropout_mask((5, 37), 0.5, seed=8)
+        for row in range(5):
+            assert dropout_mask((1, 37), 0.5, 8, row).tobytes() == batch[row : row + 1].tobytes()
+        assert dropout_mask((2, 37), 0.5, 8, 3).tobytes() == batch[3:].tobytes()
 
     def test_mask_values(self):
         mask = dropout_mask((1000,), 0.25, seed=3)

@@ -19,6 +19,7 @@ import fsqnet.data
 import fsqnet.train
 from fsqnet.data import Dataset
 from fsqnet.model import build_model, tiny_config
+from fsqnet.train import TrainConfig
 from test_data import SPLIT_SIZE, _record_split_threads, _write_split_sources
 from test_ops import _force_split
 
@@ -114,3 +115,22 @@ def test_split_evaluation_traces_one_image_per_forward_on_every_thread(tracer, m
     assert len({s.thread for s in forwards}) >= 2
     [evaluation] = [s for s in recorder.spans if s.name == "train.evaluate"]
     assert evaluation.thread == threading.current_thread().name
+
+
+def test_split_training_traces_one_image_per_forward_and_backward_on_every_thread(
+        tracer, monkeypatch):
+    samples = np.random.default_rng(0).integers(0, 256, (5, SPLIT_SIZE, SPLIT_SIZE, 3), np.uint8)
+    dataset = Dataset(samples, [0, 1, 0, 1, 0], ["a", "b"], (0.5, 0.5, 0.5))
+    model = build_model(tiny_config(num_classes=2, input_size=SPLIT_SIZE), 0)
+    velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
+    _force_split(monkeypatch, 3)
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        fsqnet.train.train_epoch(model, velocity, dataset, dataset, TrainConfig(batch_size=5), 1)
+    forwards = [s for s in recorder.spans
+                if s.name == "model.model_forward" and s.attrs["training"]]
+    backwards = [s for s in recorder.spans if s.name == "model.model_backward"]
+    assert [s.attrs["n"] for s in forwards] == [s.attrs["n"] for s in backwards] == [1] * 5
+    assert len({s.thread for s in forwards}) >= 2
+    [epoch] = [s for s in recorder.spans if s.name == "train.train_epoch"]
+    assert epoch.thread == threading.current_thread().name

@@ -3,6 +3,7 @@ import math
 import statistics
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import asdict, fields
 from unittest import mock
@@ -25,6 +26,7 @@ from fsqnet.model import (
     model_forward,
     tiny_config,
 )
+from fsqnet.ops import gradient
 from fsqnet.synthetic import make_dataset
 from fsqnet.train import (
     EpochMetrics,
@@ -181,7 +183,7 @@ class TestSgdStep:
             model = build_model(tiny_config(num_classes=2), seed)
             probs, tape = model_forward(model, batch, training=True)
             loss_before, d_logits = cross_entropy(probs, labels)
-            grads = model_backward(tape, d_logits)
+            grads = {n: gradient(t) for n, t in model_backward(tape, d_logits).items()}
             initial = clone_params(model.params)
             decreased = False
             for lr in (0.01, 0.003, 0.001, 0.0003):
@@ -308,6 +310,13 @@ class TestAssembleBatch:
         assert sliced_labels.tolist() == listed_labels.tolist()
 
 
+def _split_set(count=5, seed=3, size=SPLIT_SIZE) -> Dataset:
+    """`count` random size x size images in three classes; from SPLIT_SIZE on,
+    training and evaluation run them one at a time, split by image."""
+    samples = np.random.default_rng(seed).integers(0, 256, (count, size, size, 3), np.uint8)
+    return Dataset(samples, np.arange(count) % 3, ["a", "b", "c"], compute_channel_means(samples))
+
+
 def _rigged_class0_model() -> Model:
     """Tiny 2-class model whose dense2 layer always votes for class 0."""
     model = build_model(tiny_config(num_classes=2), 0)
@@ -352,14 +361,6 @@ class TestEvaluate:
         assert accuracy == hits / len(dataset.samples)
 
     @staticmethod
-    def _split_set(count=5, seed=3) -> Dataset:
-        """`count` random SPLIT_SIZE images in three classes: evaluation splits them by image."""
-        samples = np.random.default_rng(seed).integers(
-            0, 256, (count, SPLIT_SIZE, SPLIT_SIZE, 3), np.uint8)
-        return Dataset(samples, np.arange(count) % 3, ["a", "b", "c"],
-                       compute_channel_means(samples))
-
-    @staticmethod
     def _record_forward_threads(monkeypatch) -> list[threading.Thread]:
         """The thread of each evaluation forward from now on."""
         forward, threads = fsqnet.train.model_forward, []
@@ -373,7 +374,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("workers", [1, 3, 5])
     def test_split_pass_equals_one_batched_forward(self, monkeypatch, workers):
-        dataset = self._split_set()
+        dataset = _split_set()
         model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
         probs = model_forward(model, normalize(dataset.samples, dataset.channel_means))
         expected = np.zeros((3, 3), np.int64)
@@ -395,7 +396,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("blas_threads", [2, None], ids=["two-blas-threads", "no-openblas"])
     def test_without_one_blas_thread_the_batch_stays_whole(self, monkeypatch, blas_threads):
         # threaded products ran slower one image at a time
-        dataset = self._split_set()
+        dataset = _split_set()
         model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
         _force_split(monkeypatch, 3)
         monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: blas_threads)
@@ -407,7 +408,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("config", [tiny_config(num_classes=3, input_size=SPLIT_SIZE),
                                         ModelConfig(input_size=SPLIT_SIZE)], ids=["tiny", "v11"])
     def test_each_image_gives_its_row_of_the_batched_forward(self, config):
-        dataset = self._split_set()
+        dataset = _split_set()
         model = build_model(config, 8)
         batch = normalize(dataset.samples, dataset.channel_means)
         rows = model_forward(model, batch)
@@ -416,7 +417,7 @@ class TestEvaluate:
 
     def test_peak_memory_does_not_grow_with_the_images(self, monkeypatch):
         # with one worker the peak does not depend on how the workers' peaks overlap
-        dataset = self._split_set(16)
+        dataset = _split_set(16)
         model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
 
         def peak(count, workers):
@@ -437,7 +438,7 @@ class TestEvaluate:
         assert peak(16, 3) < 3 * one + 2**20
 
     def test_non_finite_split_pass_raises_after_every_join(self, monkeypatch):
-        dataset = self._split_set()
+        dataset = _split_set()
         model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
         model.params["dense2/weight"][0, 0] = np.nan
         _force_split(monkeypatch, 3)
@@ -447,6 +448,152 @@ class TestEvaluate:
             evaluate(model, dataset)
         assert threading.active_count() == threads
         assert len(set(forwards)) == 3  # each worker stopped at its first image
+
+
+def _record_training_forwards(monkeypatch) -> list[tuple[threading.Thread, int]]:
+    """The thread and image count of each training forward from now on."""
+    forward, calls = fsqnet.train.model_forward, []
+
+    def recording(model, batch, training=False, dropout_seed=None):
+        if training:
+            calls.append((threading.current_thread(), len(batch)))
+        return forward(model, batch, training, dropout_seed)
+
+    monkeypatch.setattr(fsqnet.train, "model_forward", recording)
+    return calls
+
+
+def _epoch_outcome(model, dataset, config) -> list[Exception]:
+    """What one epoch raised, run on a thread of its own so that a hang fails the test."""
+    threads = threading.active_count()
+    raised = []
+
+    def run():
+        try:
+            train_epoch(model, _zero_velocity(model), dataset, dataset, config, 1)
+        except Exception as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the epoch hung"
+    assert threading.active_count() == threads  # every worker joined
+    return raised
+
+
+class TestImageStep:
+    """Training at SPLIT_SIZE and up, with OpenBLAS on one thread, runs each image
+    alone through assembly, forward and backward, split across the CPUs."""
+
+    CONFIGS = {"tiny": tiny_config(num_classes=3, input_size=SPLIT_SIZE),
+               "v11": ModelConfig(num_classes=3, input_size=182)}
+
+    @staticmethod
+    def _epoch(config: ModelConfig, train_config: TrainConfig) -> tuple[bytes, str]:
+        """The parameter bytes and metrics line after one epoch on 5 images."""
+        model = build_model(config, 4)
+        train_set = _split_set(5, seed=5, size=config.input_size)
+        val_set = _split_set(2, seed=6, size=config.input_size)
+        metrics = train_epoch(model, _zero_velocity(model), train_set, val_set, train_config, 1)
+        return b"".join(p.tobytes() for p in model.params.values()), metrics.to_json_line()
+
+    @pytest.mark.parametrize("augment", [False, True], ids=["plain", "augment-flip-dropout"])
+    @pytest.mark.parametrize("arch", ["tiny", "v11"])
+    def test_epoch_gives_the_bytes_of_the_batched_epoch(self, monkeypatch, arch, augment):
+        config = self.CONFIGS[arch]
+        # batches of 3 and 2, so momentum carries over and the last batch is partial
+        train_config = TrainConfig(learning_rate=0.05, batch_size=3, seed=11, dropout_on=augment,
+                                   augment=augment, flip=augment, deterministic=True)
+        with mock.patch.object(fsqnet.train, "_one_image_per_cpu", return_value=False):
+            expected = self._epoch(config, train_config)
+        for workers in (1, 2, 3):
+            _force_split(monkeypatch, workers)
+            calls = _record_training_forwards(monkeypatch)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # the workers interleave as often as they can
+            try:
+                assert self._epoch(config, train_config) == expected
+            finally:
+                sys.setswitchinterval(interval)
+                monkeypatch.undo()
+            assert [n for _, n in calls] == [1] * 5
+            # each step runs on the caller and on min(images, workers) - 1 threads of its own
+            assert len({thread for thread, _ in calls}) == {1: 1, 2: 3, 3: 4}[workers]
+
+    @pytest.mark.parametrize("blas_threads", [2, None], ids=["two-blas-threads", "no-openblas"])
+    def test_without_one_blas_thread_the_batch_stays_whole(self, monkeypatch, blas_threads):
+        _force_split(monkeypatch, 3)
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: blas_threads)
+        calls = _record_training_forwards(monkeypatch)
+        self._epoch(self.CONFIGS["tiny"], TrainConfig(batch_size=5))
+        assert calls == [(threading.current_thread(), 5)]
+
+    def test_peak_memory_does_not_grow_with_the_images(self, monkeypatch):
+        # one worker, as for evaluation: the peak does not depend on how workers overlap
+        dataset = _split_set(8)
+        val_set = _split_set(2, seed=6)
+        model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
+        _force_split(monkeypatch, 1)
+
+        def peak(count):
+            images = Dataset(dataset.samples[:count], dataset.labels[:count],
+                             dataset.label_names, dataset.channel_means)
+            velocity = _zero_velocity(model)
+            tracemalloc.start()
+            try:
+                train_epoch(model, velocity, images, val_set, TrainConfig(batch_size=count), 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-call allocations
+        assert peak(8) - peak(2) < 2**20
+
+    def test_non_finite_step_raises_after_every_join(self, monkeypatch):
+        model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
+        model.params["dense2/weight"][0, 0] = np.nan
+        _force_split(monkeypatch, 3)
+        raised = _epoch_outcome(model, _split_set(), TrainConfig(batch_size=5))
+        assert len(raised) == 1 and isinstance(raised[0], NumericError)
+
+    @staticmethod
+    def _slow_first_image(monkeypatch, fail: bool) -> list[int]:
+        """Hold the batch's first image until the other workers wait for their turn,
+        then fail it or let it go on; returns the image of each add_terms call."""
+        forward, add = fsqnet.train.model_forward, fsqnet.train.add_terms
+        current, added = threading.local(), []
+
+        def slow(model, batch, training=False, dropout_seed=None):
+            if training:
+                current.image = dropout_seed[1]  # (the batch's seed, the image's row)
+                if current.image == 0:
+                    time.sleep(0.3)
+                    if fail:
+                        raise NumericError("image 0")
+            return forward(model, batch, training, dropout_seed)
+
+        def recording(acc, terms):
+            added.append(current.image)
+            add(acc, terms)
+
+        monkeypatch.setattr(fsqnet.train, "model_forward", slow)
+        monkeypatch.setattr(fsqnet.train, "add_terms", recording)
+        return added
+
+    def test_images_add_their_terms_in_image_order(self, monkeypatch):
+        model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
+        _force_split(monkeypatch, 3)
+        added = self._slow_first_image(monkeypatch, fail=False)
+        assert _epoch_outcome(model, _split_set(), TrainConfig(batch_size=5, dropout_on=True)) == []
+        assert added == sorted(added) and set(added) == set(range(5))
+
+    def test_a_failed_image_releases_the_images_waiting_for_their_turn(self, monkeypatch):
+        model = build_model(tiny_config(num_classes=3, input_size=SPLIT_SIZE), 4)
+        _force_split(monkeypatch, 3)
+        added = self._slow_first_image(monkeypatch, fail=True)
+        raised = _epoch_outcome(model, _split_set(), TrainConfig(batch_size=5, dropout_on=True))
+        assert [str(exc) for exc in raised] == ["image 0"] and added == []
 
 
 class TestPearson:

@@ -164,6 +164,18 @@ def _split(n: int, size: int, work) -> None:
         raise errors[0]
 
 
+def _blocks(lo: int, hi: int, c: int, plane: int, size: int):
+    """Index pairs (images, channels) that tile images [lo, hi) x channels [0, c)
+    of planes of `plane` elements, in order, in blocks of at most `size`
+    elements: as many whole images as fit, else ranges of one image's channels
+    (one channel when a plane alone is larger)."""
+    images = max(1, size // max(1, c * plane))
+    channels = max(1, min(c, size // plane))
+    for i in range(lo, hi, images):
+        for c0 in range(0, c, channels):
+            yield slice(i, min(i + images, hi)), slice(c0, c0 + channels)
+
+
 def _require_4d(x: np.ndarray, what: str) -> None:
     if x.ndim != 4:
         raise ShapeError(f"{what} must be 4-D NCHW, got shape {x.shape}")
@@ -314,21 +326,35 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+    """Gradient of relu at x: d_out where x > 0, else +0.0, written into d_out
+    and returned.
+
+    Callers hand over an upstream gradient they do not read again.  The bytes
+    are those of np.where(x > 0, d_out, 0): d_out's bits are kept under an
+    all-ones mask, so x <= 0 and NaN give +0.0.  The mask covers one block of
+    POOL_BLOCK_BYTES // 8 elements at a time (_blocks), so it stays under
+    1 MiB.  Image ranges run on their own threads.
+    """
     if x.shape != d_out.shape:
         raise ShapeError(f"relu_backward shape mismatch: {x.shape} vs {d_out.shape}")
-    d_bits = np.asarray(d_out, np.float32).view(np.int32)
-    bits = np.empty(x.shape, dtype=np.int32)
+    if d_out.dtype != np.float32:
+        raise ShapeError(f"relu_backward writes into a float32 d_out, got {d_out.dtype}")
+    x2, d_bits = np.atleast_2d(x, d_out.view(np.int32))  # [N, C, ...], views
+    n, c = x2.shape[:2]
 
     def work(lo, hi):
-        np.negative(x[lo:hi] > 0, dtype=np.int32, out=bits[lo:hi])  # all ones where x > 0
-        bits[lo:hi] &= d_bits[lo:hi]  # so x <= 0 gives +0.0
+        for block in _blocks(lo, hi, c, math.prod(x2.shape[2:]), POOL_BLOCK_BYTES // 8):
+            d_bits[block] &= np.negative(x2[block] > 0, dtype=np.int32)  # all ones where x > 0
 
-    _split(len(x), x.size, work)
-    return bits.view(np.float32)
+    _split(n, x.size, work)
+    return d_out
 
 
-# column maxima a max pool holds at once: a few channels of v1.1@244's first
-# pool at batch 8, all of tiny@32's; blocks in cache beat one pass over the tensor
+# bytes a max pool holds at once: the forward's float32 column maxima, the
+# backward's float64 sums (relu_backward's mask covers as many elements as
+# those sums).  A few channels of v1.1@244's first pool, several
+# whole tiny@32 images; blocks in cache beat one pass over the tensor, and
+# 1 MiB ran the backward at pool1 faster than 256 KiB, 512 KiB or 2 MiB
 POOL_BLOCK_BYTES = 1 << 20
 
 
@@ -378,8 +404,10 @@ def maxpool2d_backward(
     y is maxpool2d(x, kernel, stride).  Ties break toward the lowest flat
     index, so the backward pass is deterministic even on plateaus (a window
     whose maximum is NaN routes to its first position).  Overlapping windows
-    accumulate in float64, in window order, one image at a time.
-    Image ranges run on their own threads.
+    accumulate in float64, in window order, in blocks of at most
+    POOL_BLOCK_BYTES of sums (_blocks); each sum takes only its own plane's
+    windows, so the bytes do not depend on the blocks.  Image ranges run on
+    their own threads.
     """
     _require_4d(x, "maxpool input")
     n, c, h, w = x.shape
@@ -387,35 +415,37 @@ def maxpool2d_backward(
     expected = (n, c, oh, ow)
     if y.shape != expected or d_out.shape != expected:
         raise ShapeError(f"pool output {y.shape} and d_out {d_out.shape}, expected {expected}")
-    # every window's element at each offset, in row-major offset order
-    taps = [x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-            for i in range(kernel) for j in range(kernel)]
-    # flat index within an image of each tap's offset and of each window's corner
-    index = np.int32 if c * h * w < 2**31 else np.int64
+    bins, plane = POOL_BLOCK_BYTES // 8, h * w  # float64 sums per block, per channel
+    # flat index within a plane of each tap's offset and of each window's corner
+    index = np.int32 if max(bins, plane) < 2**31 else np.int64
     offsets = np.array([i * w + j for i in range(kernel) for j in range(kernel)], dtype=index)
-    i, j = np.arange(oh, dtype=index)[:, None], np.arange(ow, dtype=index)
-    corners = np.arange(c, dtype=index)[:, None, None] * (h * w) + (i * w + j) * stride
+    corners = (np.arange(oh, dtype=index)[:, None] * w + np.arange(ow, dtype=index)) * stride
     d_input = np.empty(x.shape, dtype=np.float32)
 
     def work(lo, hi):
-        y_m = y[lo:hi]
-        # tap number of each window's first maximum: scan from the last tap back
-        # so the lowest match is written last; first - (first - k) * match is a
-        # branch-free "k where match"
-        first = np.zeros(y_m.shape, dtype=np.min_scalar_type(-len(taps)))
-        step = np.empty_like(first)
-        match = np.empty(y_m.shape, dtype=bool)
-        for k in reversed(range(len(taps))):
-            np.equal(taps[k][lo:hi], y_m, out=match)
-            np.subtract(first, k, out=step)
-            step *= match
-            first -= step
-        flat = offsets[first] + corners
-        for image in range(lo, hi):
-            # bincount adds in window order, in float64; one image's sums fit in cache
-            sums = np.bincount(flat[image - lo].ravel(), weights=d_out[image].ravel(),
-                               minlength=c * h * w)
-            d_input[image] = sums.reshape(c, h, w)
+        for images, channels in _blocks(lo, hi, c, plane, bins):
+            x_b, y_b = x[images, channels], y[images, channels]
+            # tap number of each window's first maximum: scan from the last tap back
+            # so the lowest match is written last; first - (first - k) * match is a
+            # branch-free "k where match"
+            first = np.zeros(y_b.shape, dtype=np.min_scalar_type(-kernel * kernel))
+            step = np.empty_like(first)
+            match = np.empty(y_b.shape, dtype=bool)
+            for k in reversed(range(kernel * kernel)):
+                i, j = divmod(k, kernel)
+                np.equal(x_b[..., i : i + stride * oh : stride, j : j + stride * ow : stride],
+                         y_b, out=match)
+                np.subtract(first, k, out=step)
+                step *= match
+                first -= step
+            m, cb = y_b.shape[:2]
+            flat = offsets[first]
+            flat += corners
+            flat += np.arange(m * cb, dtype=index).reshape(m, cb, 1, 1) * plane
+            # bincount adds in window order, in float64
+            sums = np.bincount(flat.ravel(), weights=d_out[images, channels].ravel(),
+                               minlength=x_b.size)
+            d_input[images, channels] = sums.reshape(x_b.shape)
 
     _split(n, x.size, work)
     return d_input

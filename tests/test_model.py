@@ -359,6 +359,23 @@ class TestModelBackward:
         for name, terms in grads.items():
             assert gradient(terms).shape == model.params[name].shape and not terms.any()
 
+    def test_one_large_image_backward_holds_little_scratch(self):
+        # each CPU trains one v1.1@244 image at a time: its tape is 13 MB, and
+        # the gradients and scratch of its backward stay within 10 MB on top
+        model = build_model(ModelConfig(), 0)
+        x = _batch(np.random.default_rng(8), 1, size=244)
+        tracemalloc.start()
+        try:
+            probs, tape = model_forward(model, x, training=True, dropout_seed=1)
+            d_logits = cross_entropy(probs, [3])[1]
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model_backward(tape, d_logits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live <= 10e6
+
     def test_count_invariant_under_steps(self):
         model = _tiny_model()
         before = parameter_count(model)

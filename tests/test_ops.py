@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -420,6 +421,28 @@ class TestRelu:
         with pytest.raises(ShapeError):
             relu_backward(np.zeros((2, 3), np.float32), np.zeros((3, 2), np.float32))
 
+    def test_backward_writes_into_d_out(self):
+        rng = np.random.default_rng(7)
+        x = _randn(rng, 2, 5, 3, 3)
+        d = _randn(rng, *x.shape)
+        expected = np.where(x > 0, d, np.float32(0.0))
+        out = relu_backward(x, d)
+        assert out is d and out.tobytes() == expected.tobytes()
+        # the two halves of a Fire's upstream gradient, strided views of one array
+        whole = _randn(rng, *x.shape)
+        expected = np.where(x > 0, whole, np.float32(0.0))
+        for half, x_half in zip(channel_split(whole, 2), (x[:, :2], x[:, 2:])):
+            assert relu_backward(x_half, half) is half
+        assert whole.tobytes() == expected.tobytes()
+
+    def test_backward_empty_batch(self):
+        x = np.zeros((0, 4, 3, 3), np.float32)
+        assert relu_backward(x, x.copy()).shape == x.shape
+
+    def test_backward_needs_float32_d_out(self):
+        with pytest.raises(ShapeError):
+            relu_backward(np.zeros(3, np.float32), np.zeros(3))
+
     def test_backward_bytes_match_where(self):
         ds = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 3.5, -2.0], np.float32)
         ys = np.array([-1.0, -0.0, 0.0, 1e-45, 2.0, np.nan], np.float32)
@@ -471,14 +494,17 @@ class TestMaxPool:
         assert out[0, 0, 1, 1] == 4.0  # the center wins all four windows
 
     @given(
-        st.integers(1, 2),
+        st.integers(1, 3),
         st.integers(1, 3),
         st.sampled_from([(2, 2), (3, 2), (2, 1), (3, 1), (3, 3)]),
         st.booleans(),
+        st.sampled_from([1, 200, fsqnet.ops.POOL_BLOCK_BYTES]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60)
-    def test_matches_naive_oracle_bit_exactly(self, n, c, window, plateaus, seed):
+    def test_matches_naive_oracle_bit_exactly(self, n, c, window, plateaus, block_bytes, seed):
+        # 1 byte gives one channel a block; 200 bytes (25 sums) several small
+        # images or a few channels a block, with a partial last block
         kernel, stride = window
         rng = np.random.default_rng(seed)
         h, w = (int(v) for v in rng.integers(kernel, 10, size=2))
@@ -489,10 +515,24 @@ class TestMaxPool:
         y = maxpool2d(x, kernel, stride)
         d_out = _randn(rng, *y.shape)
         assert np.array_equal(y, naive_maxpool2d(x, kernel, stride))
-        assert np.array_equal(
-            maxpool2d_backward(x, y, kernel, stride, d_out),
-            naive_maxpool2d_backward(x, kernel, stride, d_out),
-        )
+        with mock.patch.object(fsqnet.ops, "POOL_BLOCK_BYTES", block_bytes):
+            d_input = maxpool2d_backward(x, y, kernel, stride, d_out)
+        assert np.array_equal(d_input, naive_maxpool2d_backward(x, kernel, stride, d_out))
+
+    def test_backward_scratch_is_bounded(self):
+        # v1.1@244's first pool, one image: the sums of one image would take 7.5 MB
+        rng = np.random.default_rng(8)
+        x = _randn(rng, 1, 64, 121, 121)
+        y = maxpool2d(x, 3, 2)
+        d_out = _randn(rng, *y.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            d_input = maxpool2d_backward(x, y, 3, 2, d_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before - d_input.nbytes < 4 << 20
 
     @given(
         st.integers(1, 2),

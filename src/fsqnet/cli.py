@@ -8,6 +8,7 @@ compatibility errors, 4 I/O errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import ctypes
 import functools
 import json
@@ -275,10 +276,10 @@ def cmd_eval(args) -> int:
     accuracy, confusion = evaluate(model, eval_set)
     _emit({"accuracy": accuracy, "n": len(eval_set)})
     if args.confusion is not None:
-        with open(args.confusion, "w", encoding="utf-8") as fh:
-            fh.write("," + ",".join(label_names) + "\n")
-            for name, row in zip(label_names, confusion):
-                fh.write(name + "," + ",".join(str(int(c)) for c in row) + "\n")
+        with open(args.confusion, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")  # quotes only names that need it
+            writer.writerow(["", *label_names])
+            writer.writerows([name, *map(int, row)] for name, row in zip(label_names, confusion))
     return 0
 
 

@@ -212,7 +212,9 @@ def _split_images(n: int, h: int, w: int, work) -> None:
 
 
 def _round_u8(values: np.ndarray) -> np.ndarray:
-    return np.clip(np.floor(values + 0.5), 0.0, 255.0).astype(np.uint8)
+    """values rounded half up and clamped to uint8, computed in values itself."""
+    np.floor(np.add(values, 0.5, out=values), out=values)
+    return np.clip(values, 0.0, 255.0, out=values).astype(np.uint8)
 
 
 def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -> np.ndarray:
@@ -236,9 +238,15 @@ def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -
     planes = pixels.transpose(3, 0, 1, 2).reshape(3, n * h * w)
     offsets = np.arange(0, n * h * w, h * w).reshape(n, 1, 1)
     r0, r1 = y0 * w + offsets, y1 * w + offsets
-    top = planes.take(r0 + x0, axis=1) * gx + planes.take(r0 + x1, axis=1) * fx
-    bottom = planes.take(r1 + x0, axis=1) * gx + planes.take(r1 + x1, axis=1) * fx
-    return (top * (1.0 - fy) + bottom * fy).transpose(1, 2, 3, 0)
+    # (A*gx + B*fx) * (1-fy) + (C*gx + D*fx) * fy, one float64 step at a time, in 3 buffers
+    top, t = planes.take(r0 + x0, axis=1) * gx, planes.take(r0 + x1, axis=1) * fx
+    top += t
+    bottom = planes.take(r1 + x0, axis=1) * gx
+    bottom += np.multiply(planes.take(r1 + x1, axis=1), fx, out=t)
+    top *= 1.0 - fy
+    bottom *= fy
+    top += bottom
+    return top.transpose(1, 2, 3, 0)
 
 
 def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
@@ -341,7 +349,8 @@ def _warp(pixels: np.ndarray, crop_w, crop_h, off_x, off_y, angle_deg, gain,
             rot_y = np.clip(-sin_t * x + cos_t * ys + cy, 0.0, h - 1.0)
             src_x = np.clip((rot_x + 0.5) * (cw / w) - 0.5, 0.0, cw - 1.0) + ox
             src_y = np.clip((rot_y + 0.5) * (ch / h) - 0.5, 0.0, ch - 1.0) + oy
-            samples = _sample_bilinear(pixels[k:j], src_x, src_y) * g[..., None]
+            samples = _sample_bilinear(pixels[k:j], src_x, src_y)
+            samples *= g[..., None]
             out[:, k:j] = _round_u8(samples).transpose(3, 0, 1, 2)
 
     _split_images(n, h, w, work)

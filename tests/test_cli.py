@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import os
@@ -401,6 +402,23 @@ class TestEval:
         assert [r[0] for r in rows] == ["a", "b"]
         for row in rows:
             assert sum(int(c) for c in row[1:]) == 12  # per-class sample count
+
+    def test_confusion_csv_quotes_class_names(self, workspace, tmp_path, capsys):
+        # a comma or a quote in a class directory's name must not shift the columns
+        names = ["a,b", 'q"x']
+        data = tmp_path / "data"
+        for old, new in zip(["a", "b"], names):
+            shutil.copytree(workspace["data"] / old, data / new)
+        checkpoint, csv_path = tmp_path / "model.fsq", tmp_path / "conf.csv"
+        assert main(["train", "--data", str(data), "--out", str(checkpoint)] + TRAIN_FLAGS) == 0
+        assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data),
+                     "--confusion", str(csv_path)]) == 0
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["", *names]
+        assert [row[0] for row in rows[1:]] == names
+        assert [sum(int(c) for c in row[1:]) for row in rows[1:]] == [12, 12]
+        assert csv_path.read_text(encoding="utf-8").splitlines()[0] == ',"a,b","q""x"'
 
     def test_extra_class_is_exit_3(self, workspace, tmp_path, capsys):
         extra = tmp_path / "extra_data"

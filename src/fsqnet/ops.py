@@ -78,14 +78,9 @@ class LayerGrads:
 
 
 def add_terms(acc: np.ndarray, terms: np.ndarray) -> None:
-    """Add terms to the float64 sum acc one at a time, in order.  Several go in one
-    sum(axis=0) over [acc, *terms], which adds row after row; a one-element sum
-    would be pairwise, so it loops."""
-    if len(terms) > 1 and acc.size > 1:
-        np.concatenate((acc[None], terms), dtype=np.float64).sum(axis=0, out=acc)
-    else:
-        for term in terms:
-            acc += term
+    """Add terms to the float64 sum acc one at a time, in order."""
+    for term in terms:
+        acc += term
 
 
 def gradient(terms: np.ndarray) -> np.ndarray:
@@ -359,8 +354,8 @@ def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 
 
 # bytes a max pool holds at once: the forward's float32 column maxima, the
-# backward's float64 sums and one-byte search arrays (relu_backward's mask covers
-# as many elements as those sums).  A few channels of v1.1@244's first pool, several
+# backward's float64 sums (relu_backward's mask covers as many elements as
+# those sums).  A few channels of v1.1@244's first pool, several
 # whole tiny@32 images; blocks in cache beat one pass over the tensor, and
 # 1 MiB ran the backward at pool1 faster than 256 KiB, 512 KiB or 2 MiB
 POOL_BLOCK_BYTES = 1 << 20
@@ -409,13 +404,13 @@ def maxpool2d_backward(
 ) -> np.ndarray:
     """Route each upstream gradient to the first maximal position in its window.
 
-    y is maxpool2d(x, kernel, stride).  Ties break toward the lowest flat index,
-    so the backward is deterministic even on plateaus (a window whose maximum is
-    NaN routes to its first position).  The search runs in one-byte arrays over
-    blocks of POOL_BLOCK_BYTES windows, and within them overlapping windows add
-    in float64, in window order, in blocks of POOL_BLOCK_BYTES of sums (_blocks);
-    each sum takes only its own plane's windows, so the bytes do not depend on
-    the blocks.  Image ranges run on their own threads.
+    y is maxpool2d(x, kernel, stride).  Ties break toward the lowest flat
+    index, so the backward pass is deterministic even on plateaus (a window
+    whose maximum is NaN routes to its first position).  Overlapping windows
+    accumulate in float64, in window order, in blocks of at most
+    POOL_BLOCK_BYTES of sums (_blocks); each sum takes only its own plane's
+    windows, so the bytes do not depend on the blocks.  Image ranges run on
+    their own threads.
     """
     _require_4d(x, "maxpool input")
     n, c, h, w = x.shape
@@ -431,31 +426,29 @@ def maxpool2d_backward(
     d_input = np.empty(x.shape, dtype=np.float32)
 
     def work(lo, hi):
-        for search in _blocks(lo, hi, c, oh * ow, POOL_BLOCK_BYTES):
-            x_s, y_s, d_s, d_in = x[search], y[search], d_out[search], d_input[search]
+        for images, channels in _blocks(lo, hi, c, plane, bins):
+            x_b, y_b = x[images, channels], y[images, channels]
             # tap number of each window's first maximum: scan from the last tap back
             # so the lowest match is written last; first - (first - k) * match is a
             # branch-free "k where match"
-            first = np.zeros(y_s.shape, dtype=np.min_scalar_type(-kernel * kernel))
+            first = np.zeros(y_b.shape, dtype=np.min_scalar_type(-kernel * kernel))
             step = np.empty_like(first)
-            match = np.empty(y_s.shape, dtype=bool)
+            match = np.empty(y_b.shape, dtype=bool)
             for k in reversed(range(kernel * kernel)):
                 i, j = divmod(k, kernel)
-                np.equal(x_s[..., i : i + stride * oh : stride, j : j + stride * ow : stride],
-                         y_s, out=match)
+                np.equal(x_b[..., i : i + stride * oh : stride, j : j + stride * ow : stride],
+                         y_b, out=match)
                 np.subtract(first, k, out=step)
                 step *= match
                 first -= step
-            del step, match
-            for block in _blocks(0, len(first), first.shape[1], plane, bins):
-                m, cb = first[block].shape[:2]
-                flat = offsets[first[block]]
-                flat += corners
-                flat += np.arange(m * cb, dtype=index).reshape(m, cb, 1, 1) * plane
-                # bincount adds in window order, in float64
-                sums = np.bincount(flat.ravel(), weights=d_s[block].ravel(),
-                                   minlength=m * cb * plane)
-                d_in[block] = sums.reshape(m, cb, h, w)
+            m, cb = y_b.shape[:2]
+            flat = offsets[first]
+            flat += corners
+            flat += np.arange(m * cb, dtype=index).reshape(m, cb, 1, 1) * plane
+            # bincount adds in window order, in float64
+            sums = np.bincount(flat.ravel(), weights=d_out[images, channels].ravel(),
+                               minlength=x_b.size)
+            d_input[images, channels] = sums.reshape(x_b.shape)
 
     _split(n, x.size, work)
     return d_input

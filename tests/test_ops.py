@@ -404,24 +404,6 @@ for shape, fields in json.loads(sys.argv[1]):
 """
 
 
-class TestAddTerms:
-    @pytest.mark.parametrize("shape", [(1,), (2,), (24,), (64, 27), (3, 1, 5)])
-    @pytest.mark.parametrize("count", [0, 1, 2, 9, 58])
-    def test_matches_the_sequential_loop_bit_for_bit(self, shape, count):
-        # float32 terms over 16 decades on a float64 start of 1e3: a pairwise or
-        # re-associated sum rounds differently from the loop
-        rng = np.random.default_rng([count, *shape])
-        scale = 10.0 ** rng.integers(-8, 8, size=(count, *shape))
-        terms = (rng.standard_normal((count, *shape)) * scale).astype(np.float32)
-        start = rng.standard_normal(shape) * 1e3
-        expected = start.copy()
-        for term in terms:
-            expected += term
-        acc = start.copy()
-        add_terms(acc, terms)
-        assert acc.tobytes() == expected.tobytes()
-
-
 class TestRelu:
     def test_sign_cases(self):
         assert relu(np.array([-1.0, 0.0, 2.0], np.float32)).tolist() == [0.0, 0.0, 2.0]
@@ -516,20 +498,13 @@ class TestMaxPool:
         st.integers(1, 3),
         st.sampled_from([(2, 2), (3, 2), (2, 1), (3, 1), (3, 3)]),
         st.booleans(),
-        st.sampled_from([1, 50, 200, fsqnet.ops.POOL_BLOCK_BYTES]),
         st.sampled_from([1, 200, fsqnet.ops.POOL_BLOCK_BYTES]),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60)
-    def test_matches_naive_oracle_bit_exactly(self, n, c, window, plateaus, search_bytes,
-                                              sum_bytes, seed):
-        # the search's blocks (one byte a window) and the sums' blocks (eight
-        # bytes a sum) are sized apart: 1 byte gives one channel a block; 50 or
-        # 200 bytes several small images or a few channels a block, with a
-        # partial last block
-        sizes = {fsqnet.ops.POOL_BLOCK_BYTES: search_bytes,
-                 fsqnet.ops.POOL_BLOCK_BYTES // 8: sum_bytes // 8}
-        blocks = fsqnet.ops._blocks
+    def test_matches_naive_oracle_bit_exactly(self, n, c, window, plateaus, block_bytes, seed):
+        # 1 byte gives one channel a block; 200 bytes (25 sums) several small
+        # images or a few channels a block, with a partial last block
         kernel, stride = window
         rng = np.random.default_rng(seed)
         h, w = (int(v) for v in rng.integers(kernel, 10, size=2))
@@ -540,16 +515,15 @@ class TestMaxPool:
         y = maxpool2d(x, kernel, stride)
         d_out = _randn(rng, *y.shape)
         assert np.array_equal(y, naive_maxpool2d(x, kernel, stride))
-        with mock.patch.object(fsqnet.ops, "_blocks",
-                               lambda *args: blocks(*args[:-1], sizes[args[-1]])):
+        with mock.patch.object(fsqnet.ops, "POOL_BLOCK_BYTES", block_bytes):
             d_input = maxpool2d_backward(x, y, kernel, stride, d_out)
         assert np.array_equal(d_input, naive_maxpool2d_backward(x, kernel, stride, d_out))
 
     def test_backward_scratch_is_bounded(self, monkeypatch):
-        # v1.1's first pool: at 244 px the sums of one image would take 7.5 MB;
-        # at 160 px, batch 16 (the per-op split range), one search over the batch
-        # would take 4.7 MB.  Stubbing _blas_threads keeps the batch unsplit, on
-        # this thread, at any BLAS thread count
+        # v1.1's first pool: at 244 px the sums of one image would take 7.5 MB, at
+        # 160 px those of batch 16 (the per-op split range) 51 MB.  Stubbing
+        # _blas_threads keeps the batch unsplit, on this thread, at any BLAS
+        # thread count
         monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: None)
         rng = np.random.default_rng(8)
         for shape in [(1, 64, 121, 121), (16, 64, 79, 79)]:

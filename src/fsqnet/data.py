@@ -7,9 +7,11 @@ float32 tensor.  Augmentation takes only a uint8 [N, S, S, 3] batch: each
 image draws its crop, rescale, rotation, brightness and mirror bit from its
 own seed, and the batch is warped as one bilinear resampling with one rounding.
 Resize and augmentation share one sampler, which gathers the uint8 channel
-planes of a batch of images with flat 1-D takes.  Normalize takes one image
-or a batch and looks each pixel up in its channel's table of 256 float32
-values.  Channel means are exact integer sums per channel.
+planes of a batch of images with flat 1-D takes.  Resize takes one image or a
+batch of equal-size ones; resize_dataset resizes each run of consecutive
+equal-size sources in one call, as many as fit WARP_PIXELS.  Normalize takes
+one image or a batch and looks each pixel up in its channel's table of 256
+float32 values.  Channel means are exact integer sums per channel.
 
 Decode-and-resize, augment and normalize split a batch by image across the
 CPUs (``ops._split``); README's Threads section tells when and why.
@@ -45,10 +47,10 @@ MAX_ROTATION_DEG = 10.0
 SCALE_JITTER = (0.9, 1.0)
 BRIGHTNESS_JITTER = 0.1
 
-# output pixels warped at once: a batch of 32 px images together, a 244 px image alone,
-# so the float64 grids and samples stay near the size of the caches.  Also the
+# pixels warped or resized at once: a batch of 32 px images together, a 244 px image
+# alone, so the float64 grids and samples stay near the size of the caches.  Also the
 # per-image output size from which the data path splits a batch across the CPUs:
-# resize_dataset of 288 images at 40 -> 32 px ran 1.4-2x slower split
+# resize_dataset of 288 images at 40 -> 32 px runs no faster split
 WARP_PIXELS = 1 << 15
 
 
@@ -249,20 +251,26 @@ def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -
     return top.transpose(1, 2, 3, 0)
 
 
-def resize_bilinear(img: ImageBuffer, out_w: int, out_h: int) -> ImageBuffer:
-    """Bilinear resample with half-pixel centers, channels independent.
+def resize_bilinear(images, out_w: int, out_h: int):
+    """Bilinear resample with half-pixel centers, channels independent: an
+    ImageBuffer for one ImageBuffer, uint8 [N, out_h, out_w, 3] for uint8
+    [N, h, w, 3] pixels, each image of a batch given the float64 steps it gets alone.
 
     Source coordinate for destination index d is (d + 0.5) * (in/out) - 0.5,
     clamped to the source extent, so interpolation never overshoots.
     """
     if out_w < 1 or out_h < 1:
         raise ConfigError(f"output dims must be >= 1, got {out_w}x{out_h}")
-    if out_w == img.width and out_h == img.height:
-        return ImageBuffer(img.pixels.copy())
-
-    sx = np.clip((np.arange(out_w) + 0.5) * (img.width / out_w) - 0.5, 0.0, img.width - 1.0)
-    sy = np.clip((np.arange(out_h) + 0.5) * (img.height / out_h) - 0.5, 0.0, img.height - 1.0)
-    return ImageBuffer(_round_u8(_sample_bilinear(img.pixels[None], sx, sy[:, None]))[0])
+    one = isinstance(images, ImageBuffer)
+    pixels = images.pixels[None] if one else images
+    h, w = pixels.shape[1:3]
+    if (out_h, out_w) == (h, w):
+        out = pixels.copy()
+    else:
+        sx = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+        sy = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+        out = _round_u8(_sample_bilinear(pixels, sx, sy[:, None]))
+    return ImageBuffer(out[0]) if one else out
 
 
 def check_channel_means(channel_means) -> tuple[float, float, float]:
@@ -422,20 +430,39 @@ def resize_dataset(files: ImageFiles, size: int) -> Dataset:
     """Each file decoded and resized to size x size into its row of one array,
     in file ranges split across the CPUs (_split_images).
 
-    Undecodable files are skipped with a warning on stderr each, in file order;
-    a class left with no decodable images is an error.
+    Within a range, each run of consecutive decoded sources of one shape goes
+    through one resize_bilinear call, as many as fit in WARP_PIXELS pixels, each
+    counted as the larger of its source and output.  A source that fills that
+    alone is resized by itself, without a stacked copy, before the next file
+    is decoded.  Undecodable files are skipped with a warning on stderr each,
+    in file order; a class left with no decodable images is an error.
     """
     pixels = np.empty((len(files), size, size, 3), dtype=np.uint8)
     errors: list[DecodeError | None] = [None] * len(files)
 
     def work(lo, hi):
+        run, rows = [], []  # decoded sources of one shape and their rows
+
+        def resize_run():
+            block = np.stack(run) if len(run) > 1 else run[0][None]
+            pixels[rows] = resize_bilinear(block, size, size)
+            run.clear()
+            rows.clear()
+
         for index in range(lo, hi):
             try:
-                image = load_image(files.paths[index])
+                source = load_image(files.paths[index]).pixels
             except DecodeError as exc:
                 errors[index] = exc
                 continue
-            pixels[index] = resize_bilinear(image, size, size).pixels
+            if run and source.shape != run[0].shape:
+                resize_run()
+            run.append(source)
+            rows.append(index)
+            if len(run) >= WARP_PIXELS // max(source.shape[0] * source.shape[1], size * size):
+                resize_run()
+        if run:
+            resize_run()
 
     _split_images(len(files), size, size, work)
     kept = [index for index, exc in enumerate(errors) if exc is None]

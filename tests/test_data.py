@@ -1,6 +1,7 @@
 import math
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -491,6 +492,109 @@ class TestResizeDataset:
         for pixels, image in zip(out.samples, sources.values()):
             assert np.array_equal(pixels, resize_bilinear(image, 8, 8).pixels)
         assert out.channel_means == compute_channel_means(out.samples)
+
+    @staticmethod
+    def _check_runs(root, shapes, bad, monkeypatch, capsys) -> list[int]:
+        """resize_dataset at one and three forced workers against per-file
+        resize_bilinear, labels and warnings in file order; the images per
+        resize_bilinear call of the one-worker run."""
+        paths = _write_sources(root, shapes, bad)
+        kept = [index for index in range(len(paths)) if index not in bad]
+        want = np.stack([resize_bilinear(load_image(paths[index]), RUN_SIZE, RUN_SIZE).pixels
+                         for index in kept])
+        files = load_dataset(root)
+        calls = _record_resize_calls(monkeypatch)
+        runs = []
+        for workers in (1, 3):
+            _force_split(monkeypatch, workers)
+            calls.clear()
+            dataset = resize_dataset(files, RUN_SIZE)
+            assert dataset.samples.tobytes() == want.tobytes()
+            assert dataset.labels.tolist() == [files.labels[index] for index in kept]
+            warnings = capsys.readouterr().err.splitlines()
+            assert len(warnings) == len(bad)
+            for line, index in zip(warnings, sorted(bad)):
+                assert line.startswith(f"warning: skipping {paths[index]}: ")
+            runs.append(list(calls))
+        assert runs[0] == runs[1]  # at 16 px nothing splits
+        return runs[0]
+
+    def test_interleaved_shapes_resize_in_runs(self, tmp_path, monkeypatch, capsys):
+        # runs end at a change of shape or a full budget, not at a class boundary
+        shapes = ([("a", 100, 90)] * 4 + [("a", 60, 50)] * 2 + [("a", 100, 90)]
+                  + [("b", 100, 90)] * 3 + [("b", 60, 50)] * 12)
+        runs = self._check_runs(tmp_path, shapes, (), monkeypatch, capsys)
+        assert runs == [3, 1, 2, 3, 1, 10, 2]
+
+    def test_undecodable_files_inside_and_at_the_edge_of_runs(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # file 1 lies inside the first run, file 4 just after it ends, file 9 last
+        shapes = [("a", 100, 90)] * 6 + [("b", 100, 90)] * 4
+        runs = self._check_runs(tmp_path, shapes, (1, 4, 9), monkeypatch, capsys)
+        assert runs == [3, 3, 1]
+
+    def test_sources_at_the_target_size(self, tmp_path, monkeypatch, capsys):
+        shapes = ([("a", RUN_SIZE, RUN_SIZE)] * 3 + [("a", 20, RUN_SIZE)]
+                  + [("a", RUN_SIZE, RUN_SIZE)] * 2 + [("b", RUN_SIZE, RUN_SIZE)] * 2)
+        runs = self._check_runs(tmp_path, shapes, (), monkeypatch, capsys)
+        assert runs == [3, 1, 4]
+        dataset = resize_dataset(load_dataset(tmp_path), RUN_SIZE)
+        assert np.array_equal(dataset.samples[0], load_image(tmp_path / "a" / "00.ppm").pixels)
+
+    @pytest.mark.parametrize("out_w, out_h", [(7, 9), (30, 20), (17, 13), (1, 1)])
+    def test_batch_form_matches_one_image_form(self, out_w, out_h):
+        batch = np.random.default_rng(43).integers(0, 256, (5, 13, 17, 3), dtype=np.uint8)
+        out = resize_bilinear(batch, out_w, out_h)
+        assert out.shape == (5, out_h, out_w, 3) and out.dtype == np.uint8
+        for pixels, image in zip(out, batch):
+            assert np.array_equal(pixels, resize_bilinear(ImageBuffer(image), out_w, out_h).pixels)
+
+    def test_photo_sized_sources_hold_one_decoded_source(self, tmp_path):
+        # a 640x480 source fills WARP_PIXELS alone, so it is resized before the next
+        # file is decoded.  Decoding peaks at three copies of a source's pixels (the
+        # file's bytes, their payload slice and the decoded array) while the previous
+        # source is still bound: four in all, where holding one more would read five
+        source = 640 * 480 * 3
+        _write_sources(tmp_path, [("a", 640, 480)] * 3 + [("b", 640, 480)] * 3)
+        files = load_dataset(tmp_path)
+        tracemalloc.start()
+        try:
+            resize_dataset(files, 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * source
+
+
+# at RUN_SIZE px a 100x90 source counts 9,000 pixels, so a run holds 3 of them
+# (WARP_PIXELS // 9,000); it holds 10 of 60x50 and 128 at RUN_SIZE x RUN_SIZE
+RUN_SIZE = 16
+
+
+def _write_sources(root, shapes, bad=()) -> list[Path]:
+    """One PPM per (class, width, height), in file order; the indices in `bad` are truncated."""
+    rng = np.random.default_rng(41)
+    paths = []
+    for index, (name, width, height) in enumerate(shapes):
+        (root / name).mkdir(exist_ok=True)
+        paths.append(root / name / f"{index:02d}.ppm")
+        if index in bad:
+            paths[-1].write_bytes(b"P6\n100 90\n255\nshort")
+        else:
+            save_ppm(_random_image(rng, width, height), paths[-1])
+    return paths
+
+
+def _record_resize_calls(monkeypatch) -> list[int]:
+    """The number of images of each resize_bilinear call resize_dataset makes from now on."""
+    resize, calls = fsqnet.data.resize_bilinear, []
+
+    def recording(images, out_w, out_h):
+        calls.append(len(images))
+        return resize(images, out_w, out_h)
+
+    monkeypatch.setattr(fsqnet.data, "resize_bilinear", recording)
+    return calls
 
 
 class TestDataset:

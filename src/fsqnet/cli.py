@@ -90,11 +90,13 @@ _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_T
 def single_blas_thread() -> bool:
     """Hold OpenBLAS to one thread for the rest of the process; True if it applied.
 
-    fsqnet's ops then split each batch across the CPUs in threads of their own.
-    Two OpenBLAS threads would not combine with that: after each threaded
-    product the idle OpenBLAS worker spins on a core for a while, and a later
-    switch back to one thread does not stop it.  Nothing is set without
-    OpenBLAS, or when the environment already sets a thread count.
+    fsqnet then splits its work across the CPUs in threads of its own: each
+    op its batch, or, from data.WARP_PIXELS pixels per image, each step or
+    evaluation pass its images, one at a time on each CPU.  Two OpenBLAS
+    threads would not combine with that: after each threaded product the idle
+    OpenBLAS worker spins on a core for a while, and a later switch back to
+    one thread does not stop it.  Nothing is set without OpenBLAS, or when the
+    environment already sets a thread count.
     """
     if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
         return False

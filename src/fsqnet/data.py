@@ -118,11 +118,10 @@ class Dataset:
 # decoding / encoding
 
 
-def _ppm_tokens(data: bytes, count: int, path: str) -> tuple[list[int], int]:
-    """First `count` whitespace/comment-separated integers and the offset just
-    past the single whitespace byte that terminates the last one."""
+def _ppm_tokens(data: bytes, pos: int, count: int, path: str) -> tuple[list[int], int]:
+    """First `count` whitespace/comment-separated integers from offset pos on, and
+    the offset just past the single whitespace byte that terminates the last one."""
     tokens: list[int] = []
-    pos = 0
     while len(tokens) < count:
         if pos >= len(data):
             raise DecodeError(f"truncated header in {path}")
@@ -150,21 +149,18 @@ def _decode_pnm(data: bytes, path: str) -> ImageBuffer:
     magic = data[:2]
     if not data[2:3].isspace():
         raise DecodeError(f"no whitespace after magic {magic!r} in {path}")
-    (width, height, maxval), offset = _ppm_tokens(data[2:], 3, path)
-    offset += 2
+    (width, height, maxval), offset = _ppm_tokens(data, 2, 3, path)
     if width < 1 or height < 1:
         raise DecodeError(f"bad dimensions {width}x{height} in {path}")
     if maxval != 255:
         raise DecodeError(f"unsupported maxval {maxval} in {path} (only 255)")
     channels = 3 if magic == b"P6" else 1
     need = width * height * channels
-    payload = data[offset : offset + need]
-    if len(payload) != need:
-        raise DecodeError(f"truncated pixel data in {path} ({len(payload)} of {need} bytes)")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    if channels == 1:
-        arr = np.repeat(arr, 3, axis=2)
-    return ImageBuffer(arr.copy())
+    if len(data) - offset < need:
+        raise DecodeError(f"truncated pixel data in {path} ({len(data) - offset} of {need} bytes)")
+    # a view of the file's bytes, copied once into the decoded array
+    arr = np.frombuffer(data, np.uint8, need, offset).reshape(height, width, channels)
+    return ImageBuffer(np.repeat(arr, 3, axis=2) if channels == 1 else arr.copy())
 
 
 def _decode_png(data: bytes, path: str) -> ImageBuffer:
@@ -459,7 +455,8 @@ def resize_dataset(files: ImageFiles, size: int) -> Dataset:
                 resize_run()
             run.append(source)
             rows.append(index)
-            if len(run) >= WARP_PIXELS // max(source.shape[0] * source.shape[1], size * size):
+            del source  # only the run holds it, so a resized source is freed before the next decode
+            if len(run) >= WARP_PIXELS // max(run[0].shape[0] * run[0].shape[1], size * size):
                 resize_run()
         if run:
             resize_run()

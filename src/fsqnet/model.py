@@ -422,7 +422,7 @@ def model_forward(
 
 def model_backward(tape: list, d_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradient terms per parameter (ops.LayerGrads) given the loss gradient at
-    the pre-softmax logits; ops.gradient gives each gradient from its terms.
+    the pre-softmax logits; summed with ops.add_terms, they give each gradient.
 
     Pops the tape of a training forward from the end, so each layer's
     activations are freed as soon as its backward has run.

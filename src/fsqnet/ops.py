@@ -67,8 +67,8 @@ class LayerGrads:
     bias gradients when it has them.
 
     Terms are stacked along a leading axis.  Added one at a time, in order, to
-    float64 zeros (add_terms) and rounded once to float32 (gradient), they give
-    the gradient.  So the terms of images run apart, added in image order, give
+    float64 zeros (add_terms) and rounded once to float32, they give the
+    gradient.  So the terms of images run apart, added in image order, give
     the bytes of their batch's gradient.
     """
 
@@ -81,11 +81,6 @@ def add_terms(acc: np.ndarray, terms: np.ndarray) -> None:
     """Add terms to the float64 sum acc one at a time, in order."""
     for term in terms:
         acc += term
-
-
-def gradient(terms: np.ndarray) -> np.ndarray:
-    """The float32 gradient of a batch's terms: sum(axis=0) adds them in add_terms's order."""
-    return terms.sum(axis=0, dtype=np.float64).astype(np.float32)
 
 
 @functools.cache

@@ -13,13 +13,13 @@ off.  Every image draws its augmentation from its own seed.  Deterministic
 mode zeroes the wall times, the only nondeterministic output, so runs are
 byte-reproducible.
 
-Images of at least WARP_PIXELS pixels, with OpenBLAS on one thread
+A training step runs its batch in consecutive sub-batches and adds their
+gradient terms to float64 sums in image order, so its bytes do not depend on
+the cut.  Images of at least WARP_PIXELS pixels, with OpenBLAS on one thread
 (_one_image_per_cpu), go through the whole network one at a time, split
-across the CPUs once per training step or evaluation pass.  A training step
-adds each image's gradient terms to float64 sums in image order, so it gives
-the bytes of the batched step.  Otherwise a training batch is assembled,
-augmented and normalized as one array and goes through each op together,
-and evaluation images go EVAL_BATCH to a forward.
+across the CPUs once per training step or evaluation pass.  Otherwise a
+training batch is one sub-batch, assembled as one array and run through each
+op together, and evaluation images go EVAL_BATCH to a forward.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from . import ops
 from .data import WARP_PIXELS, Dataset, _split_images, augment, fisher_yates_order, normalize
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import Model, clone_params, model_backward, model_forward
-from .ops import add_terms, gradient
+from .ops import add_terms
 from .tensor import derive_seed
 
 LOG_CLAMP = 1e-12
@@ -196,28 +196,22 @@ def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int):
         yield chunk, seeds
 
 
-def _batch_step(model: Model, dataset: Dataset, idx, seeds, flip, dropout_seed):
-    """Probabilities, mean loss and float32 gradients of one training batch, its
-    images assembled as one array and run through each op together."""
-    batch, labels = _assemble_batch(dataset, idx, seeds, flip)
-    probs, tape = model_forward(model, batch, training=True, dropout_seed=dropout_seed)
-    loss, d_logits = cross_entropy(probs, labels)
-    terms = model_backward(tape, d_logits)
-    return probs, loss, {name: gradient(t) for name, t in terms.items()}
+def _step(model: Model, dataset: Dataset, idx, seeds, flip, dropout_seed):
+    """Probabilities, mean loss and float32 gradients of one training batch.
 
-
-def _image_step(model: Model, dataset: Dataset, idx, seeds, flip, dropout_seed):
-    """As _batch_step, each image assembled and run forward and backward alone.
-
-    _split_images sets how many images each CPU runs; each time it takes the
-    batch's next image, so the images in flight are consecutive and no worker
-    waits long for its turn.  Image i's d_logits row is (p_i - y_i)/n and its
-    dropout mask row i of the batch's.  Its gradient terms are added to float64
-    sums once image i-1's are in, and a failed worker releases the waiting ones.
-    The loss comes from the whole batch's probabilities after the join, so every
-    output has the bytes of _batch_step's.
+    The batch goes through assembly, forward and backward in consecutive
+    sub-batches: under _one_image_per_cpu one image each, split across the
+    CPUs by _split_images, else the whole batch on the calling thread, its ops
+    splitting it themselves.  A worker takes the batch's next sub-batch each
+    time, so the images in flight are consecutive and no worker waits long for
+    its turn.  Images i..j get rows i..j of the batch's dropout mask and
+    d_logits (p - y)/n.  Their gradient terms are added to float64 sums once
+    the earlier images' are in, and a failed worker releases the waiting ones.
+    The loss comes from the whole batch's probabilities after the join, so
+    every output has the same bytes however the batch is cut.
     """
     n, size = len(idx), model.config.input_size
+    width = 1 if _one_image_per_cpu(size) else n
     labels = dataset.labels[idx]
     probs = np.empty((n, model.config.num_classes), dtype=np.float32)
     sums = {name: np.zeros(p.shape) for name, p in model.params.items()}
@@ -232,15 +226,16 @@ def _image_step(model: Model, dataset: Dataset, idx, seeds, flip, dropout_seed):
                 with turn:
                     if failed:
                         return
-                    i, taken = taken, taken + 1
-                image, _ = _assemble_batch(dataset, idx[i : i + 1],
-                                           None if seeds is None else seeds[i : i + 1], flip)
+                    k, taken = taken, taken + 1
+                i, j = k * width, (k + 1) * width
+                images, _ = _assemble_batch(dataset, idx[i:j],
+                                            None if seeds is None else seeds[i:j], flip)
                 seed = None if dropout_seed is None else (dropout_seed, i)
-                p, tape = model_forward(model, image, training=True, dropout_seed=seed)
-                probs[i] = p[0]
-                terms = model_backward(tape, _logit_gradient(p, labels[i : i + 1], n))
+                p, tape = model_forward(model, images, training=True, dropout_seed=seed)
+                probs[i:j] = p
+                terms = model_backward(tape, _logit_gradient(p, labels[i:j], n))
                 with turn:
-                    turn.wait_for(lambda: added == i or failed)
+                    turn.wait_for(lambda: added == k or failed)
                     if failed:
                         return
                 for name, t in terms.items():  # no other worker adds until this one's turn ends
@@ -254,7 +249,7 @@ def _image_step(model: Model, dataset: Dataset, idx, seeds, flip, dropout_seed):
                 turn.notify_all()
             raise
 
-    _split_images(n, size, size, run)
+    _split_images(n // width, size, size, run)
     loss, _ = cross_entropy(probs, labels)
     return probs, loss, {name: s.astype(np.float32) for name, s in sums.items()}
 
@@ -273,7 +268,6 @@ def train_epoch(
     _check_input_sizes(train_set, size, "train")
     _check_input_sizes(val_set, size, "val")
 
-    step = _image_step if _one_image_per_cpu(size) else _batch_step
     loss_sum = 0.0
     correct = 0
     seen = 0
@@ -281,7 +275,7 @@ def train_epoch(
         dropout_seed = (
             derive_seed(config.seed, epoch_index, batch_index, 0xD0) if config.dropout_on else None
         )
-        probs, loss, grads = step(model, train_set, idx, seeds, config.flip, dropout_seed)
+        probs, loss, grads = _step(model, train_set, idx, seeds, config.flip, dropout_seed)
         sgd_step(model.params, velocity, grads, config)
         n = len(idx)
         loss_sum += loss * n

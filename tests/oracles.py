@@ -219,6 +219,12 @@ def rel_error(a, b) -> float:
     return float(np.linalg.norm((a - b).ravel()) / denom)
 
 
+def gradient(terms: np.ndarray) -> np.ndarray:
+    """The float32 gradient of stacked terms (ops.LayerGrads): sum(axis=0) adds
+    them in ops.add_terms's order, in float64, and rounds once."""
+    return terms.sum(axis=0, dtype=np.float64).astype(np.float32)
+
+
 def fd_gradient(f, x, d_out, delta: float = 1e-3) -> np.ndarray:
     """Central finite differences of L(x) = sum(f(x) * d_out), element by element."""
     d_out = np.asarray(d_out, dtype=np.float64)

@@ -38,7 +38,6 @@ from fsqnet.ops import (
     dropout_mask,
     global_avg_pool,
     global_avg_pool_backward,
-    gradient,
     maxpool2d,
     maxpool2d_backward,
     relu,
@@ -59,6 +58,7 @@ from oracles import (
     closed_form_param_count,
     conv2d_reference,
     fd_gradient,
+    gradient,
     naive_conv2d,
     rel_error,
 )

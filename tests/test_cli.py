@@ -259,7 +259,6 @@ import hashlib
 import numpy as np
 from fsqnet.data import augment, normalize
 from fsqnet.model import ModelConfig, build_model, model_backward, model_forward
-from fsqnet.ops import gradient
 from fsqnet.train import cross_entropy
 
 model = build_model(ModelConfig(), seed=0)
@@ -268,7 +267,8 @@ probs, tape = model_forward(model, x, training=True, dropout_seed=0)
 grads = model_backward(tape, cross_entropy(probs, np.arange(8))[1])
 digest = hashlib.sha256(probs.tobytes())
 for name in sorted(grads):
-    digest.update(name.encode() + gradient(grads[name]).tobytes())
+    grad = grads[name].sum(axis=0, dtype=np.float64).astype(np.float32)
+    digest.update(name.encode() + grad.tobytes())
 pixels = np.random.default_rng(1).integers(0, 256, (8, 244, 244, 3), dtype=np.uint8)
 digest.update(normalize(augment(pixels, True, range(8)), (0.5, 0.4, 0.3)).tobytes())
 print(digest.hexdigest())

@@ -121,6 +121,19 @@ class TestPpm:
         with pytest.raises(DecodeError, match=message):
             load_image(path)
 
+    def test_decoding_copies_the_pixels_once(self, tmp_path):
+        # the file's bytes and the decoded array, with no copy of the payload between
+        source = 640 * 480 * 3
+        path = tmp_path / "photo.ppm"
+        save_ppm(_random_image(np.random.default_rng(44), 640, 480), path)
+        tracemalloc.start()
+        try:
+            load_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * source
+
     def test_magic_needs_whitespace(self, tmp_path):
         path = tmp_path / "m.ppm"
         path.write_bytes(b"P61 1 255\n\x01\x02\x03")
@@ -550,10 +563,10 @@ class TestResizeDataset:
             assert np.array_equal(pixels, resize_bilinear(ImageBuffer(image), out_w, out_h).pixels)
 
     def test_photo_sized_sources_hold_one_decoded_source(self, tmp_path):
-        # a 640x480 source fills WARP_PIXELS alone, so it is resized before the next
-        # file is decoded.  Decoding peaks at three copies of a source's pixels (the
-        # file's bytes, their payload slice and the decoded array) while the previous
-        # source is still bound: four in all, where holding one more would read five
+        # a 640x480 source fills WARP_PIXELS alone, so it is resized and freed
+        # before the next file is decoded.  Decoding peaks at two copies of a
+        # source's pixels (the file's bytes and the decoded array), and resizing
+        # at the source and its channel planes; holding one more would read three
         source = 640 * 480 * 3
         _write_sources(tmp_path, [("a", 640, 480)] * 3 + [("b", 640, 480)] * 3)
         files = load_dataset(tmp_path)
@@ -563,7 +576,7 @@ class TestResizeDataset:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4.5 * source
+        assert peak < 3 * source
 
 
 # at RUN_SIZE px a 100x90 source counts 9,000 pixels, so a run holds 3 of them

@@ -27,13 +27,12 @@ from fsqnet.ops import (
     dense_forward,
     dropout_mask,
     global_avg_pool,
-    gradient,
     maxpool2d,
     relu,
     softmax,
 )
 from fsqnet.train import TrainConfig, cross_entropy, sgd_step
-from oracles import closed_form_param_count
+from oracles import closed_form_param_count, gradient
 
 
 def _tiny_model(seed=7, num_classes=3):

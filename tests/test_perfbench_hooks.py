@@ -134,3 +134,20 @@ def test_split_training_traces_one_image_per_forward_and_backward_on_every_threa
     assert len({s.thread for s in forwards}) >= 2
     [epoch] = [s for s in recorder.spans if s.name == "train.train_epoch"]
     assert epoch.thread == threading.current_thread().name
+
+
+def test_whole_batch_training_traces_one_forward_and_backward_on_the_calling_thread(tracer):
+    # train-tiny-32's step: the batch goes whole through forward and backward
+    samples = np.random.default_rng(0).integers(0, 256, (5, 32, 32, 3), np.uint8)
+    dataset = Dataset(samples, [0, 1, 0, 1, 0], ["a", "b"], (0.5, 0.5, 0.5))
+    model = build_model(tiny_config(num_classes=2, input_size=32), 0)
+    velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        fsqnet.train.train_epoch(model, velocity, dataset, dataset, TrainConfig(batch_size=5), 1)
+    forwards = [s for s in recorder.spans
+                if s.name == "model.model_forward" and s.attrs["training"]]
+    backwards = [s for s in recorder.spans if s.name == "model.model_backward"]
+    caller = threading.current_thread().name
+    assert [(s.attrs["n"], s.thread) for s in forwards] == [(5, caller)]
+    assert [(s.attrs["n"], s.thread) for s in backwards] == [(5, caller)]

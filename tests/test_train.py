@@ -26,7 +26,6 @@ from fsqnet.model import (
     model_forward,
     tiny_config,
 )
-from fsqnet.ops import gradient
 from fsqnet.synthetic import make_dataset
 from fsqnet.train import (
     EpochMetrics,
@@ -40,7 +39,7 @@ from fsqnet.train import (
     sgd_step,
     train_epoch,
 )
-from oracles import naive_cross_entropy
+from oracles import gradient, naive_cross_entropy
 from test_data import SPLIT_SIZE
 from test_ops import _force_split
 
@@ -505,8 +504,12 @@ class TestImageStep:
         # batches of 3 and 2, so momentum carries over and the last batch is partial
         train_config = TrainConfig(learning_rate=0.05, batch_size=3, seed=11, dropout_on=augment,
                                    augment=augment, flip=augment, deterministic=True)
-        with mock.patch.object(fsqnet.train, "_one_image_per_cpu", return_value=False):
-            expected = self._epoch(config, train_config)
+        # the reference runs each batch whole, as with OpenBLAS on two threads
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: 2)
+        calls = _record_training_forwards(monkeypatch)
+        expected = self._epoch(config, train_config)
+        monkeypatch.undo()
+        assert calls == [(threading.current_thread(), 3), (threading.current_thread(), 2)]
         for workers in (1, 2, 3):
             _force_split(monkeypatch, workers)
             calls = _record_training_forwards(monkeypatch)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from fsqnet.errors import ConfigError  # noqa: E402
 from fsqnet.synthetic import write_dataset  # noqa: E402
 
 
@@ -23,13 +24,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=21, help="generator seed")
     args = parser.parse_args(argv)
 
-    root = write_dataset(
-        args.out,
-        num_classes=args.classes,
-        per_class=args.per_class,
-        size=args.size,
-        seed=args.seed,
-    )
+    try:
+        root = write_dataset(
+            args.out,
+            num_classes=args.classes,
+            per_class=args.per_class,
+            size=args.size,
+            seed=args.seed,
+        )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     total = args.classes * args.per_class
     print(f"wrote {total} images ({args.classes} classes x {args.per_class}) under {root}")
     return 0

@@ -3,9 +3,10 @@
 Images are 8-bit RGB buffers.  The preprocessing chain for the network is
 resize (bilinear, half-pixel centers) -> optional augmentation -> normalize
 (divide by 255, subtract per-channel training means), producing a [3, S, S]
-float32 tensor.  Augmentation takes only a uint8 [N, S, S, 3] batch: each
-image draws its crop, rescale, rotation, brightness and mirror bit from its
-own seed, and the batch is warped as one bilinear resampling with one rounding.
+float32 tensor.  Augmentation takes only a uint8 [N, S, S, 3] batch and one
+row of six uniform draws per image, which it maps to the image's crop,
+rescale, rotation, brightness and mirror bit with array ops; the batch is
+warped as one bilinear resampling with one rounding.
 Resize and augmentation share one sampler, which gathers the uint8 channel
 planes of a batch of images with flat 1-D takes.  Resize takes one image or a
 batch of equal-size ones; resize_dataset resizes each run of consecutive
@@ -361,32 +362,26 @@ def _warp(pixels: np.ndarray, crop_w, crop_h, off_x, off_y, angle_deg, gain,
     return out.transpose(1, 2, 3, 0)
 
 
-def _augment_draws(seed: int, width: int, height: int) -> tuple:
-    """One image's crop size and offset, angle, gain and mirror bit, drawn from its seed."""
-    rng = rng_from_seed(seed)
-    scale = float(rng.uniform(*SCALE_JITTER))
-    crop_w = max(1, round(width * scale))
-    crop_h = max(1, round(height * scale))
-    off_x = int(rng.integers(0, width - crop_w + 1))
-    off_y = int(rng.integers(0, height - crop_h + 1))
-    angle = float(rng.uniform(-MAX_ROTATION_DEG, MAX_ROTATION_DEG))
-    brightness = float(rng.uniform(-BRIGHTNESS_JITTER, BRIGHTNESS_JITTER))
-    mirror = bool(rng.integers(0, 2))
-    return crop_w, crop_h, off_x, off_y, angle, 1.0 + brightness, mirror
-
-
-def augment(images: np.ndarray, flip: bool, seed) -> np.ndarray:
+def augment(images: np.ndarray, flip: bool, draws) -> np.ndarray:
     """Random crop-and-rescale, rotation, brightness, and a flip if allowed.
 
-    Takes a batch: uint8 [N, H, W, 3] pixels and N int seeds, one per image.
-    Every random draw of an image happens unconditionally in a fixed order
-    from its own seed, so its output is a pure function of (image, flip, seed)
-    and the flip setting changes no other stage.  The batch goes through one
-    _warp call, which mirrors the images whose bit is set when flip is allowed.
+    Takes uint8 [N, H, W, 3] pixels and float64 draws [N, 6] in [0, 1), a row
+    (u0..u5) per image: crop scale lo + (hi - lo)*u0 over SCALE_JITTER, sides
+    rounded and at least 1; offsets floor(u*(side - crop + 1)) from u1, u2; angle
+    and gain spread evenly over +-MAX_ROTATION_DEG and 1 +- BRIGHTNESS_JITTER by
+    u3, u4; mirror bit u5 < 0.5, used only when flip is allowed.  An image's output
+    is a pure function of (image, flip, row).  The batch goes through one _warp call.
     """
-    h, w = images.shape[1:3]
-    *params, mirror = zip(*(_augment_draws(s, w, h) for s in seed))
-    return _warp(images, *params, [flip and m for m in mirror])
+    n, h, w = images.shape[:3]
+    u = np.asarray(draws, dtype=np.float64)
+    if u.shape != (n, 6) or not ((u >= 0.0) & (u < 1.0)).all():
+        raise ConfigError(f"augmentation draws must be [{n}, 6] in [0, 1), got shape {u.shape}")
+    lo, hi = SCALE_JITTER
+    crop = np.maximum(1, np.rint(np.multiply.outer(lo + (hi - lo) * u[:, 0], (w, h))))
+    offset = np.floor(u[:, 1:3] * ((w, h) - crop + 1))
+    angle = MAX_ROTATION_DEG * (2.0 * u[:, 3] - 1.0)
+    gain = 1.0 + BRIGHTNESS_JITTER * (2.0 * u[:, 4] - 1.0)
+    return _warp(images, *crop.T, *offset.T, angle, gain, flip & (u[:, 5] < 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, ImageBuffer, compute_channel_means, save_ppm
+from .errors import ConfigError
 from .tensor import derive_seed, rng_from_seed
 
 PALETTE = (
@@ -39,15 +40,18 @@ def synth_image(class_index: int, size: int, seed: int) -> ImageBuffer:
 
 
 def class_names(num_classes: int) -> list[str]:
+    if not 1 <= num_classes <= len(string.ascii_lowercase):
+        raise ConfigError(f"synthetic datasets have 1 to 26 classes, got {num_classes}")
     return list(string.ascii_lowercase[:num_classes])
 
 
 def make_dataset(num_classes: int, per_class: int, size: int, seed: int) -> Dataset:
     """In-memory dataset with `per_class` images per class."""
+    names = class_names(num_classes)
     images = np.stack([synth_image(label, size, derive_seed(seed, label, index)).pixels
                        for label in range(num_classes) for index in range(per_class)])
     labels = np.repeat(np.arange(num_classes), per_class)
-    return Dataset(images, labels, class_names(num_classes), compute_channel_means(images))
+    return Dataset(images, labels, names, compute_channel_means(images))
 
 
 def write_dataset(root, num_classes: int, per_class: int, size: int, seed: int) -> Path:

@@ -9,8 +9,9 @@ velocity v and starts it at zero.
 Each epoch reshuffles the training set with seed XOR epoch_index, walks
 mini-batches (last partial batch kept), and reports epoch-mean loss, training
 accuracy as predicted during the epoch, and validation accuracy with dropout
-off.  Every image draws its augmentation from its own seed.  Deterministic
-mode zeroes the wall times, the only nondeterministic output, so runs are
+off.  Its augmentation is one [N, 6] uniform table drawn in one call, image
+i's draws in row i, whatever the batch size or order.  Deterministic mode
+zeroes the wall times, the only nondeterministic output, so runs are
 byte-reproducible.
 
 A training step runs its batch in consecutive sub-batches and adds their
@@ -38,7 +39,7 @@ from .data import WARP_PIXELS, Dataset, _split_images, augment, fisher_yates_ord
 from .errors import ConfigError, DataError, NumericError, StateError
 from .model import Model, clone_params, model_backward, model_forward
 from .ops import add_terms
-from .tensor import derive_seed
+from .tensor import derive_seed, rng_from_seed
 
 LOG_CLAMP = 1e-12
 EVAL_BATCH = 32
@@ -177,26 +178,25 @@ def _one_image_per_cpu(size: int) -> bool:
     return size * size >= WARP_PIXELS and ops._blas_threads() == 1
 
 
-def _assemble_batch(dataset: Dataset, idx, seeds=None, flip=False):
-    """Normalized images `idx` and their labels; augmented only when given a seed per image."""
+def _assemble_batch(dataset: Dataset, idx, draws=None, flip=False):
+    """Normalized images `idx` and their labels; augmented only when given their draws."""
     images = dataset.samples[idx]
-    if seeds is not None:
-        images = augment(images, flip, seeds)
+    if draws is not None:
+        images = augment(images, flip, draws)
     return normalize(images, dataset.channel_means), dataset.labels[idx]
 
 
 def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int):
-    """Each batch's image indices and augmentation seeds (None without augmentation)."""
+    """Each batch's image indices and their rows of the epoch's [N, 6] augmentation draws."""
     order = fisher_yates_order(len(train_set), config.seed ^ epoch_index)
+    rng = rng_from_seed(derive_seed(config.seed, epoch_index, 0xA6))
+    table = rng.random((len(train_set), 6)) if config.augment else None
     for start in range(0, len(order), config.batch_size):
         chunk = order[start : start + config.batch_size]
-        seeds = None
-        if config.augment:
-            seeds = [derive_seed(config.seed, epoch_index, i) for i in chunk]
-        yield chunk, seeds
+        yield chunk, None if table is None else table[chunk]
 
 
-def _step(model: Model, dataset: Dataset, idx, seeds, flip, dropout_seed):
+def _step(model: Model, dataset: Dataset, idx, draws, flip, dropout_seed):
     """Probabilities, mean loss and float32 gradients of one training batch.
 
     The batch goes through assembly, forward and backward in consecutive
@@ -229,7 +229,7 @@ def _step(model: Model, dataset: Dataset, idx, seeds, flip, dropout_seed):
                     k, taken = taken, taken + 1
                 i, j = k * width, (k + 1) * width
                 images, _ = _assemble_batch(dataset, idx[i:j],
-                                            None if seeds is None else seeds[i:j], flip)
+                                            None if draws is None else draws[i:j], flip)
                 seed = None if dropout_seed is None else (dropout_seed, i)
                 p, tape = model_forward(model, images, training=True, dropout_seed=seed)
                 probs[i:j] = p
@@ -271,11 +271,11 @@ def train_epoch(
     loss_sum = 0.0
     correct = 0
     seen = 0
-    for batch_index, (idx, seeds) in enumerate(_batches(train_set, config, epoch_index)):
+    for batch_index, (idx, draws) in enumerate(_batches(train_set, config, epoch_index)):
         dropout_seed = (
             derive_seed(config.seed, epoch_index, batch_index, 0xD0) if config.dropout_on else None
         )
-        probs, loss, grads = _step(model, train_set, idx, seeds, config.flip, dropout_seed)
+        probs, loss, grads = _step(model, train_set, idx, draws, config.flip, dropout_seed)
         sgd_step(model.params, velocity, grads, config)
         n = len(idx)
         loss_sum += loss * n

@@ -14,7 +14,8 @@ import pytest
 
 import fsqnet.cli
 from fsqnet.cli import main
-from fsqnet.synthetic import write_dataset
+from fsqnet.errors import ConfigError
+from fsqnet.synthetic import make_dataset, write_dataset
 
 TRAIN_FLAGS = [
     "--arch", "tiny", "--image-size", "32", "--epochs", "3", "--lr", "0.05",
@@ -73,6 +74,33 @@ class TestUsageErrors:
     def test_inspect_needs_exactly_one_source(self, capsys):
         assert main(["inspect"]) == 2
         assert main(["inspect", "--checkpoint", "x", "--arch-only"]) == 2
+
+
+class TestSyntheticClassCount:
+    """Synthetic classes are named a to z: more than 26, or none, is an error."""
+
+    @pytest.mark.parametrize("classes", [0, 27, 30])
+    def test_make_dataset_rejects_the_count(self, classes):
+        with pytest.raises(ConfigError, match="1 to 26 classes"):
+            make_dataset(classes, 1, 4, 0)
+
+    def test_write_dataset_rejects_the_count_before_writing(self, tmp_path):
+        with pytest.raises(ConfigError, match="1 to 26 classes"):
+            write_dataset(tmp_path / "data", 30, 1, 4, 0)
+        assert not (tmp_path / "data").exists()
+
+    def test_script_prints_an_error_and_exits_2(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_dataset.py"
+        run = subprocess.run([sys.executable, str(script), "--out", str(tmp_path / "data"),
+                              "--classes", "30", "--per-class", "1"],
+                             capture_output=True, text=True)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("error: ") and "1 to 26 classes" in run.stderr
+        assert not (tmp_path / "data").exists()
+
+    def test_twenty_six_classes_are_written(self, tmp_path):
+        write_dataset(tmp_path, 26, 1, 4, 0)
+        assert len([d for d in tmp_path.iterdir() if d.is_dir()]) == 26
 
 
 class TestTrain:
@@ -270,7 +298,8 @@ for name in sorted(grads):
     grad = grads[name].sum(axis=0, dtype=np.float64).astype(np.float32)
     digest.update(name.encode() + grad.tobytes())
 pixels = np.random.default_rng(1).integers(0, 256, (8, 244, 244, 3), dtype=np.uint8)
-digest.update(normalize(augment(pixels, True, range(8)), (0.5, 0.4, 0.3)).tobytes())
+draws = np.random.default_rng(2).random((8, 6))
+digest.update(normalize(augment(pixels, True, draws), (0.5, 0.4, 0.3)).tobytes())
 print(digest.hexdigest())
 """
 

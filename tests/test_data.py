@@ -25,7 +25,7 @@ from fsqnet.data import (
 )
 import fsqnet.data
 import fsqnet.ops
-from fsqnet.data import WARP_PIXELS, _augment_draws, _warp
+from fsqnet.data import WARP_PIXELS, _warp
 from fsqnet.errors import ConfigError, DataError, DecodeError
 from oracles import scalar_resize_bilinear, scalar_rotate_edge_clamped, scalar_warp
 from test_ops import _force_split
@@ -268,32 +268,83 @@ def _warp_one(pixels, *args):
     return _warp(pixels[None], *([a] for a in args), [False])[0]
 
 
+def _draws(seed, n=1) -> np.ndarray:
+    """n rows of augmentation draws from a generator seeded with `seed`."""
+    return np.random.default_rng(seed).random((n, 6))
+
+
+def _recording_warp(monkeypatch) -> list[tuple]:
+    """The parameters of each _warp call augment makes from now on."""
+    calls = []
+
+    def warp(pixels, *args):
+        calls.append(args)
+        return _warp(pixels, *args)
+
+    monkeypatch.setattr(fsqnet.data, "_warp", warp)
+    return calls
+
+
 class TestAugment:
     def test_deterministic_per_seed(self):
         batch = _random_image(np.random.default_rng(6), 12, 12).pixels[None]
-        a = augment(batch, True, [33])
-        b = augment(batch, True, [33])
+        a = augment(batch, True, _draws(33))
+        b = augment(batch, True, _draws(33))
         assert np.array_equal(a, b)
 
     def test_seed_varies_output(self):
         batch = _random_image(np.random.default_rng(7), 12, 12).pixels[None]
-        outputs = {augment(batch, False, [s]).tobytes() for s in range(8)}
+        outputs = {augment(batch, False, _draws(s)).tobytes() for s in range(8)}
         assert len(outputs) > 1
 
     def test_flip_only_mirrors(self):
-        batch = _random_image(np.random.default_rng(8), 9, 5).pixels[None]
-        mirrored = set()
-        for s in range(8):
-            flipped = augment(batch, True, [s])[0]
-            plain = augment(batch, False, [s])[0]
-            assert np.array_equal(flipped, plain) or np.array_equal(flipped, plain[:, ::-1])
-            mirrored.add(not np.array_equal(flipped, plain))
-        assert mirrored == {False, True}
+        image = _random_image(np.random.default_rng(8), 9, 5).pixels
+        draws = _draws(8, 8)
+        draws[:, 5] = [0.0, 0.49, 0.5, 0.99, 0.25, 0.75, 0.1, 0.9]
+        flipped = augment(np.stack([image] * 8), True, draws)
+        plain = augment(np.stack([image] * 8), False, draws)
+        for f, p, u in zip(flipped, plain, draws[:, 5]):
+            assert np.array_equal(f, p[:, ::-1] if u < 0.5 else p)
+        assert any(not np.array_equal(p, p[:, ::-1]) for p in plain)  # a mirror shows
 
     def test_size_preserved(self):
         batch = _random_image(np.random.default_rng(9), 10, 14).pixels[None]
-        out = augment(batch, True, [2])
+        out = augment(batch, True, _draws(2))
         assert out.shape == (1, 14, 10, 3) and out.dtype == np.uint8
+
+    @pytest.mark.parametrize("draws", [np.zeros((2, 6)), np.zeros((1, 7)), np.full((1, 6), 1.0),
+                                       np.full((1, 6), -0.25), np.full((1, 6), np.nan)],
+                             ids=["two-rows", "seven-columns", "one", "negative", "nan"])
+    def test_draws_outside_one_row_of_six_in_the_unit_interval_rejected(self, draws):
+        batch = _random_image(np.random.default_rng(9), 6, 6).pixels[None]
+        with pytest.raises(ConfigError):
+            augment(batch, True, draws)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_map_to_parameters_in_range(self, data):
+        width, height = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 300))
+        below_one = float(np.nextafter(1.0, 0.0))
+        value = st.sampled_from([0.0, 0.5, below_one]) | st.floats(0.0, 1.0, exclude_max=True)
+        row = st.just([0.0] * 6) | st.just([below_one] * 6) | st.lists(value, min_size=6,
+                                                                        max_size=6)
+        draws = np.array(data.draw(st.lists(row, min_size=1, max_size=4)))
+        pixels = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).integers(
+            0, 256, (len(draws), height, width, 3), dtype=np.uint8)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = _recording_warp(monkeypatch)
+            flipped = augment(pixels, True, draws)
+            plain = augment(pixels, False, draws)
+        crop_w, crop_h, off_x, off_y, angle, gain, mirror = map(np.asarray, calls[0])
+        assert ((1 <= crop_w) & (crop_w <= width) & (1 <= crop_h) & (crop_h <= height)).all()
+        assert (crop_w == np.floor(crop_w)).all() and (crop_h == np.floor(crop_h)).all()
+        assert ((0 <= off_x) & (off_x <= width - crop_w)).all()
+        assert ((0 <= off_y) & (off_y <= height - crop_h)).all()
+        assert (off_x == np.floor(off_x)).all() and (off_y == np.floor(off_y)).all()
+        assert (np.abs(angle) <= 10.0).all() and ((0.9 <= gain) & (gain <= 1.1)).all()
+        assert not np.asarray(calls[1][-1]).any()  # nothing mirrored without flip
+        for f, p, m in zip(flipped, plain, mirror):
+            assert np.array_equal(f, p[:, ::-1] if m else p)
 
     @pytest.mark.parametrize("width,height", [(7, 5), (8, 6)])
     @pytest.mark.parametrize("angle", [0.0, 7.5, -10.0, 90.0, 180.0])
@@ -330,16 +381,11 @@ class TestAugment:
         height, width = 64, 48
         y, x = np.mgrid[0:height, 0:width]
         ramp = np.stack([5 * x, 3 * y, 2 * (x + y)], axis=-1).astype(np.uint8)
-        calls = []
-
-        def warp(pixels, *args):
-            calls.append(args)
-            return _warp(pixels, *args)
-
-        monkeypatch.setattr(fsqnet.data, "_warp", warp)
+        calls = _recording_warp(monkeypatch)
         for seed in range(50):
-            ours = augment(ramp[None], False, [seed])[0]
-            (crop_w,), (crop_h,), (off_x,), (off_y,), (angle,), (gain,), _ = calls[-1]
+            ours = augment(ramp[None], False, _draws(seed))[0]
+            crop_w, crop_h, off_x, off_y, angle, gain = (a[0] for a in calls[-1][:6])
+            crop_w, crop_h, off_x, off_y = int(crop_w), int(crop_h), int(off_x), int(off_y)
             crop = [row[off_x:off_x + crop_w] for row in ramp[off_y:off_y + crop_h].tolist()]
             rotated = scalar_rotate_edge_clamped(
                 scalar_resize_bilinear(crop, width, height), angle)
@@ -624,7 +670,7 @@ class TestDataset:
 # 5 images at 192 px: each has WARP_PIXELS output pixels, the batch 2**19 elements
 # or more, so a forced split runs them 1 + 2 + 2 over three workers
 SPLIT_SIZE = 192
-SPLIT_SEEDS = [3, 4, 5, 6, 7]
+SPLIT_DRAWS = _draws(3, 5)
 
 
 def _write_split_sources(root, bad=()):
@@ -663,17 +709,16 @@ class TestSplitByImage:
     @staticmethod
     def _op_bytes(root) -> list[bytes]:
         pixels = np.random.default_rng(31).integers(
-            0, 256, (len(SPLIT_SEEDS), SPLIT_SIZE, SPLIT_SIZE, 3), dtype=np.uint8)
+            0, 256, (len(SPLIT_DRAWS), SPLIT_SIZE, SPLIT_SIZE, 3), dtype=np.uint8)
         assert SPLIT_SIZE**2 >= WARP_PIXELS and pixels.size >= fsqnet.ops.SPLIT_ELEMENTS
-        augmented = augment(pixels, True, SPLIT_SEEDS)
+        augmented = augment(pixels, True, SPLIT_DRAWS)
         dataset = resize_dataset(load_dataset(root), SPLIT_SIZE)
         return [augmented.tobytes(), normalize(augmented, (0.5, 0.4, 0.3)).tobytes(),
                 dataset.samples.tobytes(), dataset.labels.tobytes()]
 
     def test_same_bytes_at_one_and_three_workers(self, tmp_path, monkeypatch):
-        # the seeds mirror some images and not others
-        assert {_augment_draws(s, SPLIT_SIZE, SPLIT_SIZE)[-1] for s in SPLIT_SEEDS} == {
-            False, True}
+        # the draws mirror some images and not others
+        assert set(SPLIT_DRAWS[:, 5] < 0.5) == {False, True}
         _write_split_sources(tmp_path)
         _force_split(monkeypatch, 1)
         one = self._op_bytes(tmp_path)
@@ -688,7 +733,7 @@ class TestSplitByImage:
         threads = _record_split_threads(monkeypatch)
         pixels = np.zeros((600, 32, 32, 3), dtype=np.uint8)
         assert pixels.size >= fsqnet.ops.SPLIT_ELEMENTS
-        normalize(augment(pixels, True, range(600)), (0.5, 0.5, 0.5))
+        normalize(augment(pixels, True, _draws(0, 600)), (0.5, 0.5, 0.5))
         assert threads == [1, 1]
 
     def test_two_large_images_split(self, monkeypatch):

@@ -70,7 +70,8 @@ def test_batch_assembly_is_traced_as_data(tracer):
     dataset = Dataset(samples, [0, 1, 0], ["a", "b"], (0.5, 0.5, 0.5))
     recorder = tracer.Tracer()
     with recorder.installed():
-        fsqnet.train._assemble_batch(dataset, [2, 0], [11, 12], True)
+        fsqnet.train._assemble_batch(dataset, [2, 0], np.random.default_rng(1).random((2, 6)),
+                                     True)
         fsqnet.train._assemble_batch(dataset, slice(0, 3))
     assert [(s.name, s.layer) for s in recorder.spans] == [
         ("data.augment", "data"), ("data.normalize", "data"), ("data.normalize", "data")]
@@ -96,7 +97,8 @@ def test_split_batch_assembly_is_traced_as_data(tracer, monkeypatch):
     threads = _record_split_threads(monkeypatch)
     recorder = tracer.Tracer()
     with recorder.installed():
-        fsqnet.train._assemble_batch(dataset, [4, 0, 1, 2, 3], [11, 12, 13, 14, 15], True)
+        fsqnet.train._assemble_batch(dataset, [4, 0, 1, 2, 3],
+                                     np.random.default_rng(1).random((5, 6)), True)
     assert threads == [3, 3]  # augment's warp and normalize ran split
     assert [(s.name, s.layer) for s in recorder.spans] == [
         ("data.augment", "data"), ("data.normalize", "data")]

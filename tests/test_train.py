@@ -32,6 +32,7 @@ from fsqnet.train import (
     History,
     TrainConfig,
     _assemble_batch,
+    _batches,
     cross_entropy,
     evaluate,
     fit,
@@ -261,13 +262,13 @@ def _pixel_dataset(samples: np.ndarray) -> Dataset:
     return Dataset(samples, labels, ["a", "b"], compute_channel_means(samples))
 
 
-def _per_image_chain(dataset: Dataset, idx, seeds, flip) -> np.ndarray:
+def _per_image_chain(dataset: Dataset, idx, draws, flip) -> np.ndarray:
     """The batch built one image at a time: augment, normalize, stack."""
     means = dataset.channel_means
-    if seeds is None:
+    if draws is None:
         return np.stack([normalize(ImageBuffer(dataset.samples[i]), means) for i in idx])
-    return np.stack([normalize(augment(dataset.samples[[i]], flip, [seed])[0], means)
-                     for i, seed in zip(idx, seeds)])
+    return np.stack([normalize(augment(dataset.samples[[i]], flip, row[None])[0], means)
+                     for i, row in zip(idx, draws)])
 
 
 class TestAssembleBatch:
@@ -279,15 +280,14 @@ class TestAssembleBatch:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         dataset = _pixel_dataset(rng.integers(0, 256, (count, height, width, 3), np.uint8))
         idx = data.draw(st.lists(st.integers(0, count - 1), min_size=1, max_size=8))
-        seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=len(idx),
-                                   max_size=len(idx)))
+        draws = rng.random((len(idx), 6))
         flip = data.draw(st.booleans())
         # a small budget warps the batch in several groups, as at full size
         warp_pixels = data.draw(st.sampled_from([1, 100, fsqnet.data.WARP_PIXELS]))
-        for batch_seeds in (seeds, None):
+        for batch_draws in (draws, None):
             with mock.patch.object(fsqnet.data, "WARP_PIXELS", warp_pixels):
-                batch, labels = _assemble_batch(dataset, idx, batch_seeds, flip)
-            chain = _per_image_chain(dataset, idx, batch_seeds, flip)
+                batch, labels = _assemble_batch(dataset, idx, batch_draws, flip)
+            chain = _per_image_chain(dataset, idx, batch_draws, flip)
             assert batch.shape == (len(idx), 3, height, width) and batch.dtype == np.float32
             assert batch.tobytes() == chain.tobytes()
             assert labels.tolist() == dataset.labels[idx].tolist()
@@ -297,9 +297,9 @@ class TestAssembleBatch:
     def test_one_image_and_repeated_indices(self, idx, flip):
         samples = np.random.default_rng(21).integers(0, 256, (4, 5, 9, 3), np.uint8)
         dataset = _pixel_dataset(samples)
-        seeds = [7 + 1000 * k for k in range(len(idx))]
-        batch, _ = _assemble_batch(dataset, idx, seeds, flip)
-        assert batch.tobytes() == _per_image_chain(dataset, idx, seeds, flip).tobytes()
+        draws = np.random.default_rng(7).random((len(idx), 6))
+        batch, _ = _assemble_batch(dataset, idx, draws, flip)
+        assert batch.tobytes() == _per_image_chain(dataset, idx, draws, flip).tobytes()
 
     def test_a_slice_selects_like_an_index_list(self):
         dataset = _pixel_dataset(np.random.default_rng(22).integers(0, 256, (5, 6, 6, 3), np.uint8))
@@ -307,6 +307,54 @@ class TestAssembleBatch:
         listed, listed_labels = _assemble_batch(dataset, [1, 2, 3])
         assert sliced.tobytes() == listed.tobytes()
         assert sliced_labels.tolist() == listed_labels.tolist()
+
+
+class TestAugmentationDraws:
+    """An epoch's augmentation comes from one table of draws, a row per image."""
+
+    @staticmethod
+    def _rows(dataset: Dataset, batch_size: int, epoch_index: int) -> dict[int, bytes]:
+        """The bytes of the row of draws _batches yields for each image index."""
+        config = TrainConfig(batch_size=batch_size, seed=5, augment=True)
+        rows = {}
+        for idx, draws in _batches(dataset, config, epoch_index):
+            assert draws.shape == (len(idx), 6)
+            rows.update((int(i), row.tobytes()) for i, row in zip(idx, draws))
+        return rows
+
+    def test_an_images_draws_do_not_depend_on_the_batch_size(self):
+        dataset = make_dataset(2, 20, 8, 1)
+        first = self._rows(dataset, 1, 1)
+        assert sorted(first) == list(range(40))
+        assert self._rows(dataset, 3, 1) == first == self._rows(dataset, 32, 1)
+        second = self._rows(dataset, 3, 2)
+        assert all(second[i] != first[i] for i in first)
+
+    @staticmethod
+    def _generators_per_epoch(monkeypatch, per_class: int) -> tuple[int, int]:
+        """Seed sequences and generators built by one augmented tiny@32 epoch on
+        2 * per_class training images; dropout, which seeds once per batch, is off."""
+        train_set = make_dataset(2, per_class, 32, 3)
+        val_set = make_dataset(2, 2, 32, 4)
+        model = build_model(tiny_config(num_classes=2), 0)
+        config = TrainConfig(batch_size=32, seed=9, augment=True, flip=True)
+        counts = {"SeedSequence": 0, "Generator": 0}
+        for name in counts:
+            def counting(*args, _make=getattr(np.random, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _make(*args, **kwargs)
+
+            monkeypatch.setattr(np.random, name, counting)
+        try:
+            train_epoch(model, _zero_velocity(model), train_set, val_set, config, 1)
+        finally:
+            monkeypatch.undo()
+        return counts["SeedSequence"], counts["Generator"]
+
+    def test_generators_built_do_not_grow_with_the_images(self, monkeypatch):
+        few = self._generators_per_epoch(monkeypatch, 8)
+        many = self._generators_per_epoch(monkeypatch, 32)
+        assert few[1] >= 1 and many == few
 
 
 def _split_set(count=5, seed=3, size=SPLIT_SIZE) -> Dataset:

@@ -1,8 +1,9 @@
 """Command-line interface: train, eval, predict, inspect.
 
-Machine-readable JSON goes to stdout, diagnostics to stderr.  Exit codes are
-a stable contract for scripting: 0 success, 2 bad flags, 3 data or
-compatibility errors, 4 I/O errors.
+A call builds the flags of only the command it names; each flag costs argparse
+a HelpFormatter.  Machine-readable JSON goes to stdout, diagnostics to stderr.
+Exit codes are a stable contract for scripting: 0 success, 2 bad flags, 3 data
+or compatibility errors, 4 I/O errors.
 """
 
 from __future__ import annotations
@@ -149,58 +150,6 @@ def _emit(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fsqnet",
-        description="From-scratch SqueezeNet trainer for sign-language alphabet images.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train a model on a directory dataset")
-    p_train.add_argument("--data", required=True, help="dataset root: <root>/<class>/<images>")
-    p_train.add_argument("--out", required=True, help="checkpoint output path")
-    p_train.add_argument("--epochs", type=_positive_int, default=10)
-    p_train.add_argument("--lr", type=_nonneg_float, default=0.001)
-    p_train.add_argument("--momentum", type=_momentum, default=0.9)
-    p_train.add_argument("--batch", type=_positive_int, default=32)
-    p_train.add_argument("--val-fraction", type=_fraction, default=0.1)
-    p_train.add_argument("--image-size", type=_image_size, default=244)
-    p_train.add_argument("--seed", type=int, default=42)
-    p_train.add_argument("--augment", action=argparse.BooleanOptionalAction, default=True)
-    p_train.add_argument("--flip", action=argparse.BooleanOptionalAction, default=False,
-                         help="allow horizontal flips (off: fingerspelling is chirality-sensitive)")
-    p_train.add_argument("--dropout", action=argparse.BooleanOptionalAction, default=False)
-    p_train.add_argument("--deterministic", action="store_true",
-                         help="zeroed wall times, byte-reproducible outputs")
-    p_train.add_argument("--arch", choices=ARCHES, default="v11")
-    p_train.add_argument("--resume", default=None, help="checkpoint to continue from")
-    p_train.add_argument("--metrics", default=None,
-                         help="metrics JSON-lines path (default: <out>.metrics.jsonl)")
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a directory dataset")
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--confusion", default=None, help="write confusion matrix CSV here")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_predict = sub.add_parser("predict", help="classify a single image")
-    p_predict.add_argument("--checkpoint", required=True)
-    p_predict.add_argument("--image", required=True)
-    p_predict.add_argument("--top", type=_positive_int, default=3)
-    p_predict.set_defaults(func=cmd_predict)
-
-    p_inspect = sub.add_parser("inspect", help="print the layer table and parameter count")
-    p_inspect.add_argument("--checkpoint", default=None)
-    p_inspect.add_argument("--arch-only", action="store_true",
-                           help="describe the architecture from flags without a checkpoint")
-    p_inspect.add_argument("--arch", choices=ARCHES, default="v11")
-    p_inspect.add_argument("--image-size", type=_image_size, default=244)
-    p_inspect.add_argument("--classes", type=_positive_int, default=24)
-    p_inspect.set_defaults(func=cmd_inspect)
-    return parser
-
-
 def _model_config(arch: str, num_classes: int, image_size: int) -> ModelConfig:
     if arch == "tiny":
         return tiny_config(num_classes=num_classes, input_size=image_size)
@@ -240,7 +189,7 @@ def cmd_train(args) -> int:
         flip=args.flip,
         deterministic=args.deterministic,
     )
-    header = {k: v for k, v in vars(args).items() if k not in ("command", "func", "metrics")}
+    header = {k: v for k, v in vars(args).items() if k not in ("command", "metrics")}
     metrics_path = args.metrics if args.metrics is not None else f"{args.out}.metrics.jsonl"
     with open(metrics_path, "w", encoding="utf-8") as metrics_file:
         header_line = json.dumps({"config": header}, sort_keys=True, separators=(",", ":"))
@@ -310,24 +259,83 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def _train_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--data", required=True, help="dataset root: <root>/<class>/<images>")
+    parser.add_argument("--out", required=True, help="checkpoint output path")
+    parser.add_argument("--epochs", type=_positive_int, default=10)
+    parser.add_argument("--lr", type=_nonneg_float, default=0.001)
+    parser.add_argument("--momentum", type=_momentum, default=0.9)
+    parser.add_argument("--batch", type=_positive_int, default=32)
+    parser.add_argument("--val-fraction", type=_fraction, default=0.1)
+    parser.add_argument("--image-size", type=_image_size, default=244)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--augment", action=argparse.BooleanOptionalAction, default=True)
+    parser.add_argument("--flip", action=argparse.BooleanOptionalAction, default=False,
+                        help="allow horizontal flips (off: fingerspelling is chirality-sensitive)")
+    parser.add_argument("--dropout", action=argparse.BooleanOptionalAction, default=False)
+    parser.add_argument("--deterministic", action="store_true",
+                        help="zeroed wall times, byte-reproducible outputs")
+    parser.add_argument("--arch", choices=ARCHES, default="v11")
+    parser.add_argument("--resume", default=None, help="checkpoint to continue from")
+    parser.add_argument("--metrics", default=None,
+                        help="metrics JSON-lines path (default: <out>.metrics.jsonl)")
+
+
+def _eval_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--checkpoint", required=True)
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--confusion", default=None, help="write confusion matrix CSV here")
+
+
+def _predict_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--checkpoint", required=True)
+    parser.add_argument("--image", required=True)
+    parser.add_argument("--top", type=_positive_int, default=3)
+
+
+def _inspect_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--checkpoint", default=None)
+    parser.add_argument("--arch-only", action="store_true",
+                        help="describe the architecture from flags without a checkpoint")
+    parser.add_argument("--arch", choices=ARCHES, default="v11")
+    parser.add_argument("--image-size", type=_image_size, default=244)
+    parser.add_argument("--classes", type=_positive_int, default=24)
+
+
+# each command's help line, the function that adds its flags, and its handler
+COMMANDS = {
+    "train": ("train a model on a directory dataset", _train_flags, cmd_train),
+    "eval": ("evaluate a checkpoint on a directory dataset", _eval_flags, cmd_eval),
+    "predict": ("classify a single image", _predict_flags, cmd_predict),
+    "inspect": ("print the layer table and parameter count", _inspect_flags, cmd_inspect),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """fsqnet's parser, with the flags and -h of the command named, or of every one."""
+    description = "From-scratch SqueezeNet trainer for sign-language alphabet images."
+    parser = argparse.ArgumentParser(prog="fsqnet", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags, _) in COMMANDS.items():
+        built = command not in COMMANDS or name == command
+        p_command = sub.add_parser(name, help=help_line, add_help=built)
+        if built:
+            add_flags(p_command)
+    return parser
+
+
 def main(argv=None) -> int:
     _keep_heap_once()
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except ConfigError as exc:
+        return COMMANDS[args.command][2](args)
+    except (FsqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FsqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, FsqError) else 4
 
 
 def entry() -> None:

@@ -221,9 +221,9 @@ def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -
 
     src_x and src_y broadcast against each other to the [N, H, W] output grids,
     image k's grid in its coordinates; each output pixel lerps along x on the two
-    bracketing rows, then along y.  The batch's uint8 channel planes are
-    gathered with flat 1-D takes over [3, N*h*w], image k at offset k*h*w, never
-    copied to float64.  The result is an [N, H, W, 3] view of channel-planar memory.
+    bracketing rows, then along y.  Flat 1-D takes gather from one uint8 copy of
+    the channel planes, [3, N*h*w], image k at offset k*h*w; np.take would copy a
+    strided view at every take.  The result: an [N, H, W, 3] view of planar memory.
     """
     n, h, w = pixels.shape[:3]
     x0 = np.floor(src_x).astype(np.intp)
@@ -234,7 +234,7 @@ def _sample_bilinear(pixels: np.ndarray, src_x: np.ndarray, src_y: np.ndarray) -
     fy = src_y - y0
     gx = 1.0 - fx
 
-    planes = pixels.transpose(3, 0, 1, 2).reshape(3, n * h * w)
+    planes = np.ascontiguousarray(pixels.transpose(3, 0, 1, 2)).reshape(3, n * h * w)
     offsets = np.arange(0, n * h * w, h * w).reshape(n, 1, 1)
     r0, r1 = y0 * w + offsets, y1 * w + offsets
     # (A*gx + B*fx) * (1-fy) + (C*gx + D*fx) * fy, one float64 step at a time, in 3 buffers

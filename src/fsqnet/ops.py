@@ -328,9 +328,9 @@ def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
     and returned.
 
     Callers hand over an upstream gradient they do not read again.  The bytes
-    are those of np.where(x > 0, d_out, 0): d_out's bits are kept under an
-    all-ones mask, so x <= 0 and NaN give +0.0.  The mask covers one block of
-    POOL_BLOCK_BYTES // 8 elements at a time (_blocks), so it stays under
+    are those of np.where(x > 0, d_out, 0): d_out's int32 bits times x > 0 are
+    kept whole or become +0.0, as for x <= 0 and NaN.  The mask covers one block
+    of POOL_BLOCK_BYTES // 8 elements at a time (_blocks), so it stays under
     1 MiB.  Image ranges run on their own threads.
     """
     if x.shape != d_out.shape:
@@ -342,7 +342,7 @@ def relu_backward(x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
 
     def work(lo, hi):
         for block in _blocks(lo, hi, c, math.prod(x2.shape[2:]), POOL_BLOCK_BYTES // 8):
-            d_bits[block] &= np.negative(x2[block] > 0, dtype=np.int32)  # all ones where x > 0
+            d_bits[block] *= x2[block] > 0
 
     _split(n, x.size, work)
     return d_out

@@ -39,15 +39,17 @@ def synth_image(class_index: int, size: int, seed: int) -> ImageBuffer:
     return ImageBuffer(pixels.clip(0, 255))
 
 
-def class_names(num_classes: int) -> list[str]:
+def class_names(num_classes: int, per_class: int, size: int) -> list[str]:
     if not 1 <= num_classes <= len(string.ascii_lowercase):
         raise ConfigError(f"synthetic datasets have 1 to 26 classes, got {num_classes}")
+    if per_class < 1 or size < 1:
+        raise ConfigError(f"size and per_class must be >= 1, got {size} and {per_class}")
     return list(string.ascii_lowercase[:num_classes])
 
 
 def make_dataset(num_classes: int, per_class: int, size: int, seed: int) -> Dataset:
     """In-memory dataset with `per_class` images per class."""
-    names = class_names(num_classes)
+    names = class_names(num_classes, per_class, size)
     images = np.stack([synth_image(label, size, derive_seed(seed, label, index)).pixels
                        for label in range(num_classes) for index in range(per_class)])
     labels = np.repeat(np.arange(num_classes), per_class)
@@ -57,7 +59,7 @@ def make_dataset(num_classes: int, per_class: int, size: int, seed: int) -> Data
 def write_dataset(root, num_classes: int, per_class: int, size: int, seed: int) -> Path:
     """Write the same dataset as a <root>/<class>/<n>.ppm tree; returns root."""
     root = Path(root)
-    for label, name in enumerate(class_names(num_classes)):
+    for label, name in enumerate(class_names(num_classes, per_class, size)):
         class_dir = root / name
         class_dir.mkdir(parents=True, exist_ok=True)
         for index in range(per_class):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import fsqnet.cli
-from fsqnet.cli import main
+from fsqnet.cli import build_parser, main
 from fsqnet.errors import ConfigError
 from fsqnet.synthetic import make_dataset, write_dataset
 
@@ -101,6 +102,92 @@ class TestSyntheticClassCount:
     def test_twenty_six_classes_are_written(self, tmp_path):
         write_dataset(tmp_path, 26, 1, 4, 0)
         assert len([d for d in tmp_path.iterdir() if d.is_dir()]) == 26
+
+
+class TestSyntheticSizes:
+    """A synthetic dataset needs at least one image per class, of at least 1 px."""
+
+    BAD = [(0, 4), (-1, 4), (1, 0), (1, -3)]
+
+    @pytest.mark.parametrize("per_class, size", BAD)
+    def test_make_dataset_rejects_the_size(self, per_class, size):
+        with pytest.raises(ConfigError, match="size and per_class must be >= 1"):
+            make_dataset(2, per_class, size, 0)
+
+    @pytest.mark.parametrize("per_class, size", BAD)
+    def test_write_dataset_rejects_the_size_before_writing(self, tmp_path, per_class, size):
+        with pytest.raises(ConfigError, match="size and per_class must be >= 1"):
+            write_dataset(tmp_path / "data", 2, per_class, size, 0)
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("flag", ["--size", "--per-class"])
+    def test_script_prints_an_error_and_exits_2(self, tmp_path, flag):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_synthetic_dataset.py"
+        run = subprocess.run([sys.executable, str(script), "--out", str(tmp_path / "data"),
+                              flag, "0"], capture_output=True, text=True)
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith("error: ") and "size and per_class" in run.stderr
+        assert not (tmp_path / "data").exists()
+
+
+# stdout, stderr and exit code of `python -m fsqnet ARGV` with COLUMNS=80, recorded
+# when every call still built the parser of all four commands
+CLI_TEXT = json.loads((Path(__file__).parent / "cli_text.json").read_text(encoding="utf-8"))
+COMMAND_ARGVS = [
+    ["train", "--data", "d", "--out", "o", "--epochs", "2", "--lr", "0.01", "--no-augment",
+     "--flip", "--arch", "tiny", "--image-size", "64", "--deterministic", "--resume", "r"],
+    ["eval", "--checkpoint", "c", "--data", "d", "--confusion", "m.csv"],
+    ["predict", "--checkpoint", "c", "--image", "i", "--top", "5"],
+    ["inspect", "--arch-only", "--arch", "tiny", "--image-size", "64", "--classes", "3"],
+]
+
+
+def _command_flags(parser) -> dict[str, list[str]]:
+    """Each command's flag destinations in a parser from build_parser."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a.dest for a in p._actions] for name, p in commands.choices.items()}
+
+
+class TestCommandParsers:
+    """main builds only the named command's flags, and prints and returns what it did
+    when every call built all four commands."""
+
+    @pytest.mark.skipif("%d.%d" % sys.version_info[:2] != CLI_TEXT["python"],
+                        reason=f"argparse's text was recorded with Python {CLI_TEXT['python']}")
+    @pytest.mark.parametrize("case", CLI_TEXT["cases"], ids=lambda c: " ".join(c["argv"]) or "-")
+    def test_text_and_exit_code_as_recorded(self, case, tmp_path):
+        run = subprocess.run([sys.executable, "-m", "fsqnet", *case["argv"]], cwd=tmp_path,
+                             capture_output=True, text=True,
+                             env=_env_without_malloc_settings(COLUMNS="80"))
+        assert (run.returncode, run.stdout, run.stderr) == (
+            case["code"], case["stdout"], case["stderr"])
+
+    @pytest.mark.parametrize("argv", [c["argv"] for c in CLI_TEXT["cases"]] + COMMAND_ARGVS,
+                             ids=lambda argv: " ".join(argv) or "-")
+    def test_text_and_exit_code_equal_the_whole_trees(self, argv, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)  # the runs that get past parsing find no files
+        named = (main(argv), *capsys.readouterr())
+        whole = fsqnet.cli.build_parser
+        monkeypatch.setattr(fsqnet.cli, "build_parser", lambda command=None: whole())
+        assert (main(argv), *capsys.readouterr()) == named
+
+    def test_only_the_named_command_gets_flags(self):
+        flags = _command_flags(build_parser("predict"))
+        assert flags == {"train": [], "eval": [], "inspect": [],
+                         "predict": ["help", "checkpoint", "image", "top"]}
+
+    @pytest.mark.parametrize("command", [None, "frobnicate", "--", "-h"])
+    def test_no_command_named_builds_every_command(self, command):
+        flags = _command_flags(build_parser(command))
+        assert list(flags) == ["train", "eval", "predict", "inspect"]
+        assert all(dests[0] == "help" and len(dests) > 1 for dests in flags.values())
+        assert flags == _command_flags(build_parser())
+
+    @pytest.mark.parametrize("argv", COMMAND_ARGVS, ids=lambda argv: argv[0])
+    def test_namespace_equals_the_whole_trees(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
 
 
 class TestTrain:

@@ -188,6 +188,21 @@ class TestResize:
         ours = resize_bilinear(img, out_w, out_h)
         assert ours.pixels.tolist() == scalar_resize_bilinear(img.pixels.tolist(), out_w, out_h)
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_strided_sources_match_the_scalar_reference(self, n):
+        # channel-planar memory seen as [N, h, w, 3], and every other column of a
+        # wider batch: the sampler copies each into channel planes once per call
+        rng = np.random.default_rng(44)
+        planar = rng.integers(0, 256, (n, 3, 9, 11), dtype=np.uint8).transpose(0, 2, 3, 1)
+        every_other = rng.integers(0, 256, (n, 9, 22, 3), dtype=np.uint8)[:, :, ::2]
+        for pixels in (planar, every_other):
+            assert not pixels.flags.c_contiguous
+            out = resize_bilinear(pixels, 7, 5)
+            assert np.array_equal(out, resize_bilinear(np.ascontiguousarray(pixels), 7, 5))
+            for image, resized in zip(pixels, out):
+                assert resized.tolist() == scalar_resize_bilinear(image.tolist(), 7, 5)
+                assert np.array_equal(resize_bilinear(ImageBuffer(image), 7, 5).pixels, resized)
+
     def test_no_overshoot(self):
         rng = np.random.default_rng(2)
         img = _random_image(rng, 6, 6)

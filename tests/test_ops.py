@@ -444,8 +444,11 @@ class TestRelu:
             relu_backward(np.zeros(3, np.float32), np.zeros(3))
 
     def test_backward_bytes_match_where(self):
-        ds = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 3.5, -2.0], np.float32)
-        ys = np.array([-1.0, -0.0, 0.0, 1e-45, 2.0, np.nan], np.float32)
+        # NaN of either sign and with a payload, +-0, +-inf, +-denormal, finite
+        special = np.array([0x7FC00000, 0xFFC00000, 0x7F800001, 0x00000000, 0x80000000,
+                            0x7F800000, 0xFF800000, 0x00000001, 0x80000001], np.uint32)
+        ds = np.concatenate([special.view(np.float32), np.array([3.5, -2.0], np.float32)])
+        ys = np.concatenate([special.view(np.float32), np.array([-1.0, 2.0], np.float32)])
         y = np.repeat(ys[:, None], ds.size, axis=1)
         d = np.repeat(ds[:, None], ys.size, axis=1).T  # a strided view, as channel_split gives
         expected = np.where(y > 0, d, np.float32(0.0))

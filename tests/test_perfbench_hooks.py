@@ -15,11 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fsqnet.cli
 import fsqnet.data
 import fsqnet.train
-from fsqnet.data import Dataset
+from fsqnet.checkpoint import save_checkpoint
+from fsqnet.data import Dataset, ImageBuffer, save_ppm
 from fsqnet.model import build_model, tiny_config
-from fsqnet.train import TrainConfig
+from fsqnet.train import History, TrainConfig
 from test_data import SPLIT_SIZE, _record_split_threads, _write_split_sources
 from test_ops import _force_split
 
@@ -63,6 +65,23 @@ def test_attribute_hooks_bind_the_wrapped_positional_parameters(tracer):
                 inspect.signature(hook).bind(*range(count))
             except TypeError as exc:
                 pytest.fail(f"hook for {module.__name__}.{attr} with {count} arguments: {exc}")
+
+
+def test_traced_predict_is_one_cli_main_span_around_its_work(tracer, tmp_path, capsys):
+    # cli.self_ms_per_call is the time in this span outside its children
+    checkpoint, image = tmp_path / "tiny.fsq", tmp_path / "image.ppm"
+    save_checkpoint(build_model(tiny_config(num_classes=3, input_size=32), 0), History(),
+                    (0.5, 0.5, 0.5), ["a", "b", "c"], checkpoint)
+    save_ppm(ImageBuffer(np.random.default_rng(0).integers(0, 256, (40, 40, 3))), image)
+    recorder = tracer.Tracer()
+    with recorder.installed():
+        assert fsqnet.cli.main(["predict", "--checkpoint", str(checkpoint),
+                                "--image", str(image)]) == 0
+    mains = [s for s in recorder.spans if s.name == "cli.main"]
+    assert len(mains) == 1 and mains[0].parent is None
+    assert [s.name for s in recorder.spans if s.parent == mains[0].id] == [
+        "checkpoint.load_checkpoint", "data.load_image", "data.resize_bilinear",
+        "data.normalize", "model.model_forward"]
 
 
 def test_batch_assembly_is_traced_as_data(tracer):

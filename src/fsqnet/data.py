@@ -389,11 +389,13 @@ def augment(images: np.ndarray, flip: bool, draws) -> np.ndarray:
 
 
 def fisher_yates_order(n: int, seed: int) -> list[int]:
-    """Deterministic permutation of range(n)."""
+    """Deterministic permutation of range(n).
+
+    The swap partners of i = n-1 .. 1 come from one bounded-integer call,
+    which draws the stream one `rng.integers(0, i + 1)` per i would."""
     order = list(range(n))
-    rng = rng_from_seed(seed)
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    partners = rng_from_seed(seed).integers(0, np.arange(n, 1, -1)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), partners):
         order[i], order[j] = order[j], order[i]
     return order
 

@@ -390,10 +390,6 @@ def build_model(config: ModelConfig, seed: int) -> Model:
     return Model(config, params)
 
 
-def parameter_count(model: Model) -> int:
-    return sum(p.size for p in model.params.values())
-
-
 def model_forward(
     model: Model,
     batch: np.ndarray,

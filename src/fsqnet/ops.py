@@ -121,6 +121,13 @@ def _blas_threads() -> int | None:
 SPLIT_ELEMENTS = 1 << 19
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; on macOS and Windows, every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _split(n: int, size: int, work) -> None:
     """Run work(lo, hi) over contiguous ranges that cover [0, n), one per CPU.
 
@@ -134,10 +141,7 @@ def _split(n: int, size: int, work) -> None:
     if n < 2 or size < SPLIT_ELEMENTS or _blas_threads() != 1:
         work(0, n)
         return
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        workers = min(n, len(os.sched_getaffinity(0)))
-    else:  # macOS and Windows: every CPU
-        workers = min(n, os.cpu_count() or 1)
+    workers = min(n, _cpus())
     bounds = [n * i // workers for i in range(workers + 1)]
     errors = []
 

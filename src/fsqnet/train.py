@@ -20,15 +20,22 @@ the cut.  Images of at least WARP_PIXELS pixels, with OpenBLAS on one thread
 (_one_image_per_cpu), go through the whole network one at a time, split
 across the CPUs once per training step or evaluation pass.  Otherwise a
 training batch is one sub-batch, assembled as one array and run through each
-op together, and evaluation images go EVAL_BATCH to a forward.
+op together, and evaluation images go EVAL_BATCH to a forward.  With
+augmentation and two or more CPUs, fit forks one helper process that
+assembles each such batch while the step before it trains
+(_assembles_ahead), with the bytes the step would assemble: a thread would
+wait for the interpreter lock that the step holds.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import signal
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, astuple, dataclass, field
 from numbers import Real
 
@@ -196,19 +203,90 @@ def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int):
         yield chunk, None if table is None else table[chunk]
 
 
-def _step(model: Model, dataset: Dataset, idx, draws, flip, dropout_seed):
+def _assembles_ahead(size: int, config: TrainConfig) -> bool:
+    """Whether fit's training batches are assembled ahead by a helper process
+    (_assembly_helper): with augmentation, a batch run whole (not
+    _one_image_per_cpu), two or more CPUs and the fork start method.
+
+    The helper's augment and normalize then run on another CPU while the step
+    trains.  Without augmentation there is too little to overlap, and a thread
+    in its place would wait for the interpreter lock that the step holds.
+    """
+    return (config.augment and not _one_image_per_cpu(size) and ops._cpus() >= 2
+            and "fork" in multiprocessing.get_all_start_methods())
+
+
+def _assemble_epochs(reader, writer, train_set: Dataset, config: TrainConfig, epochs) -> None:
+    """The helper process: every batch of `_batches` for each epoch in `epochs`,
+    assembled, as float32 bytes down `writer`; an error as an empty message and
+    then its text."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C stops the parent, which stops this
+    reader.close()  # the fork's copy: once the parent's is gone too, a send here fails
+    try:
+        for epoch_index in epochs:
+            for idx, draws in _batches(train_set, config, epoch_index):
+                writer.send_bytes(_assemble_batch(train_set, idx, draws, config.flip)[0])
+    except BrokenPipeError:  # the parent died without stopping this
+        return
+    except Exception as exc:
+        writer.send_bytes(b"")
+        writer.send_bytes(f"{type(exc).__name__}: {exc}".encode())
+
+
+@contextmanager
+def _assembly_helper(train_set: Dataset, config: TrainConfig, epochs):
+    """Yield receive(n), which returns the next n-image training batch that a
+    forked helper process assembled for the epochs `epochs`.
+
+    The helper walks each epoch's `_batches`, a pure function of (seed,
+    epoch), as train_epoch does, so batch k it sends is the batch of
+    train_epoch's step k.  It sends down a one-way pipe with no queue: a batch
+    larger than the pipe's buffer blocks it until the step reads it, so it runs
+    about one batch ahead.  On exit the helper is terminated and joined,
+    whether fit returns or raises; a failed helper raises StateError in
+    receive.
+    """
+    context = multiprocessing.get_context("fork")
+    reader, writer = context.Pipe(duplex=False)
+    helper = context.Process(target=_assemble_epochs,
+                             args=(reader, writer, train_set, config, epochs),
+                             name="fsqnet batch helper")
+    helper.start()
+    writer.close()  # the helper's is then the only write end: its exit ends a read
+    shape = (3, *train_set.samples.shape[1:3])
+
+    def receive(n: int) -> np.ndarray:
+        try:
+            data = reader.recv_bytes()
+            if not data:
+                raise StateError(f"batch helper process failed: {reader.recv_bytes().decode()}")
+        except EOFError:
+            helper.join()
+            raise StateError(f"batch helper process exited with code {helper.exitcode}") from None
+        return np.frombuffer(data, np.float32).reshape(n, *shape)
+
+    try:
+        yield receive
+    finally:
+        helper.terminate()
+        helper.join()
+        reader.close()
+
+
+def _step(model: Model, dataset: Dataset, idx, draws, flip, dropout_seed, assembled=None):
     """Probabilities, mean loss and float32 gradients of one training batch.
 
-    The batch goes through assembly, forward and backward in consecutive
-    sub-batches: under _one_image_per_cpu one image each, split across the
-    CPUs by _split_images, else the whole batch on the calling thread, its ops
-    splitting it themselves.  A worker takes the batch's next sub-batch each
-    time, so the images in flight are consecutive and no worker waits long for
-    its turn.  Images i..j get rows i..j of the batch's dropout mask and
-    d_logits (p - y)/n.  Their gradient terms are added to float64 sums once
-    the earlier images' are in, and a failed worker releases the waiting ones.
-    The loss comes from the whole batch's probabilities after the join, so
-    every output has the same bytes however the batch is cut.
+    The batch goes through assembly (unless `assembled` holds it already),
+    forward and backward in consecutive sub-batches: under _one_image_per_cpu
+    one image each, split across the CPUs by _split_images, else the whole
+    batch on the calling thread, its ops splitting it themselves.  A worker
+    takes the batch's next sub-batch each time, so the images in flight are
+    consecutive and no worker waits long for its turn.  Images i..j get rows
+    i..j of the batch's dropout mask and d_logits (p - y)/n.  Their gradient
+    terms are added to float64 sums once the earlier images' are in, and a
+    failed worker releases the waiting ones.  The loss comes from the whole
+    batch's probabilities after the join, so every output has the same bytes
+    however the batch is cut.
     """
     n, size = len(idx), model.config.input_size
     width = 1 if _one_image_per_cpu(size) else n
@@ -228,8 +306,11 @@ def _step(model: Model, dataset: Dataset, idx, draws, flip, dropout_seed):
                         return
                     k, taken = taken, taken + 1
                 i, j = k * width, (k + 1) * width
-                images, _ = _assemble_batch(dataset, idx[i:j],
-                                            None if draws is None else draws[i:j], flip)
+                if assembled is None:
+                    images, _ = _assemble_batch(dataset, idx[i:j],
+                                                None if draws is None else draws[i:j], flip)
+                else:
+                    images = assembled[i:j]
                 seed = None if dropout_seed is None else (dropout_seed, i)
                 p, tape = model_forward(model, images, training=True, dropout_seed=seed)
                 probs[i:j] = p
@@ -261,8 +342,13 @@ def train_epoch(
     val_set: Dataset,
     config: TrainConfig,
     epoch_index: int,
+    receive=None,
 ) -> EpochMetrics:
-    """One pass of shuffled mini-batch momentum SGD plus a validation evaluation."""
+    """One pass of shuffled mini-batch momentum SGD plus a validation evaluation.
+
+    Each step assembles its batch, unless `receive(n)` returns it assembled
+    (fit's helper process, _assembly_helper).
+    """
     started = time.perf_counter()
     size = model.config.input_size
     _check_input_sizes(train_set, size, "train")
@@ -275,7 +361,9 @@ def train_epoch(
         dropout_seed = (
             derive_seed(config.seed, epoch_index, batch_index, 0xD0) if config.dropout_on else None
         )
-        probs, loss, grads = _step(model, train_set, idx, draws, config.flip, dropout_seed)
+        assembled = None if receive is None else receive(len(idx))
+        probs, loss, grads = _step(model, train_set, idx, draws, config.flip, dropout_seed,
+                                   assembled)
         sgd_step(model.params, velocity, grads, config)
         n = len(idx)
         loss_sum += loss * n
@@ -354,16 +442,26 @@ def fit(
 
     With a non-empty starting history (resume), epoch numbering continues from
     where it left off.  `emit` receives one JSON metrics line per epoch.
+
+    Under _assembles_ahead, one helper process forked here assembles every
+    epoch's batches while the steps train (_assembly_helper), and is stopped
+    before fit returns or raises.  The batches have the bytes the steps would
+    assemble themselves.
     """
     history = history if history is not None else History()
     first = history.last_epoch() + 1
+    epochs = range(first, first + config.epochs)
     best_params = clone_params(model.params)
     velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
-    for epoch_index in range(first, first + config.epochs):
-        metrics = train_epoch(model, velocity, train_set, val_set, config, epoch_index)
-        history.append(metrics)
-        if emit is not None:
-            emit(metrics.to_json_line())
-        if history.best() is metrics:
-            best_params = clone_params(model.params)
+    helper = (_assembly_helper(train_set, config, epochs)
+              if _assembles_ahead(model.config.input_size, config) else nullcontext())
+    with helper as receive:
+        for epoch_index in epochs:
+            metrics = train_epoch(model, velocity, train_set, val_set, config, epoch_index,
+                                  receive)
+            history.append(metrics)
+            if emit is not None:
+                emit(metrics.to_json_line())
+            if history.best() is metrics:
+                best_params = clone_params(model.params)
     return FitResult(history, best_params)

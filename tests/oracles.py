@@ -195,6 +195,16 @@ def scalar_warp(pixels, crop_w: int, crop_h: int, off_x: int, off_y: int,
     return out
 
 
+def loop_fisher_yates_order(n: int, seed: int) -> list[int]:
+    """Fisher-Yates over range(n), one bounded draw per swap from i = n-1 down to 1."""
+    order = list(range(n))
+    rng = np.random.Generator(np.random.PCG64(seed & 0xFFFFFFFFFFFFFFFF))
+    for i in range(n - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def closed_form_param_count(num_classes: int, fire_widths, head_hidden: int) -> int:
     """Layer-by-layer arithmetic from the architecture definition alone."""
     total = 64 * 3 * 3 * 3 + 64  # stem conv

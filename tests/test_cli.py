@@ -302,6 +302,20 @@ def test_train_peak_memory_independent_of_source_size(tmp_path, capsys):
     assert peaks[512] - peaks[64] < 512 * 512 * 3 * 8
 
 
+def test_train_prints_each_line_once_through_a_pipe(workspace, tmp_path):
+    # piped stdout is block-buffered: a buffer copied into fit's forked batch
+    # helper and flushed there would print the header twice
+    argv = ["train", "--data", str(workspace["data"]), "--out", "p.fsq", "--arch", "tiny",
+            "--image-size", "32", "--epochs", "2", "--batch", "8", "--augment"]
+    run = subprocess.run([sys.executable, "-m", "fsqnet", *argv], cwd=tmp_path,
+                         env=_env_without_malloc_settings(), stdout=subprocess.PIPE, check=True)
+    lines = [json.loads(line) for line in run.stdout.decode().splitlines()]
+    assert "config" in lines[0] and [line["epoch"] for line in lines[1:3]] == [1, 2]
+    assert len(lines) == 4 and "best_epoch" in lines[3]
+    metrics = (tmp_path / "p.fsq.metrics.jsonl").read_text().splitlines()
+    assert len(metrics) == 3 and [json.loads(line) for line in metrics] == lines[:3]
+
+
 class TestDeterminism:
     def test_identical_runs_are_byte_identical(self, workspace, tmp_path, capsys):
         out = tmp_path / "d.fsq"

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fsqnet.data import (
@@ -27,7 +27,8 @@ import fsqnet.data
 import fsqnet.ops
 from fsqnet.data import WARP_PIXELS, _warp
 from fsqnet.errors import ConfigError, DataError, DecodeError
-from oracles import scalar_resize_bilinear, scalar_rotate_edge_clamped, scalar_warp
+from oracles import (loop_fisher_yates_order, scalar_resize_bilinear, scalar_rotate_edge_clamped,
+                     scalar_warp)
 from test_ops import _force_split
 
 
@@ -419,6 +420,15 @@ class TestFisherYates:
 
     def test_seed_changes_order(self):
         assert fisher_yates_order(30, 1) != fisher_yates_order(30, 2)
+
+    @given(st.integers(0, 600), st.one_of(st.integers(0, 2**63 - 1),
+                                          st.integers(2**63, 2**64 - 1)))
+    @example(5000, 2**63 + 5)
+    @example(0, 42)
+    @example(1, 1)
+    @settings(max_examples=80)
+    def test_equals_one_draw_per_swap(self, n, seed):
+        assert fisher_yates_order(n, seed) == loop_fisher_yates_order(n, seed)
 
 
 def _write_tree(root, spec):

@@ -17,7 +17,6 @@ from fsqnet.model import (
     layer_summary,
     model_backward,
     model_forward,
-    parameter_count,
     tiny_config,
 )
 from fsqnet.ops import (
@@ -124,7 +123,7 @@ class TestLayerSummary:
         config = ModelConfig(num_classes=3, input_size=64, fire_specs=(FireSpec(2, 2, 2),) * 11,
                              head_hidden=32)
         rows = {r["name"]: r["params"] for r in layer_summary(config)}
-        assert sum(rows.values()) == parameter_count(build_model(config, 0))
+        assert sum(rows.values()) == sum(p.size for p in build_model(config, 0).params.values())
         own = [s for n, s in expected_param_shapes(config).items() if n.startswith("fire1_")]
         assert rows["fire1"] == sum(int(np.prod(s)) for s in own)
         assert rows["fire2"] == rows["fire10"]  # same widths, same input channels
@@ -205,7 +204,7 @@ class TestBuildModel:
             assert model.params[name].dtype == np.float32
 
     def test_param_count_tiny(self):
-        assert parameter_count(_tiny_model()) == 2279
+        assert sum(p.size for p in _tiny_model().params.values()) == 2279
 
     def test_param_count_default(self):
         shapes = expected_param_shapes(ModelConfig())
@@ -377,11 +376,11 @@ class TestModelBackward:
 
     def test_count_invariant_under_steps(self):
         model = _tiny_model()
-        before = parameter_count(model)
+        before = sum(p.size for p in model.params.values())
         x = _batch(np.random.default_rng(7), 2)
         probs, tape = model_forward(model, x, training=True)
         _, d_logits = cross_entropy(probs, [0, 2])
         velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
         grads = {name: gradient(t) for name, t in model_backward(tape, d_logits).items()}
         sgd_step(model.params, velocity, grads, TrainConfig(learning_rate=0.01))
-        assert parameter_count(model) == before
+        assert sum(p.size for p in model.params.values()) == before

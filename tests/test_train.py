@@ -1,11 +1,16 @@
 import json
 import math
+import multiprocessing
+import os
+import signal
 import statistics
+import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import asdict, fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -645,6 +650,179 @@ class TestImageStep:
         added = self._slow_first_image(monkeypatch, fail=True)
         raised = _epoch_outcome(model, _split_set(), TrainConfig(batch_size=5, dropout_on=True))
         assert [str(exc) for exc in raised] == ["image 0"] and added == []
+
+
+def _fit_outcome(model, train_set, val_set, config, history=None) -> list[Exception]:
+    """What fit raised, run on a thread of its own so that a hang fails the test."""
+    raised = []
+
+    def run():
+        try:
+            fit(model, train_set, val_set, config, history)
+        except Exception as exc:
+            raised.append(exc)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "fit hung"
+    return raised
+
+
+class TestAssemblyHelper:
+    """fit assembles augmented whole batches ahead in one forked helper process."""
+
+    AUGMENTED = TrainConfig(learning_rate=0.05, batch_size=8, epochs=2, seed=13, augment=True,
+                            flip=True, dropout_on=True, deterministic=True)
+
+    @pytest.mark.parametrize("size,cpus,augment,blas_threads,methods,expected", [
+        (32, 2, True, 1, ["fork", "spawn"], True),
+        (128, 2, True, 2, ["fork", "spawn"], True),
+        (32, 2, False, 1, ["fork", "spawn"], False),
+        (32, 1, True, 1, ["fork", "spawn"], False),
+        (SPLIT_SIZE, 2, True, 1, ["fork", "spawn"], False),
+        (32, 2, True, 1, ["spawn"], False),
+    ], ids=["tiny", "v11-128", "no-augment", "one-cpu", "one-image-per-cpu", "no-fork"])
+    def test_rule(self, monkeypatch, size, cpus, augment, blas_threads, methods, expected):
+        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: cpus)
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        config = TrainConfig(augment=augment)
+        assert fsqnet.train._assembles_ahead(size, config) is expected
+
+    @staticmethod
+    def _fit(monkeypatch, cpus, train_set, val_set, config, history=None):
+        """The bytes of fit's final params and best params and its metrics lines
+        with `cpus` CPUs, and the size of each training batch assembled here."""
+        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: cpus)
+        assemble, assembled = fsqnet.train._assemble_batch, []
+
+        def recording(dataset, idx, draws=None, flip=False):
+            if draws is not None:
+                assembled.append(len(idx))
+            return assemble(dataset, idx, draws, flip)
+
+        monkeypatch.setattr(fsqnet.train, "_assemble_batch", recording)
+        model = build_model(tiny_config(num_classes=3), 6)
+        try:
+            result = fit(model, train_set, val_set, config, history)
+        finally:
+            monkeypatch.undo()
+        return (b"".join(p.tobytes() for p in model.params.values()),
+                b"".join(p.tobytes() for p in result.best_params.values()),
+                [m.to_json_line() for m in result.history.entries]), assembled
+
+    @staticmethod
+    def _sets():
+        samples = np.random.default_rng(31).integers(0, 256, (41, 32, 32, 3), np.uint8)
+        labels, means = np.arange(41) % 3, compute_channel_means(samples[:37])
+        return (Dataset(samples[:37], labels[:37], ["a", "b", "c"], means),
+                Dataset(samples[37:], labels[37:], ["a", "b", "c"], means))
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_batches_have_the_bytes_of_in_process_assembly(self, monkeypatch):
+        train_set, val_set = self._sets()  # 37 images: the last batch of 8 is partial
+        expected, here = self._fit(monkeypatch, 1, train_set, val_set, self.AUGMENTED)
+        assert here == [8, 8, 8, 8, 5] * 2
+        helped, here = self._fit(monkeypatch, 2, train_set, val_set, self.AUGMENTED)
+        assert here == [] and helped == expected
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_a_resumed_fit_gets_the_batches_of_its_own_epochs(self, monkeypatch):
+        train_set, val_set = self._sets()
+        first = fit(build_model(tiny_config(num_classes=3), 6), train_set, val_set,
+                    self.AUGMENTED)
+        assert first.history.last_epoch() == 2
+        expected, _ = self._fit(monkeypatch, 1, train_set, val_set, self.AUGMENTED,
+                                History(list(first.history.entries)))
+        helped, here = self._fit(monkeypatch, 2, train_set, val_set, self.AUGMENTED,
+                                 History(list(first.history.entries)))
+        assert here == [] and helped == expected
+        assert [json.loads(line)["epoch"] for line in helped[2]] == [1, 2, 3, 4]
+
+    @staticmethod
+    def _left_running(outcome) -> list[Exception]:
+        """The exceptions `outcome()` gives, checked to leave no process or thread behind."""
+        threads = threading.active_count()
+        raised = outcome()
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+        return raised
+
+    def test_nothing_is_left_running_after_fit_returns(self, monkeypatch):
+        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: 2)
+        train_set, val_set = self._sets()
+        model = build_model(tiny_config(num_classes=3), 6)
+        assert self._left_running(
+            lambda: _fit_outcome(model, train_set, val_set, self.AUGMENTED)) == []
+
+    def test_nothing_is_left_running_after_fit_raises(self, monkeypatch):
+        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: 2)
+        train_set, val_set = self._sets()
+        model = build_model(tiny_config(num_classes=3), 6)
+        model.params["dense2/bias"][:] = np.inf
+        raised = self._left_running(
+            lambda: _fit_outcome(model, train_set, val_set, self.AUGMENTED))
+        assert len(raised) == 1 and isinstance(raised[0], NumericError)
+
+    def test_a_failed_helper_raises_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: 2)
+
+        def failing(dataset, idx, draws=None, flip=False):
+            raise RuntimeError(f"SIGINT handler {signal.getsignal(signal.SIGINT)!r}")
+
+        monkeypatch.setattr(fsqnet.train, "_assemble_batch", failing)
+        train_set, val_set = self._sets()
+        model = build_model(tiny_config(num_classes=3), 6)
+        raised = self._left_running(
+            lambda: _fit_outcome(model, train_set, val_set, self.AUGMENTED))
+        assert len(raised) == 1 and isinstance(raised[0], StateError)
+        # the helper ran with Ctrl-C ignored, which leaves stopping it to the parent
+        assert str(raised[0]) == ("batch helper process failed: "
+                                  f"RuntimeError: SIGINT handler {signal.SIG_IGN!r}")
+
+    def test_a_helper_that_dies_raises_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: 2)
+        monkeypatch.setattr(fsqnet.train, "_assemble_batch", lambda *args: os._exit(3))
+        train_set, val_set = self._sets()
+        model = build_model(tiny_config(num_classes=3), 6)
+        raised = self._left_running(
+            lambda: _fit_outcome(model, train_set, val_set, self.AUGMENTED))
+        assert [str(exc) for exc in raised] == ["batch helper process exited with code 3"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
+    def test_a_helper_whose_parent_is_killed_exits(self):
+        # the parent prints its helper's pid from a step that never ends
+        script = (
+            "import multiprocessing, time\n"
+            "import fsqnet.ops, fsqnet.train as train\n"
+            "from fsqnet.model import build_model, tiny_config\n"
+            "from fsqnet.synthetic import make_dataset\n"
+            "fsqnet.ops._cpus = lambda: 2\n"
+            "def stuck(*args):\n"
+            "    print(multiprocessing.active_children()[0].pid, flush=True)\n"
+            "    time.sleep(60)\n"
+            "train._step = stuck\n"
+            "data = make_dataset(2, 40, 32, 1)\n"
+            "train.fit(build_model(tiny_config(num_classes=2), 0), data, data,\n"
+            "          train.TrainConfig(batch_size=4, augment=True))\n")
+        src = str(Path(fsqnet.train.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        parent = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=env)
+        helper = int(parent.stdout.readline())
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        state = Path(f"/proc/{helper}/stat")
+        deadline = time.monotonic() + 10
+        # the helper's sends fail once the parent's end of the pipe is gone
+        while state.exists() and state.read_text().rsplit(")", 1)[1].split()[0] != "Z":
+            if time.monotonic() > deadline:
+                os.kill(helper, signal.SIGKILL)
+                pytest.fail("the helper outlived its killed parent")
+            time.sleep(0.05)
 
 
 class TestPearson:

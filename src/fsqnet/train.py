@@ -20,9 +20,10 @@ the cut.  Images of at least WARP_PIXELS pixels, with OpenBLAS on one thread
 (_one_image_per_cpu), go through the whole network one at a time, split
 across the CPUs once per training step or evaluation pass.  Otherwise a
 training batch is one sub-batch, assembled as one array and run through each
-op together, and evaluation images go EVAL_BATCH to a forward.  With
-augmentation and two or more CPUs, fit forks one helper process that
-assembles each such batch while the step before it trains
+op together, and evaluation images go EVAL_BATCH to a forward.  When such a
+batch of the tiny network is too small for its ops to split, on Linux with
+augmentation, OpenBLAS on one thread and two or more CPUs, fit forks one
+helper process that assembles each batch while the step before it trains
 (_assembles_ahead), with the bytes the step would assemble: a thread would
 wait for the interpreter lock that the step holds.
 """
@@ -33,6 +34,7 @@ import json
 import math
 import multiprocessing
 import signal
+import sys
 import threading
 import time
 from contextlib import contextmanager, nullcontext
@@ -44,7 +46,7 @@ import numpy as np
 from . import ops
 from .data import WARP_PIXELS, Dataset, _split_images, augment, fisher_yates_order, normalize
 from .errors import ConfigError, DataError, NumericError, StateError
-from .model import Model, clone_params, model_backward, model_forward
+from .model import Model, ModelConfig, clone_params, layer_plan, model_backward, model_forward
 from .ops import add_terms
 from .tensor import derive_seed, rng_from_seed
 
@@ -193,27 +195,57 @@ def _assemble_batch(dataset: Dataset, idx, draws=None, flip=False):
     return normalize(images, dataset.channel_means), dataset.labels[idx]
 
 
-def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int):
-    """Each batch's image indices and their rows of the epoch's [N, 6] augmentation draws."""
+@dataclass(frozen=True)
+class _Unassembled:
+    """A training batch whose rows are assembled when sliced: [i:j] gives
+    images idx[i:j], augmented with draws[i:j] when there are draws."""
+
+    dataset: Dataset
+    idx: np.ndarray
+    draws: np.ndarray | None
+    flip: bool
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        draws = None if self.draws is None else self.draws[rows]
+        return _assemble_batch(self.dataset, self.idx[rows], draws, self.flip)[0]
+
+
+def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int, draw: bool = True):
+    """Each batch's image indices and their rows of the epoch's [N, 6]
+    augmentation draws, or None without augmentation or `draw`."""
     order = fisher_yates_order(len(train_set), config.seed ^ epoch_index)
-    rng = rng_from_seed(derive_seed(config.seed, epoch_index, 0xA6))
-    table = rng.random((len(train_set), 6)) if config.augment else None
+    table = None
+    if config.augment and draw:
+        rng = rng_from_seed(derive_seed(config.seed, epoch_index, 0xA6))
+        table = rng.random((len(train_set), 6))
     for start in range(0, len(order), config.batch_size):
         chunk = order[start : start + config.batch_size]
         yield chunk, None if table is None else table[chunk]
 
 
-def _assembles_ahead(size: int, config: TrainConfig) -> bool:
+def _assembles_ahead(model_config: ModelConfig, config: TrainConfig) -> bool:
     """Whether fit's training batches are assembled ahead by a helper process
-    (_assembly_helper): with augmentation, a batch run whole (not
-    _one_image_per_cpu), two or more CPUs and the fork start method.
+    (_assembly_helper): on Linux, with augmentation, OpenBLAS on one thread,
+    two or more CPUs, the tiny network, and a batch whose stem output (the
+    step's largest array) is below ops.SPLIT_ELEMENTS.
 
-    The helper's augment and normalize then run on another CPU while the step
-    trains.  Without augmentation there is too little to overlap, and a thread
-    in its place would wait for the interpreter lock that the step holds.
+    No op then splits the batch, so the second CPU is idle while the step
+    trains, and the helper's augment and normalize run there.  Images are
+    also below WARP_PIXELS pixels, so the batch runs whole.  Without
+    augmentation there is too little to overlap, and a thread in its place
+    would wait for the interpreter lock that the step holds.  The rule covers
+    what was measured to gain: the v1.1 network's steps are long beside their
+    assembly, and it read 0.90-1.0x with the helper at 32-176 px; macOS forks
+    unsafely once system libraries have started threads and Windows cannot
+    fork; and a threaded or unknown BLAS would contend with the helper for the
+    CPUs.
     """
-    return (config.augment and not _one_image_per_cpu(size) and ops._cpus() >= 2
-            and "fork" in multiprocessing.get_all_start_methods())
+    size = model_config.input_size
+    stem = layer_plan(model_config)[0].conv
+    oh, ow = stem.out_hw(size, size)
+    return (config.augment and sys.platform == "linux" and model_config.variant == "tiny"
+            and config.batch_size * stem.out_channels * oh * ow < ops.SPLIT_ELEMENTS
+            and size * size < WARP_PIXELS and ops._blas_threads() == 1 and ops._cpus() >= 2)
 
 
 def _assemble_epochs(reader, writer, train_set: Dataset, config: TrainConfig, epochs) -> None:
@@ -273,24 +305,23 @@ def _assembly_helper(train_set: Dataset, config: TrainConfig, epochs):
         reader.close()
 
 
-def _step(model: Model, dataset: Dataset, idx, draws, flip, dropout_seed, assembled=None):
+def _step(model: Model, images, labels: np.ndarray, dropout_seed):
     """Probabilities, mean loss and float32 gradients of one training batch.
 
-    The batch goes through assembly (unless `assembled` holds it already),
-    forward and backward in consecutive sub-batches: under _one_image_per_cpu
-    one image each, split across the CPUs by _split_images, else the whole
-    batch on the calling thread, its ops splitting it themselves.  A worker
-    takes the batch's next sub-batch each time, so the images in flight are
-    consecutive and no worker waits long for its turn.  Images i..j get rows
-    i..j of the batch's dropout mask and d_logits (p - y)/n.  Their gradient
-    terms are added to float64 sums once the earlier images' are in, and a
-    failed worker releases the waiting ones.  The loss comes from the whole
-    batch's probabilities after the join, so every output has the same bytes
-    however the batch is cut.
+    The batch's images (`images[i:j]`: an assembled array, or _Unassembled),
+    forward and backward run in consecutive sub-batches: under
+    _one_image_per_cpu one image each, split across the CPUs by _split_images,
+    else the whole batch on the calling thread, its ops splitting it
+    themselves.  A worker takes the batch's next sub-batch each time, so the
+    images in flight are consecutive and no worker waits long for its turn.
+    Images i..j get rows i..j of the batch's dropout mask and d_logits
+    (p - y)/n.  Their gradient terms are added to float64 sums once the
+    earlier images' are in, and a failed worker releases the waiting ones.
+    The loss comes from the whole batch's probabilities after the join, so
+    every output has the same bytes however the batch is cut.
     """
-    n, size = len(idx), model.config.input_size
+    n, size = len(labels), model.config.input_size
     width = 1 if _one_image_per_cpu(size) else n
-    labels = dataset.labels[idx]
     probs = np.empty((n, model.config.num_classes), dtype=np.float32)
     sums = {name: np.zeros(p.shape) for name, p in model.params.items()}
     turn = threading.Condition()
@@ -306,13 +337,8 @@ def _step(model: Model, dataset: Dataset, idx, draws, flip, dropout_seed, assemb
                         return
                     k, taken = taken, taken + 1
                 i, j = k * width, (k + 1) * width
-                if assembled is None:
-                    images, _ = _assemble_batch(dataset, idx[i:j],
-                                                None if draws is None else draws[i:j], flip)
-                else:
-                    images = assembled[i:j]
                 seed = None if dropout_seed is None else (dropout_seed, i)
-                p, tape = model_forward(model, images, training=True, dropout_seed=seed)
+                p, tape = model_forward(model, images[i:j], training=True, dropout_seed=seed)
                 probs[i:j] = p
                 terms = model_backward(tape, _logit_gradient(p, labels[i:j], n))
                 with turn:
@@ -347,7 +373,8 @@ def train_epoch(
     """One pass of shuffled mini-batch momentum SGD plus a validation evaluation.
 
     Each step assembles its batch, unless `receive(n)` returns it assembled
-    (fit's helper process, _assembly_helper).
+    (fit's helper process, _assembly_helper); the epoch's augmentation draws
+    are then the helper's alone.
     """
     started = time.perf_counter()
     size = model.config.input_size
@@ -357,17 +384,21 @@ def train_epoch(
     loss_sum = 0.0
     correct = 0
     seen = 0
-    for batch_index, (idx, draws) in enumerate(_batches(train_set, config, epoch_index)):
+    batches = _batches(train_set, config, epoch_index, draw=receive is None)
+    for batch_index, (idx, draws) in enumerate(batches):
         dropout_seed = (
             derive_seed(config.seed, epoch_index, batch_index, 0xD0) if config.dropout_on else None
         )
-        assembled = None if receive is None else receive(len(idx))
-        probs, loss, grads = _step(model, train_set, idx, draws, config.flip, dropout_seed,
-                                   assembled)
+        if receive is None:
+            images = _Unassembled(train_set, idx, draws, config.flip)
+        else:
+            images = receive(len(idx))
+        labels = train_set.labels[idx]
+        probs, loss, grads = _step(model, images, labels, dropout_seed)
         sgd_step(model.params, velocity, grads, config)
         n = len(idx)
         loss_sum += loss * n
-        correct += int((probs.argmax(axis=1) == train_set.labels[idx]).sum())
+        correct += int((probs.argmax(axis=1) == labels).sum())
         seen += n
 
     val_acc, _ = evaluate(model, val_set)
@@ -454,7 +485,7 @@ def fit(
     best_params = clone_params(model.params)
     velocity = {name: np.zeros_like(p) for name, p in model.params.items()}
     helper = (_assembly_helper(train_set, config, epochs)
-              if _assembles_ahead(model.config.input_size, config) else nullcontext())
+              if _assembles_ahead(model.config, config) else nullcontext())
     with helper as receive:
         for epoch_index in epochs:
             metrics = train_epoch(model, velocity, train_set, val_set, config, epoch_index,

@@ -32,6 +32,7 @@ from fsqnet.model import (
     tiny_config,
 )
 from fsqnet.synthetic import make_dataset
+from fsqnet.tensor import rng_from_seed
 from fsqnet.train import (
     EpochMetrics,
     History,
@@ -669,32 +670,55 @@ def _fit_outcome(model, train_set, val_set, config, history=None) -> list[Except
     return raised
 
 
+# fit forks its batch helper on Linux only (_assembles_ahead)
+forks_a_helper = pytest.mark.skipif(sys.platform != "linux",
+                                    reason="fit's batch helper runs on Linux only")
+
+
+def _two_cpus_one_blas_thread(monkeypatch) -> None:
+    """Give _assembles_ahead two CPUs and OpenBLAS on one thread."""
+    monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: 2)
+    monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: 1)
+
+
 class TestAssemblyHelper:
-    """fit assembles augmented whole batches ahead in one forked helper process."""
+    """fit assembles the tiny network's augmented batches ahead in one forked helper process."""
 
     AUGMENTED = TrainConfig(learning_rate=0.05, batch_size=8, epochs=2, seed=13, augment=True,
                             flip=True, dropout_on=True, deterministic=True)
 
-    @pytest.mark.parametrize("size,cpus,augment,blas_threads,methods,expected", [
-        (32, 2, True, 1, ["fork", "spawn"], True),
-        (128, 2, True, 2, ["fork", "spawn"], True),
-        (32, 2, False, 1, ["fork", "spawn"], False),
-        (32, 1, True, 1, ["fork", "spawn"], False),
-        (SPLIT_SIZE, 2, True, 1, ["fork", "spawn"], False),
-        (32, 2, True, 1, ["spawn"], False),
-    ], ids=["tiny", "v11-128", "no-augment", "one-cpu", "one-image-per-cpu", "no-fork"])
-    def test_rule(self, monkeypatch, size, cpus, augment, blas_threads, methods, expected):
+    @pytest.mark.parametrize("arch,size,batch,cpus,augment,blas_threads,platform,expected", [
+        ("tiny", 32, 32, 2, True, 1, "linux", True),
+        ("tiny", 32, 36, 2, True, 1, "linux", True),  # stem output 518,400 elements
+        ("tiny", 32, 37, 2, True, 1, "linux", False),  # 532,800: the stem splits
+        ("tiny", 176, 1, 2, True, 1, "linux", True),
+        ("tiny", 182, 1, 2, True, 1, "linux", False),  # _one_image_per_cpu
+        ("v11", 32, 8, 2, True, 1, "linux", False),
+        ("tiny", 32, 32, 2, False, 1, "linux", False),
+        ("tiny", 32, 32, 1, True, 1, "linux", False),
+        ("tiny", 32, 32, 2, True, 2, "linux", False),
+        ("tiny", 32, 32, 2, True, None, "linux", False),
+        ("tiny", 32, 32, 2, True, 1, "darwin", False),
+        ("tiny", 32, 32, 2, True, 1, "win32", False),
+    ], ids=["tiny", "largest-batch", "stem-splits", "one-image", "one-image-per-cpu", "v11",
+            "no-augment", "one-cpu", "threaded-blas", "no-openblas", "macos", "windows"])
+    def test_rule(self, monkeypatch, arch, size, batch, cpus, augment, blas_threads, platform,
+                  expected):
         monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: cpus)
         monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: blas_threads)
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-        config = TrainConfig(augment=augment)
-        assert fsqnet.train._assembles_ahead(size, config) is expected
+        monkeypatch.setattr(sys, "platform", platform)
+        model_config = (tiny_config(input_size=size) if arch == "tiny"
+                        else ModelConfig(input_size=size))
+        config = TrainConfig(batch_size=batch, augment=augment)
+        assert fsqnet.train._assembles_ahead(model_config, config) is expected
 
     @staticmethod
     def _fit(monkeypatch, cpus, train_set, val_set, config, history=None):
         """The bytes of fit's final params and best params and its metrics lines
-        with `cpus` CPUs, and the size of each training batch assembled here."""
+        with `cpus` CPUs and OpenBLAS on one thread, and the size of each
+        training batch assembled here."""
         monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: cpus)
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: 1)
         assemble, assembled = fsqnet.train._assemble_batch, []
 
         def recording(dataset, idx, draws=None, flip=False):
@@ -719,8 +743,7 @@ class TestAssemblyHelper:
         return (Dataset(samples[:37], labels[:37], ["a", "b", "c"], means),
                 Dataset(samples[37:], labels[37:], ["a", "b", "c"], means))
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="no fork start method")
+    @forks_a_helper
     def test_batches_have_the_bytes_of_in_process_assembly(self, monkeypatch):
         train_set, val_set = self._sets()  # 37 images: the last batch of 8 is partial
         expected, here = self._fit(monkeypatch, 1, train_set, val_set, self.AUGMENTED)
@@ -728,8 +751,17 @@ class TestAssemblyHelper:
         helped, here = self._fit(monkeypatch, 2, train_set, val_set, self.AUGMENTED)
         assert here == [] and helped == expected
 
-    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="no fork start method")
+    @forks_a_helper
+    def test_the_parent_draws_no_augmentation_table(self, monkeypatch):
+        _two_cpus_one_blas_thread(monkeypatch)
+        tables = []
+        monkeypatch.setattr(fsqnet.train, "rng_from_seed",
+                            lambda seed: tables.append(seed) or rng_from_seed(seed))
+        train_set, val_set = self._sets()
+        fit(build_model(tiny_config(num_classes=3), 6), train_set, val_set, self.AUGMENTED)
+        assert tables == []
+
+    @forks_a_helper
     def test_a_resumed_fit_gets_the_batches_of_its_own_epochs(self, monkeypatch):
         train_set, val_set = self._sets()
         first = fit(build_model(tiny_config(num_classes=3), 6), train_set, val_set,
@@ -752,14 +784,14 @@ class TestAssemblyHelper:
         return raised
 
     def test_nothing_is_left_running_after_fit_returns(self, monkeypatch):
-        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: 2)
+        _two_cpus_one_blas_thread(monkeypatch)
         train_set, val_set = self._sets()
         model = build_model(tiny_config(num_classes=3), 6)
         assert self._left_running(
             lambda: _fit_outcome(model, train_set, val_set, self.AUGMENTED)) == []
 
     def test_nothing_is_left_running_after_fit_raises(self, monkeypatch):
-        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: 2)
+        _two_cpus_one_blas_thread(monkeypatch)
         train_set, val_set = self._sets()
         model = build_model(tiny_config(num_classes=3), 6)
         model.params["dense2/bias"][:] = np.inf
@@ -767,8 +799,9 @@ class TestAssemblyHelper:
             lambda: _fit_outcome(model, train_set, val_set, self.AUGMENTED))
         assert len(raised) == 1 and isinstance(raised[0], NumericError)
 
+    @forks_a_helper
     def test_a_failed_helper_raises_in_the_caller(self, monkeypatch):
-        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: 2)
+        _two_cpus_one_blas_thread(monkeypatch)
 
         def failing(dataset, idx, draws=None, flip=False):
             raise RuntimeError(f"SIGINT handler {signal.getsignal(signal.SIGINT)!r}")
@@ -783,8 +816,9 @@ class TestAssemblyHelper:
         assert str(raised[0]) == ("batch helper process failed: "
                                   f"RuntimeError: SIGINT handler {signal.SIG_IGN!r}")
 
+    @forks_a_helper
     def test_a_helper_that_dies_raises_in_the_caller(self, monkeypatch):
-        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: 2)
+        _two_cpus_one_blas_thread(monkeypatch)
         monkeypatch.setattr(fsqnet.train, "_assemble_batch", lambda *args: os._exit(3))
         train_set, val_set = self._sets()
         model = build_model(tiny_config(num_classes=3), 6)
@@ -792,7 +826,7 @@ class TestAssemblyHelper:
             lambda: _fit_outcome(model, train_set, val_set, self.AUGMENTED))
         assert [str(exc) for exc in raised] == ["batch helper process exited with code 3"]
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc/<pid>/stat")
+    @forks_a_helper
     def test_a_helper_whose_parent_is_killed_exits(self):
         # the parent prints its helper's pid from a step that never ends
         script = (
@@ -801,6 +835,7 @@ class TestAssemblyHelper:
             "from fsqnet.model import build_model, tiny_config\n"
             "from fsqnet.synthetic import make_dataset\n"
             "fsqnet.ops._cpus = lambda: 2\n"
+            "fsqnet.ops._blas_threads = lambda: 1\n"
             "def stuck(*args):\n"
             "    print(multiprocessing.active_children()[0].pid, flush=True)\n"
             "    time.sleep(60)\n"

@@ -1,13 +1,14 @@
 """Byte-identity gate: deterministic artifacts and their SHA-256 hashes.
 
 Writes a small synthetic dataset plus one undecodable `data/b/bad.ppm`,
-which every train and eval skips with a warning.  Runs four `--deterministic`
-trainings: tiny@32 for 3 epochs, v1.1@64 for 1 epoch, and two at 182 px and
+which every train and eval skips with a warning.  Runs five `--deterministic`
+trainings: tiny@32 for 3 epochs, v1.1@64 for 1 epoch, two at 182 px and
 batch 3, large enough that each image trains and evaluates alone on its own
 CPU: tiny@182 for 2 epochs and v1.1@182, whose backward runs through all three
-pools, for 1 epoch.  Then it runs three more tiny@32 ones that cover the other
-augmentation settings and a resume: `--flip`, `--no-augment` and `--resume
-tiny.ckpt`.  On the first four checkpoints it runs `inspect --checkpoint`,
+pools, for 1 epoch, and v1.1 at the paper's 244 px, batch 2, for 1 epoch.
+Then it runs three more tiny@32 ones that cover the other augmentation
+settings and a resume: `--flip`, `--no-augment` and `--resume tiny.ckpt`.
+On the first five checkpoints it runs `inspect --checkpoint`,
 `eval --confusion` and `predict --top 3` on one image, plus two `inspect
 --arch-only` calls.  Last, it runs `predict` with
 the v1.1 checkpoint on a non-square 300x97 image, whose resize to 64 px
@@ -15,7 +16,7 @@ downscales one axis past 4x.  It prints two `#` lines that name the numpy
 version and the configuration of the OpenBLAS numpy loaded, core included,
 since the float32 kernels may round differently on another build.  Then it
 prints one `sha256  name` line per checkpoint, metrics file, command output
-and confusion CSV: 33 lines.  Every path is relative to WORKDIR, so the
+and confusion CSV: 39 lines.  Every path is relative to WORKDIR, so the
 metrics headers, and with them the hashes, are comparable between two
 checkouts.  The fsqnet package is imported from the checkout this script
 belongs to:
@@ -60,6 +61,8 @@ TRAINS = {
     "tiny182": ["--arch", "tiny", "--image-size", "182", "--epochs", "2", "--batch", "3",
                 "--lr", "0.05"],
     "v11-182": ["--arch", "v11", "--image-size", "182", "--epochs", "1", "--batch", "3",
+                "--lr", "0.01"],
+    "v11-244": ["--arch", "v11", "--image-size", "244", "--epochs", "1", "--batch", "2",
                 "--lr", "0.01"],
 }
 # tiny trainings that differ from TRAINS["tiny"] in one flag

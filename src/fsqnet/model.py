@@ -34,6 +34,7 @@ from .ops import (
     channel_split,
     conv2d_backward,
     conv2d_forward,
+    conv2d_input_gradient,
     dense_backward,
     dense_forward,
     dropout_mask,
@@ -141,7 +142,7 @@ def tiny_config(num_classes: int = 3, input_size: int = 32) -> ModelConfig:
     )
 
 
-def _store_grads(grads: dict[str, np.ndarray], name: str, g: LayerGrads) -> np.ndarray:
+def _store_grads(grads: dict[str, np.ndarray], name: str, g: LayerGrads) -> np.ndarray | None:
     grads[f"{name}/weight"] = g.d_weight
     grads[f"{name}/bias"] = g.d_bias
     return g.d_input
@@ -195,9 +196,17 @@ class Conv(Layer):
         return y, (x, w, y)
 
     def backward(self, tape, d, grads):
+        x, w, _ = tape
+        d = self.parameter_backward(tape, d, grads)
+        return conv2d_input_gradient(w, self.conv, d, x.shape)
+
+    def parameter_backward(self, tape, d, grads):
+        """backward without the gradient at the input: stores the terms of the
+        parameter gradients and returns the gradient before the ReLU."""
         x, w, y = tape
-        g = conv2d_backward(x, w, self.conv, relu_backward(y, d))
-        return _store_grads(grads, self.name, g)
+        d = relu_backward(y, d)
+        _store_grads(grads, self.name, conv2d_backward(x, w, self.conv, d))
+        return d
 
 
 @dataclass
@@ -421,15 +430,19 @@ def model_backward(tape: list, d_logits: np.ndarray) -> dict[str, np.ndarray]:
     the pre-softmax logits; summed with ops.add_terms, they give each gradient.
 
     Pops the tape of a training forward from the end, so each layer's
-    activations are freed as soon as its backward has run.
+    activations are freed as soon as its backward has run.  The last layer
+    popped is the stem conv, which layer_plan always puts first: it takes only
+    its parameter terms, since nothing reads a gradient at the batch.
     """
     if not tape:
         raise StateError("model_backward needs the tape of a forward pass with training=True")
     grads: dict[str, np.ndarray] = {}
     d = d_logits
-    while tape:
+    while len(tape) > 1:
         layer, layer_tape = tape.pop()
         d = layer.backward(layer_tape, d, grads)
+    stem, stem_tape = tape.pop()
+    stem.parameter_backward(stem_tape, d, grads)
     return grads
 
 

@@ -3,7 +3,9 @@
 All activations are NCHW float32.  Convolution is cross-correlation (no
 kernel flip), the usual deep-learning convention, so stored weights are
 unambiguous.  The conv forward and its input gradient are float32 BLAS
-products; the conv weight gradient is float32 products over fixed blocks of
+products, the input gradient an op of its own (conv2d_input_gradient) that a
+caller skips where nothing reads it, as for the RGB input of the stem; the
+conv weight gradient is float32 products over fixed blocks of
 positions, summed in float64 (see WGRAD_BLOCK); the conv bias gradient and
 the dense layers run in float64, where every float32 product is exact.  The
 float64 sums round to float32 once, after the terms of every image are in
@@ -63,8 +65,8 @@ class ConvSpec:
 
 @dataclass
 class LayerGrads:
-    """Gradients of a layer: at its input always, and the terms of its weight and
-    bias gradients when it has them.
+    """The terms of a layer's weight and bias gradients, and the gradient at its
+    input, which a conv leaves to conv2d_input_gradient (None here).
 
     Terms are stacked along a leading axis.  Added one at a time, in order, to
     float64 zeros (add_terms) and rounded once to float32, they give the
@@ -72,9 +74,9 @@ class LayerGrads:
     the bytes of their batch's gradient.
     """
 
-    d_input: np.ndarray
-    d_weight: np.ndarray | None = None
-    d_bias: np.ndarray | None = None
+    d_input: np.ndarray | None
+    d_weight: np.ndarray
+    d_bias: np.ndarray
 
 
 def add_terms(acc: np.ndarray, terms: np.ndarray) -> None:
@@ -217,14 +219,26 @@ def _col2im(d_cols: np.ndarray, shape: tuple[int, ...], spec: ConvSpec) -> np.nd
     return dxp[:, :, p : p + h, p : p + w]
 
 
-def _check_conv_shapes(x, weight, spec: ConvSpec) -> None:
-    _require_4d(x, "conv input")
+def _check_conv_shapes(shape: tuple[int, ...], weight, spec: ConvSpec) -> None:
+    """Check a conv's input shape and its weight against spec."""
+    if len(shape) != 4:
+        raise ShapeError(f"conv input must be 4-D NCHW, got shape {shape}")
     _require_4d(weight, "conv weight")
     o, c, kh, kw = weight.shape
     if (o, c, kh, kw) != (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w):
         raise ShapeError(f"conv weight shape {weight.shape} does not match {spec}")
-    if x.shape[1] != spec.in_channels:
-        raise ShapeError(f"conv input has {x.shape[1]} channels, spec wants {spec.in_channels}")
+    if shape[1] != spec.in_channels:
+        raise ShapeError(f"conv input has {shape[1]} channels, spec wants {spec.in_channels}")
+
+
+def _upstream(d_out: np.ndarray, shape: tuple[int, ...], spec: ConvSpec) -> np.ndarray:
+    """d_out [N,O,OH,OW] of a conv whose input has shape `shape`, as [N, O, OH*OW]."""
+    n, _, h, w = shape
+    o = spec.out_channels
+    oh, ow = spec.out_hw(h, w)
+    if d_out.shape != (n, o, oh, ow):
+        raise ShapeError(f"conv d_out shape {d_out.shape}, expected {(n, o, oh, ow)}")
+    return d_out.reshape(n, o, oh * ow)
 
 
 def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
@@ -233,7 +247,7 @@ def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: Co
     One float32 product [O,K] @ [K,OH*OW] per image gives NCHW directly; the
     bias is added to it in float32.  Image ranges run on their own threads.
     """
-    _check_conv_shapes(x, weight, spec)
+    _check_conv_shapes(x.shape, weight, spec)
     if bias.shape != (spec.out_channels,):
         raise ShapeError(f"conv bias shape {bias.shape}, expected ({spec.out_channels},)")
     n = x.shape[0]
@@ -257,41 +271,32 @@ WGRAD_BLOCK = 256
 
 
 def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np.ndarray) -> LayerGrads:
-    """Exact gradients of conv2d_forward for upstream d_out [N,O,OH,OW].
+    """Exact weight and bias gradients of conv2d_forward for upstream d_out
+    [N,O,OH,OW]; the input gradient is conv2d_input_gradient's.
 
-    The input gradient is float32, like the forward.  The weight gradient's
-    terms are one float32 product per block of WGRAD_BLOCK output positions of
-    each image, in (image, block) order: the full blocks in one batched product
-    and the tail in another.  The bias gradient's terms are float64 sums of d
-    over np.getbufsize() positions at a time, in (image, chunk) order, the order
-    in which numpy sums d over images and positions.  One image hands these
-    terms over as they are.  Several images' terms are summed here, in order,
-    into one float64 term each, so a batch holds its sums, not its terms.
-    Image ranges, then output-channel ranges, run on their own threads.
+    The weight gradient's terms are one float32 product per block of
+    WGRAD_BLOCK output positions of each image, in (image, block) order: the
+    full blocks in one batched product and the tail in another.  The bias
+    gradient's terms are float64 sums of d over np.getbufsize() positions at a
+    time, in (image, chunk) order, the order in which numpy sums d over images
+    and positions.  One image hands these terms over as they are.  Several
+    images' terms are summed here, in order, into one float64 term each, so a
+    batch holds its sums, not its terms.  Image ranges, then output-channel
+    ranges, run on their own threads.
     """
-    _check_conv_shapes(x, weight, spec)
-    n, c, h, w = x.shape
-    o = spec.out_channels
-    oh, ow = spec.out_hw(h, w)
-    if d_out.shape != (n, o, oh, ow):
-        raise ShapeError(f"conv d_out shape {d_out.shape}, expected {(n, o, oh, ow)}")
-    d = d_out.reshape(n, o, oh * ow)
-    w_t = weight.reshape(o, -1).T
-    k = w_t.shape[0]
-    blocks, tail = divmod(oh * ow, WGRAD_BLOCK)
+    _check_conv_shapes(x.shape, weight, spec)
+    d = _upstream(d_out, x.shape, spec)
+    n, o, positions = d.shape
+    k = math.prod(weight.shape[1:])
+    blocks, tail = divmod(positions, WGRAD_BLOCK)
     full = blocks * WGRAD_BLOCK
     chunk = np.getbufsize()
-    chunks = range(0, oh * ow, chunk)
-    d_input = np.empty(x.shape, dtype=np.result_type(w_t, d))
+    chunks = range(0, positions, chunk)
     parts = np.empty((n, blocks + (tail > 0), o, k), dtype=np.float32)
     sums = np.empty((n, len(chunks), o), dtype=np.float64)
 
     def images(lo, hi):
         m, d_m = hi - lo, d[lo:hi]
-        if spec.pointwise:
-            np.matmul(w_t, d_m, out=d_input[lo:hi].reshape(m, c, h * w))
-        else:
-            d_input[lo:hi] = _col2im(w_t @ d_m, (m, c, h, w), spec)
         cols = _patches(x[lo:hi], spec)[0]
         if blocks:
             d_blocks = d_m[:, :, :full].reshape(m, o, blocks, WGRAD_BLOCK).transpose(0, 2, 1, 3)
@@ -303,7 +308,7 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np
         for j, start in enumerate(chunks):
             d_m[:, :, start : start + chunk].sum(axis=2, dtype=np.float64, out=sums[lo:hi, j])
 
-    _split(n, n * max(k, o) * oh * ow, images)
+    _split(n, n * max(k, o) * positions, images)
     weight_terms = parts.reshape(-1, o, k)
     bias_terms = sums.reshape(-1, o)
     if n > 1:
@@ -316,7 +321,34 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, spec: ConvSpec, d_out: np
 
         _split(o, parts.size, channels)
         weight_terms, bias_terms = d_weight, d_bias
-    return LayerGrads(d_input, weight_terms.reshape(-1, *weight.shape), bias_terms)
+    return LayerGrads(None, weight_terms.reshape(-1, *weight.shape), bias_terms)
+
+
+def conv2d_input_gradient(weight: np.ndarray, spec: ConvSpec, d_out: np.ndarray,
+                          shape: tuple[int, ...]) -> np.ndarray:
+    """Exact gradient of conv2d_forward at its input of shape `shape` [N,C,H,W]
+    for upstream d_out [N,O,OH,OW], in float32 like the forward.
+
+    One float32 product W.T @ d per image gives the patch gradients, which
+    _col2im adds back onto the input; a pointwise conv's product is the
+    gradient itself.  Image ranges run on their own threads.
+    """
+    _check_conv_shapes(shape, weight, spec)
+    d = _upstream(d_out, shape, spec)
+    n, c, h, w = shape
+    o, positions = d.shape[1:]
+    w_t = weight.reshape(o, -1).T
+    d_input = np.empty(shape, dtype=np.result_type(w_t, d))
+
+    def images(lo, hi):
+        m, d_m = hi - lo, d[lo:hi]
+        if spec.pointwise:
+            np.matmul(w_t, d_m, out=d_input[lo:hi].reshape(m, c, h * w))
+        else:
+            d_input[lo:hi] = _col2im(w_t @ d_m, (m, c, h, w), spec)
+
+    _split(n, n * max(w_t.shape[0], o) * positions, images)
+    return d_input
 
 
 def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -46,12 +46,25 @@ import numpy as np
 from . import ops
 from .data import WARP_PIXELS, Dataset, _split_images, augment, fisher_yates_order, normalize
 from .errors import ConfigError, DataError, NumericError, StateError
-from .model import Model, ModelConfig, clone_params, layer_plan, model_backward, model_forward
+from .model import (
+    TINY_FIRES,
+    Model,
+    ModelConfig,
+    clone_params,
+    layer_plan,
+    model_backward,
+    model_forward,
+)
 from .ops import add_terms
 from .tensor import derive_seed, rng_from_seed
 
 LOG_CLAMP = 1e-12
 EVAL_BATCH = 32
+# bytes of the batch helper's pipe: Linux's default pipe-max-size for an
+# unprivileged process, and over twice the largest batch _assembles_ahead
+# admits (442 KB: 36 images at 32 px).  A 393 KB batch of 32 took about six
+# hand-offs through the default 64 KiB
+PIPE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -226,8 +239,9 @@ def _batches(train_set: Dataset, config: TrainConfig, epoch_index: int, draw: bo
 def _assembles_ahead(model_config: ModelConfig, config: TrainConfig) -> bool:
     """Whether fit's training batches are assembled ahead by a helper process
     (_assembly_helper): on Linux, with augmentation, OpenBLAS on one thread,
-    two or more CPUs, the tiny network, and a batch whose stem output (the
-    step's largest array) is below ops.SPLIT_ELEMENTS.
+    two or more CPUs, the tiny network's fires (TINY_FIRES, whatever the
+    variant's label), and a batch whose stem output (the step's largest
+    array) is below ops.SPLIT_ELEMENTS.
 
     No op then splits the batch, so the second CPU is idle while the step
     trains, and the helper's augment and normalize run there.  Images are
@@ -243,7 +257,7 @@ def _assembles_ahead(model_config: ModelConfig, config: TrainConfig) -> bool:
     size = model_config.input_size
     stem = layer_plan(model_config)[0].conv
     oh, ow = stem.out_hw(size, size)
-    return (config.augment and sys.platform == "linux" and model_config.variant == "tiny"
+    return (config.augment and sys.platform == "linux" and model_config.fire_specs == TINY_FIRES
             and config.batch_size * stem.out_channels * oh * ow < ops.SPLIT_ELEMENTS
             and size * size < WARP_PIXELS and ops._blas_threads() == 1 and ops._cpus() >= 2)
 
@@ -272,14 +286,21 @@ def _assembly_helper(train_set: Dataset, config: TrainConfig, epochs):
 
     The helper walks each epoch's `_batches`, a pure function of (seed,
     epoch), as train_epoch does, so batch k it sends is the batch of
-    train_epoch's step k.  It sends down a one-way pipe with no queue: a batch
-    larger than the pipe's buffer blocks it until the step reads it, so it runs
-    about one batch ahead.  On exit the helper is terminated and joined,
+    train_epoch's step k.  It sends down a one-way pipe with no queue, of
+    PIPE_BYTES where the system allows it, else of its default size: a send
+    blocks while the pipe has no room for the batch, so the helper runs a
+    batch or two ahead.  On exit the helper is terminated and joined,
     whether fit returns or raises; a failed helper raises StateError in
     receive.
     """
+    import fcntl  # Unix only, as the helper is
+
     context = multiprocessing.get_context("fork")
     reader, writer = context.Pipe(duplex=False)
+    try:
+        fcntl.fcntl(writer.fileno(), fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    except OSError:  # above the system's pipe-max-size: keep the default
+        pass
     helper = context.Process(target=_assemble_epochs,
                              args=(reader, writer, train_set, config, epochs),
                              name="fsqnet batch helper")

@@ -6,7 +6,7 @@ hide in a shared helper.  The one exception is the float64 reference conv at
 the end, which reuses the package's patch helpers ``_patches`` and
 ``_col2im``: criterion 3 checks that reference bit for bit against
 ``naive_conv2d``, and the finite-difference tests check ``_col2im`` through
-``conv2d_backward``.
+``conv2d_input_gradient``.
 """
 
 from __future__ import annotations
@@ -284,18 +284,28 @@ def conv2d_reference(x, weight, bias, spec) -> np.ndarray:
     return acc.reshape(n, oh, ow, spec.out_channels).transpose(0, 3, 1, 2).astype(np.float32)
 
 
+def _rows(d_out) -> np.ndarray:
+    """d_out [N,O,OH,OW] as float64 [N*OH*OW, O], the rows of _im2col's patches."""
+    return d_out.transpose(0, 2, 3, 1).reshape(-1, d_out.shape[1]).astype(np.float64)
+
+
 def conv2d_backward_reference(x, weight, spec, d_out) -> LayerGrads:
-    """Float64 gradients of conv2d_reference: d @ W, cols.T @ d and the sum of d
-    over the [N*OH*OW, K] patches, the patch gradient folded back by _col2im.
-    The weight and bias gradients are one float64 term each."""
-    n = x.shape[0]
-    oh, ow = spec.out_hw(*x.shape[2:])
-    d = d_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, spec.out_channels).astype(np.float64)
+    """Float64 weight and bias gradients of conv2d_reference, as conv2d_backward
+    gives them: cols.T @ d and the sum of d over the [N*OH*OW, K] patches, one
+    float64 term each."""
+    d = _rows(d_out)
     cols, _, _ = _im2col(x.astype(np.float64), spec)
-    w64 = weight.reshape(spec.out_channels, -1).T.astype(np.float64)
-    d_cols = (d @ w64.T).reshape(n, oh * ow, -1).transpose(0, 2, 1)
     return LayerGrads(
-        d_input=_col2im(d_cols, x.shape, spec).astype(np.float32),
+        d_input=None,
         d_weight=(cols.T @ d).T.reshape(1, *weight.shape),
         d_bias=d.sum(axis=0)[None],
     )
+
+
+def conv2d_input_gradient_reference(weight, spec, d_out, shape) -> np.ndarray:
+    """Float32 gradient of conv2d_reference at its input of shape `shape`: the
+    float64 patch gradient d @ W folded back by _col2im, rounded once."""
+    oh, ow = spec.out_hw(*shape[2:])
+    w64 = weight.reshape(spec.out_channels, -1).T.astype(np.float64)
+    d_cols = (_rows(d_out) @ w64.T).reshape(shape[0], oh * ow, -1).transpose(0, 2, 1)
+    return _col2im(d_cols, shape, spec).astype(np.float32)

@@ -33,6 +33,7 @@ from fsqnet.ops import (
     channel_split,
     conv2d_backward,
     conv2d_forward,
+    conv2d_input_gradient,
     dense_backward,
     dense_forward,
     dropout_mask,
@@ -112,8 +113,9 @@ def _per_op_gradients() -> None:
         b = rng.standard_normal(3).astype(np.float32)
         d_out = rng.standard_normal(conv2d_forward(x, w, b, spec).shape).astype(np.float32)
         grads = conv2d_backward(x, w, spec, d_out)
+        d_input = conv2d_input_gradient(w, spec, d_out, x.shape)
         forward = lambda: conv2d_forward(x, w, b, spec)  # noqa: E731
-        assert rel_error(fd_gradient(forward, x, d_out), grads.d_input) < 1e-3
+        assert rel_error(fd_gradient(forward, x, d_out), d_input) < 1e-3
         assert rel_error(fd_gradient(forward, w, d_out), gradient(grads.d_weight)) < 1e-3
         assert rel_error(fd_gradient(forward, b, d_out), gradient(grads.d_bias)) < 1e-3
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fsqnet.model
 from fsqnet.errors import ConfigError, ModelError, ShapeError, StateError
 from fsqnet.model import (
     TINY_FIRES,
@@ -356,6 +357,32 @@ class TestModelBackward:
         assert set(grads) == set(model.params)
         for name, terms in grads.items():
             assert gradient(terms).shape == model.params[name].shape and not terms.any()
+
+    @pytest.mark.parametrize("config", [ModelConfig(input_size=64), tiny_config()],
+                             ids=["v1.1", "tiny"])
+    def test_every_conv_but_the_stem_computes_its_input_gradient(self, monkeypatch, config):
+        # the stem's input is the batch, data whose gradient nothing reads
+        model = build_model(config, 0)
+        convs = {id(p): name.split("/")[0] for name, p in model.params.items()
+                 if name.endswith("/weight") and p.ndim == 4}
+        backwards, input_gradients = [], []
+
+        def record(op, calls, weight_at):
+            def wrapper(*args):
+                calls.append(convs[id(args[weight_at])])
+                return op(*args)
+            return wrapper
+
+        monkeypatch.setattr(fsqnet.model, "conv2d_backward",
+                            record(fsqnet.model.conv2d_backward, backwards, 1))
+        monkeypatch.setattr(fsqnet.model, "conv2d_input_gradient",
+                            record(fsqnet.model.conv2d_input_gradient, input_gradients, 0))
+        x = _batch(np.random.default_rng(9), 2, size=config.input_size)
+        probs, tape = model_forward(model, x, training=True, dropout_seed=1)
+        model_backward(tape, cross_entropy(probs, [0, 1])[1])
+        names = sorted(convs.values())
+        assert "conv1" in names and sorted(backwards) == names
+        assert sorted(input_gradients) == [name for name in names if name != "conv1"]
 
     def test_one_large_image_backward_holds_little_scratch(self):
         # each CPU trains one v1.1@244 image at a time: its tape is 13 MB, and

@@ -25,6 +25,7 @@ from fsqnet.ops import (
     channel_split,
     conv2d_backward,
     conv2d_forward,
+    conv2d_input_gradient,
     dense_backward,
     dense_forward,
     dropout_mask,
@@ -40,6 +41,7 @@ from fsqnet.train import cross_entropy
 from oracles import (
     _linear,
     conv2d_backward_reference,
+    conv2d_input_gradient_reference,
     conv2d_reference,
     fd_gradient,
     gradient,
@@ -269,30 +271,37 @@ class TestConvBackward:
         rng = np.random.default_rng(2)
         x, w = _randn(rng, 1, 2, 4, 4), _randn(rng, 3, 2, 3, 3)
         spec = ConvSpec(3, 2, 3, 3, pad=1)
-        g = conv2d_backward(x, w, spec, np.zeros((1, 3, 4, 4), np.float32))
-        assert not g.d_input.any() and not g.d_weight.any() and not g.d_bias.any()
+        d_out = np.zeros((1, 3, 4, 4), np.float32)
+        g = conv2d_backward(x, w, spec, d_out)
+        assert not conv2d_input_gradient(w, spec, d_out, x.shape).any()
+        assert not g.d_weight.any() and not g.d_bias.any()
 
     def test_identity_kernel_chain_rule(self):
         rng = np.random.default_rng(3)
         x = _randn(rng, 2, 1, 4, 4)
         w = np.ones((1, 1, 1, 1), dtype=np.float32)
         d_out = _randn(rng, 2, 1, 4, 4)
-        g = conv2d_backward(x, w, ConvSpec(1, 1, 1, 1), d_out)
-        assert np.allclose(g.d_input, d_out, atol=1e-6)
+        d_input = conv2d_input_gradient(w, ConvSpec(1, 1, 1, 1), d_out, x.shape)
+        assert np.allclose(d_input, d_out, atol=1e-6)
 
     def test_grad_shapes(self):
         rng = np.random.default_rng(4)
         x, w = _randn(rng, 2, 3, 5, 5), _randn(rng, 4, 3, 3, 3)
         spec = ConvSpec(4, 3, 3, 3, stride=2, pad=1)
-        g = conv2d_backward(x, w, spec, _randn(rng, 2, 4, 3, 3))
-        assert g.d_input.shape == x.shape
+        d_out = _randn(rng, 2, 4, 3, 3)
+        g = conv2d_backward(x, w, spec, d_out)
+        assert conv2d_input_gradient(w, spec, d_out, x.shape).shape == x.shape
+        assert g.d_input is None  # the input gradient is conv2d_input_gradient's alone
         assert gradient(g.d_weight).shape == w.shape
         assert gradient(g.d_bias).shape == (4,)
 
     def test_misshapen_upstream(self):
         x, w = np.zeros((1, 2, 4, 4), np.float32), np.zeros((3, 2, 3, 3), np.float32)
+        spec, d_out = ConvSpec(3, 2, 3, 3, pad=1), np.zeros((1, 3, 2, 2), np.float32)
         with pytest.raises(ShapeError, match="d_out shape"):
-            conv2d_backward(x, w, ConvSpec(3, 2, 3, 3, pad=1), np.zeros((1, 3, 2, 2), np.float32))
+            conv2d_backward(x, w, spec, d_out)
+        with pytest.raises(ShapeError, match="d_out shape"):
+            conv2d_input_gradient(w, spec, d_out, x.shape)
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 1)])
@@ -303,21 +312,28 @@ class TestConvBackward:
         oh, ow = spec.out_hw(5, 5)
         d_out = _randn(rng, 2, 2, oh, ow)
         g = conv2d_backward(x, w, spec, d_out)
+        d_input = conv2d_input_gradient(w, spec, d_out, x.shape)
         forward = lambda: conv2d_forward(x, w, b, spec)
-        assert rel_error(fd_gradient(forward, x, d_out), g.d_input) < FD_TOL
+        assert rel_error(fd_gradient(forward, x, d_out), d_input) < FD_TOL
         assert rel_error(fd_gradient(forward, w, d_out), gradient(g.d_weight)) < FD_TOL
         assert rel_error(fd_gradient(forward, b, d_out), gradient(g.d_bias)) < FD_TOL
 
     @staticmethod
-    def _check_bounds(x, weight, spec, d_out):
-        """d_input within the float32 bound, d_weight within the blocked bound
-        and d_bias, a float64 sum over every position, within the float64
-        reordering bound."""
+    def _check_input_gradient_bound(weight, spec, d_out, shape):
+        """conv2d_input_gradient within the float32 bound."""
+        fast = conv2d_input_gradient(weight, spec, d_out, shape)
+        ref = conv2d_input_gradient_reference(weight, spec, d_out, shape)
+        magnitude = conv2d_input_gradient_reference(np.abs(weight), spec, np.abs(d_out), shape)
+        terms = spec.out_channels * spec.kernel_h * spec.kernel_w  # W.T @ d, then _col2im's adds
+        _assert_within_float32_bound(fast, ref, magnitude, terms)
+
+    @staticmethod
+    def _check_parameter_bounds(x, weight, spec, d_out):
+        """conv2d_backward's d_weight within the blocked bound and d_bias, a
+        float64 sum over every position, within the float64 reordering bound."""
         fast = conv2d_backward(x, weight, spec, d_out)
         ref = conv2d_backward_reference(x, weight, spec, d_out)
         magnitude = conv2d_backward_reference(np.abs(x), np.abs(weight), spec, np.abs(d_out))
-        terms = spec.out_channels * spec.kernel_h * spec.kernel_w  # W.T @ d, then _col2im's adds
-        _assert_within_float32_bound(fast.d_input, ref.d_input, magnitude.d_input, terms)
         positions = d_out.size // spec.out_channels
         _assert_within_blocked_bound(gradient(fast.d_weight), gradient(ref.d_weight),
                                      gradient(magnitude.d_weight), fsqnet.ops.WGRAD_BLOCK,
@@ -325,6 +341,12 @@ class TestConvBackward:
         d_bias, ref_bias = gradient(fast.d_bias), gradient(ref.d_bias)
         assert d_bias.dtype == np.float32 and d_bias.shape == ref_bias.shape
         _assert_within_reordering_bound(d_bias, ref_bias, gradient(magnitude.d_bias), positions)
+
+    @staticmethod
+    def _check_bounds(x, weight, spec, d_out):
+        """Both ops of a conv's backward within their bounds."""
+        TestConvBackward._check_input_gradient_bound(weight, spec, d_out, x.shape)
+        TestConvBackward._check_parameter_bounds(x, weight, spec, d_out)
 
     @staticmethod
     def _check_fixed_case(shape, spec):
@@ -356,13 +378,15 @@ class TestConvBackward:
         d_out = _randn(rng, 3, spec.out_channels, *spec.out_hw(*shape[2:]))
         d_out[d_out < -1.0] = 0.0  # as ReLU's backward leaves it
         batch = conv2d_backward(x, weight, spec, d_out)
+        batch_input = conv2d_input_gradient(weight, spec, d_out, x.shape)
         # the bias terms keep the order of numpy's own sum over images and positions
         numpy_sum = d_out.sum(axis=(0, 2, 3), dtype=np.float64)
         assert batch.d_bias.tobytes() == numpy_sum[None].tobytes()
         d_weight, d_bias = np.zeros(weight.shape), np.zeros(spec.out_channels)
         for i in range(len(x)):
             image = conv2d_backward(x[i : i + 1], weight, spec, d_out[i : i + 1])
-            assert image.d_input.tobytes() == batch.d_input[i : i + 1].tobytes()
+            image_input = conv2d_input_gradient(weight, spec, d_out[i : i + 1], (1, *x.shape[1:]))
+            assert image_input.tobytes() == batch_input[i : i + 1].tobytes()
             add_terms(d_weight, image.d_weight)
             add_terms(d_bias, image.d_bias)
         assert d_weight[None].tobytes() == batch.d_weight.tobytes()
@@ -869,8 +893,10 @@ class TestSplit:
                      ConvSpec(16, 16, 3, 3, stride=2, pad=1)):
             weight = _randn(rng, spec.out_channels, 16, spec.kernel_h, spec.kernel_w)
             y = conv2d_forward(x, weight, _randn(rng, spec.out_channels), spec)
-            g = conv2d_backward(x, weight, spec, _randn(rng, *y.shape))
-            out += [y.tobytes(), g.d_input.tobytes(), g.d_weight.tobytes(), g.d_bias.tobytes()]
+            d_out = _randn(rng, *y.shape)
+            g = conv2d_backward(x, weight, spec, d_out)
+            out += [y.tobytes(), conv2d_input_gradient(weight, spec, d_out, x.shape).tobytes(),
+                    g.d_weight.tobytes(), g.d_bias.tobytes()]
         in_place = x.copy()
         relu(in_place, out=in_place)
         d = _randn(rng, *x.shape)
@@ -891,7 +917,7 @@ class TestPaperScaleStep:
         # each conv of one v1.1@244 batch-2 training step is checked on the inputs
         # it was given, so errors do not compound from layer to layer
         _force_split(monkeypatch, 2)
-        forwards, backwards = [], []
+        forwards, backwards, input_gradients = [], [], []
 
         def record(calls, op):
             def wrapper(*args):
@@ -901,11 +927,14 @@ class TestPaperScaleStep:
 
         monkeypatch.setattr(fsqnet.model, "conv2d_forward", record(forwards, conv2d_forward))
         monkeypatch.setattr(fsqnet.model, "conv2d_backward", record(backwards, conv2d_backward))
+        monkeypatch.setattr(fsqnet.model, "conv2d_input_gradient",
+                            record(input_gradients, conv2d_input_gradient))
         model = build_model(ModelConfig(), seed=0)
         x = np.random.default_rng(21).standard_normal((2, 3, 244, 244), dtype=np.float32)
         probs, tape = model_forward(model, x, training=True, dropout_seed=0)
         model_backward(tape, cross_entropy(probs, np.arange(2))[1])
-        assert len(forwards) == len(backwards) == 25
+        # the stem computes no gradient at the batch
+        assert len(forwards) == len(backwards) == 25 and len(input_gradients) == 24
         for x, weight, bias, spec in forwards:
             TestConvForward._check_float32_bound(x, weight, bias, spec)
             # the reference shares _patches with the fast path, so it is held bit for
@@ -914,7 +943,9 @@ class TestPaperScaleStep:
             ours = conv2d_reference(corner, w2, b2, dataclasses.replace(spec, out_channels=2))
             assert np.array_equal(ours, naive_conv2d(corner, w2, b2, spec.stride, spec.pad))
         for args in backwards:
-            TestConvBackward._check_bounds(*args)
+            TestConvBackward._check_parameter_bounds(*args)
+        for args in input_gradients:
+            TestConvBackward._check_input_gradient_bound(*args)
 
 
 class TestPurity:

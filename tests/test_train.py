@@ -9,7 +9,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -27,6 +27,7 @@ from fsqnet.model import (
     ModelConfig,
     build_model,
     clone_params,
+    layer_plan,
     model_backward,
     model_forward,
     tiny_config,
@@ -700,17 +701,43 @@ class TestAssemblyHelper:
         ("tiny", 32, 32, 2, True, None, "linux", False),
         ("tiny", 32, 32, 2, True, 1, "darwin", False),
         ("tiny", 32, 32, 2, True, 1, "win32", False),
+        # the rule follows the network's fires, not its variant label
+        ("tiny-labelled-mine", 32, 32, 2, True, 1, "linux", True),
+        ("v11-labelled-tiny", 32, 32, 2, True, 1, "linux", False),
     ], ids=["tiny", "largest-batch", "stem-splits", "one-image", "one-image-per-cpu", "v11",
-            "no-augment", "one-cpu", "threaded-blas", "no-openblas", "macos", "windows"])
+            "no-augment", "one-cpu", "threaded-blas", "no-openblas", "macos", "windows",
+            "tiny-labelled-mine", "v11-labelled-tiny"])
     def test_rule(self, monkeypatch, arch, size, batch, cpus, augment, blas_threads, platform,
                   expected):
         monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: cpus)
         monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: blas_threads)
         monkeypatch.setattr(sys, "platform", platform)
-        model_config = (tiny_config(input_size=size) if arch == "tiny"
-                        else ModelConfig(input_size=size))
+        model_config = {
+            "tiny": tiny_config(input_size=size),
+            "v11": ModelConfig(input_size=size),
+            "tiny-labelled-mine": replace(tiny_config(input_size=size), variant="mine"),
+            "v11-labelled-tiny": ModelConfig(variant="tiny", input_size=size),
+        }[arch]
         config = TrainConfig(batch_size=batch, augment=augment)
         assert fsqnet.train._assembles_ahead(model_config, config) is expected
+
+    def test_the_pipe_holds_two_of_every_batch_the_rule_admits(self, monkeypatch):
+        _two_cpus_one_blas_thread(monkeypatch)
+        monkeypatch.setattr(sys, "platform", "linux")
+        largest = 0
+        for size in range(32, 182):
+            model_config = tiny_config(input_size=size)
+            stem = layer_plan(model_config)[0].conv
+            per_image = stem.out_channels * math.prod(stem.out_hw(size, size))
+            last = fsqnet.ops.SPLIT_ELEMENTS // per_image + 1  # the stem output reaches it
+            for batch in range(1, last + 1):
+                config = TrainConfig(batch_size=batch, augment=True)
+                if fsqnet.train._assembles_ahead(model_config, config):
+                    assert batch < last
+                    batch_bytes = batch * 3 * size * size * np.dtype(np.float32).itemsize
+                    assert 2 * batch_bytes <= fsqnet.train.PIPE_BYTES, (size, batch)
+                    largest = max(largest, batch_bytes)
+        assert largest == 36 * 3 * 32 * 32 * 4  # 442,368 bytes
 
     @staticmethod
     def _fit(monkeypatch, cpus, train_set, val_set, config, history=None):
@@ -749,6 +776,25 @@ class TestAssemblyHelper:
         expected, here = self._fit(monkeypatch, 1, train_set, val_set, self.AUGMENTED)
         assert here == [8, 8, 8, 8, 5] * 2
         helped, here = self._fit(monkeypatch, 2, train_set, val_set, self.AUGMENTED)
+        assert here == [] and helped == expected
+
+    @forks_a_helper
+    def test_a_refused_pipe_size_keeps_the_default_and_the_bytes(self, monkeypatch):
+        import fcntl
+
+        train_set, val_set = self._sets()
+        expected, _ = self._fit(monkeypatch, 1, train_set, val_set, self.AUGMENTED)
+        original, refused = fcntl.fcntl, []
+
+        def refusing(fd, cmd, arg=0):
+            if cmd == fcntl.F_SETPIPE_SZ:  # as Linux does above pipe-max-size
+                refused.append(arg)
+                raise PermissionError("Operation not permitted")
+            return original(fd, cmd, arg)
+
+        monkeypatch.setattr(fcntl, "fcntl", refusing)
+        helped, here = self._fit(monkeypatch, 2, train_set, val_set, self.AUGMENTED)
+        assert refused == [fsqnet.train.PIPE_BYTES]
         assert here == [] and helped == expected
 
     @forks_a_helper

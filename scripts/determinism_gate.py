@@ -1,11 +1,16 @@
 """Byte-identity gate: deterministic artifacts and their SHA-256 hashes.
 
 Writes a small synthetic dataset plus one undecodable `data/b/bad.ppm`,
-which every train and eval skips with a warning.  Runs five `--deterministic`
-trainings: tiny@32 for 3 epochs, v1.1@64 for 1 epoch, two at 182 px and
-batch 3, large enough that each image trains and evaluates alone on its own
-CPU: tiny@182 for 2 epochs and v1.1@182, whose backward runs through all three
-pools, for 1 epoch, and v1.1 at the paper's 244 px, batch 2, for 1 epoch.
+which every train and eval skips with a warning.  Before its first fsqnet
+command, while OpenBLAS keeps its starting thread count, it hashes two
+set-up results of the library, which split across the CPUs at any thread
+count: the parameters of `build_model(ModelConfig(), 42)`, in build order,
+and the samples of `resize_dataset(load_dataset("data"), 244)`.  Then it
+runs five `--deterministic` trainings: tiny@32 for 3 epochs, v1.1@64 for 1
+epoch, two at 182 px and batch 3, large enough that each image trains and
+evaluates alone on its own CPU: tiny@182 for 2 epochs and v1.1@182, whose
+backward runs through all three pools, for 1 epoch, and v1.1 at the paper's
+244 px, batch 2, for 1 epoch.
 Then it runs three more tiny@32 ones that cover the other augmentation
 settings and a resume: `--flip`, `--no-augment` and `--resume tiny.ckpt`.
 On the first five checkpoints it runs `inspect --checkpoint`,
@@ -15,10 +20,10 @@ the v1.1 checkpoint on a non-square 300x97 image, whose resize to 64 px
 downscales one axis past 4x.  It prints two `#` lines that name the numpy
 version and the configuration of the OpenBLAS numpy loaded, core included,
 since the float32 kernels may round differently on another build.  Then it
-prints one `sha256  name` line per checkpoint, metrics file, command output
-and confusion CSV: 39 lines.  Every path is relative to WORKDIR, so the
-metrics headers, and with them the hashes, are comparable between two
-checkouts.  The fsqnet package is imported from the checkout this script
+prints one `sha256  name` line per set-up result, checkpoint, metrics file,
+command output and confusion CSV: 41 lines.  Every path is relative to
+WORKDIR, so the metrics headers, and with them the hashes, are comparable
+between two checkouts.  The fsqnet package is imported from the checkout this script
 belongs to:
 
     python3 scripts/determinism_gate.py /tmp/gate-new > new.txt
@@ -48,7 +53,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from fsqnet.cli import main as fsqnet_main  # noqa: E402
-from fsqnet.data import ImageBuffer, save_ppm  # noqa: E402
+from fsqnet.data import ImageBuffer, load_dataset, resize_dataset, save_ppm  # noqa: E402
+from fsqnet.model import ModelConfig, build_model  # noqa: E402
 from fsqnet.ops import openblas_function  # noqa: E402
 from fsqnet.synthetic import write_dataset  # noqa: E402
 
@@ -83,6 +89,13 @@ def blas_config() -> str:
     return "unknown" if get_config is None else get_config().decode()
 
 
+def _sha256(arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
 def _run(argv: list[str], stdout_path: str | None = None) -> None:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -103,6 +116,10 @@ def main(argv=None) -> int:
     os.chdir(args.workdir)
     write_dataset("data", num_classes=3, per_class=6, size=40, seed=3)
     Path("data/b/bad.ppm").write_bytes(b"P6\n9 9\n255\nshort")  # skipped with a warning
+    setup = {
+        "build_model-v11-seed42": _sha256(build_model(ModelConfig(), 42).params.values()),
+        "resize_dataset-244": _sha256([resize_dataset(load_dataset("data"), 244).samples]),
+    }
     artifacts = []
     for name, flags in TRAINS.items():
         _run(["train", "--data", "data", "--out", f"{name}.ckpt", *flags, *COMMON])
@@ -131,6 +148,8 @@ def main(argv=None) -> int:
     artifacts.append("predict-v11-wide.json")
     print(f"# numpy {np.__version__}")
     print(f"# blas {blas_config()}")
+    for name, digest in setup.items():
+        print(f"{digest}  {name}")
     for name in artifacts:
         print(f"{hashlib.sha256(Path(name).read_bytes()).hexdigest()}  {name}")
     return 0

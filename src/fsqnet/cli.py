@@ -96,8 +96,10 @@ def single_blas_thread() -> bool:
     evaluation pass its images, one at a time on each CPU.  Two OpenBLAS
     threads would not combine with that: after each threaded product the idle
     OpenBLAS worker spins on a core for a while, and a later switch back to
-    one thread does not stop it.  Nothing is set without OpenBLAS, or when the
-    environment already sets a thread count.
+    one thread does not stop it.  Set-up, which runs no product (resize_dataset,
+    build_model, predict's resize), splits at any thread count and needs none
+    of this.  Nothing is set without OpenBLAS, or when the environment already
+    sets a thread count.
     """
     if any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
         return False

@@ -203,11 +203,13 @@ def save_ppm(img: ImageBuffer, path) -> None:
 # geometry and normalization
 
 
-def _split_images(n: int, h: int, w: int, work) -> None:
+def _split_images(n: int, h: int, w: int, work, setup: bool = False) -> None:
     """work(lo, hi) over image ranges covering [0, n) of h x w output images, split
     across the CPUs by ops._split whenever each image has WARP_PIXELS pixels: two
-    such images split, although they hold fewer than SPLIT_ELEMENTS elements."""
-    _split(n, SPLIT_ELEMENTS if h * w >= WARP_PIXELS else 0, work)
+    such images split, although they hold fewer than SPLIT_ELEMENTS elements.
+    Between products that takes OpenBLAS on one thread; set-up (setup=True,
+    resize_dataset) splits at any OpenBLAS thread count."""
+    _split(n, SPLIT_ELEMENTS if h * w >= WARP_PIXELS else 0, work, setup=setup)
 
 
 def _round_u8(values: np.ndarray) -> np.ndarray:
@@ -255,6 +257,12 @@ def resize_bilinear(images, out_w: int, out_h: int):
 
     Source coordinate for destination index d is (d + 0.5) * (in/out) - 0.5,
     clamped to the source extent, so interpolation never overshoots.
+
+    One ImageBuffer of at least WARP_PIXELS output pixels, as predict resizes,
+    is set-up: its output rows split across the CPUs (ops._split, setup=True),
+    each range sampling only the source rows it reads, with the float64 steps
+    of the whole call.  A batch, as resize_dataset's ranges pass, runs whole, so
+    no split nests in another.
     """
     if out_w < 1 or out_h < 1:
         raise ConfigError(f"output dims must be >= 1, got {out_w}x{out_h}")
@@ -263,11 +271,22 @@ def resize_bilinear(images, out_w: int, out_h: int):
     h, w = pixels.shape[1:3]
     if (out_h, out_w) == (h, w):
         out = pixels.copy()
-    else:
-        sx = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
-        sy = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
-        out = _round_u8(_sample_bilinear(pixels, sx, sy[:, None]))
-    return ImageBuffer(out[0]) if one else out
+        return ImageBuffer(out[0]) if one else out
+    sx = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    sy = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    if not one:
+        return _round_u8(_sample_bilinear(pixels, sx, sy[:, None]))
+    out = np.empty((out_h, out_w, 3), dtype=np.uint8)
+
+    def rows(lo, hi):
+        # the source rows [top, bottom) that output rows [lo, hi) read; sy - top
+        # is exact, so each sample keeps its bytes
+        top, bottom = int(sy[lo]), min(int(sy[hi - 1]) + 2, h)
+        out[lo:hi] = _round_u8(_sample_bilinear(pixels[:, top:bottom], sx,
+                                                (sy[lo:hi] - top)[:, None]))[0]
+
+    _split(out_h, SPLIT_ELEMENTS if out_h * out_w >= WARP_PIXELS else 0, rows, setup=True)
+    return ImageBuffer(out)
 
 
 def check_channel_means(channel_means) -> tuple[float, float, float]:
@@ -421,7 +440,8 @@ def load_dataset(root_dir) -> ImageFiles:
 
 def resize_dataset(files: ImageFiles, size: int) -> Dataset:
     """Each file decoded and resized to size x size into its row of one array,
-    in file ranges split across the CPUs (_split_images).
+    in file ranges split across the CPUs (_split_images) at any OpenBLAS thread
+    count, since set-up runs no product; memory holds one decoded source per CPU.
 
     Within a range, each run of consecutive decoded sources of one shape goes
     through one resize_bilinear call, as many as fit in WARP_PIXELS pixels, each
@@ -458,7 +478,7 @@ def resize_dataset(files: ImageFiles, size: int) -> Dataset:
         if run:
             resize_run()
 
-    _split_images(len(files), size, size, work)
+    _split_images(len(files), size, size, work, setup=True)
     kept = [index for index, exc in enumerate(errors) if exc is None]
     for path, exc in zip(files.paths, errors):
         if exc is not None:

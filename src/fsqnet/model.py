@@ -20,6 +20,9 @@ backward pass returns each parameter's gradient terms (ops.LayerGrads).
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
 from dataclasses import asdict, astuple, dataclass, fields
 from numbers import Real
 from typing import ClassVar
@@ -45,6 +48,7 @@ from .ops import (
     relu,
     relu_backward,
     softmax,
+    _split,
 )
 from .tensor import derive_seed, he_init
 
@@ -388,15 +392,32 @@ class Model:
 
 
 def build_model(config: ModelConfig, seed: int) -> Model:
-    """He-initialized model; bit-identical for identical (config, seed)."""
-    params: dict[str, np.ndarray] = {}
-    for index, (name, shape) in enumerate(expected_param_shapes(config).items()):
-        if name.endswith("/weight"):
-            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
-            params[name] = he_init(shape, fan_in, derive_seed(seed, index))
-        else:
-            params[name] = np.zeros(shape, dtype=np.float32)
-    return Model(config, params)
+    """He-initialized model; bit-identical for identical (config, seed).
+
+    Each weight is drawn from its own PCG64 stream, derive_seed(seed, its index
+    in build order); each bias is zeros.  From ops.SPLIT_ELEMENTS parameters,
+    as v1.1 holds, the tensors are built across the CPUs at any OpenBLAS thread
+    count (ops._split with setup=True): contiguous ranges of the cumulative
+    element count, one per CPU, each building the tensors that start in it, so
+    dense1's 262,144 weights leave no CPU idle.  The dict keeps build order,
+    the checkpoint's tensor order.
+    """
+    shapes = list(expected_param_shapes(config).items())
+    starts = list(itertools.accumulate((math.prod(shape) for _, shape in shapes), initial=0))
+    total = starts.pop()
+    tensors: list[np.ndarray | None] = [None] * len(shapes)
+
+    def work(lo, hi):
+        for index in range(bisect.bisect_left(starts, lo), bisect.bisect_left(starts, hi)):
+            name, shape = shapes[index]
+            if name.endswith("/weight"):
+                fan_in = math.prod(shape[1:]) if len(shape) == 4 else shape[0]
+                tensors[index] = he_init(shape, fan_in, derive_seed(seed, index))
+            else:
+                tensors[index] = np.zeros(shape, dtype=np.float32)
+
+    _split(total, total, work, setup=True)
+    return Model(config, {name: tensor for (name, _), tensor in zip(shapes, tensors)})
 
 
 def model_forward(

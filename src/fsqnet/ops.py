@@ -130,17 +130,21 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _split(n: int, size: int, work) -> None:
+def _split(n: int, size: int, work, setup: bool = False) -> None:
     """Run work(lo, hi) over contiguous ranges that cover [0, n), one per CPU.
 
     Splits only when n >= 2, size (elements in the op's largest array) is at
     least SPLIT_ELEMENTS, and OpenBLAS runs one thread: a threaded product's
-    idle workers spin on the cores after it returns.  The first range runs on
-    the calling thread, the others on threads started here; all are joined
-    before the first exception a worker raised is raised again here.  work
-    must write only its own range of its outputs.
+    idle workers spin on the cores after it returns, so work that runs
+    between products would share its CPUs with them.  setup=True drops the
+    last condition for set-up, which runs no product (He init, the resize of
+    a dataset or of the image predict classifies): it splits by size alone,
+    at any OpenBLAS thread count and without OpenBLAS.  The first range runs
+    on the calling thread, the others on threads started here; all are
+    joined before the first exception a worker raised is raised again here.
+    work must write only its own range of its outputs.
     """
-    if n < 2 or size < SPLIT_ELEMENTS or _blas_threads() != 1:
+    if n < 2 or size < SPLIT_ELEMENTS or (not setup and _blas_threads() != 1):
         work(0, n)
         return
     workers = min(n, _cpus())

@@ -205,6 +205,24 @@ def loop_fisher_yates_order(n: int, seed: int) -> list[int]:
     return order
 
 
+def sequential_he_init(shapes: dict, seed: int) -> dict[str, np.ndarray]:
+    """build_model's parameters for name -> shape in build order, one tensor after
+    another on the calling thread: the weight at index i holds Normal(0, 2/fan_in)
+    samples of the PCG64 stream seeded by SeedSequence([seed, i]), rounded to
+    float32; each bias is float32 zeros."""
+    params = {}
+    for index, (name, shape) in enumerate(shapes.items()):
+        if name.endswith("/bias"):
+            params[name] = np.zeros(shape, dtype=np.float32)
+            continue
+        fan_in = math.prod(shape[1:]) if len(shape) == 4 else shape[0]
+        child = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, index])
+        rng = np.random.Generator(np.random.PCG64(int(child.generate_state(1, np.uint64)[0])))
+        samples = rng.standard_normal(math.prod(shape)) * math.sqrt(2.0 / fan_in)
+        params[name] = samples.reshape(shape).astype(np.float32)
+    return params
+
+
 def closed_form_param_count(num_classes: int, fire_widths, head_hidden: int) -> int:
     """Layer-by-layer arithmetic from the architecture definition alone."""
     total = 64 * 3 * 3 * 3 + 64  # stem conv

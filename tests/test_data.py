@@ -27,6 +27,9 @@ import fsqnet.data
 import fsqnet.ops
 from fsqnet.data import WARP_PIXELS, _warp
 from fsqnet.errors import ConfigError, DataError, DecodeError
+from fsqnet.model import build_model, tiny_config
+from fsqnet.ops import ConvSpec, conv2d_forward
+from fsqnet.train import evaluate
 from oracles import (loop_fisher_yates_order, scalar_resize_bilinear, scalar_rotate_edge_clamped,
                      scalar_warp)
 from test_ops import _force_split
@@ -712,21 +715,22 @@ def _write_split_sources(root, bad=()):
             save_ppm(_random_image(rng, width, height), path)
 
 
-def _record_split_threads(monkeypatch) -> list[int]:
-    """Per data-path split call from now on, the number of threads its ranges ran on."""
-    split, counts = fsqnet.data._split, []
+def _record_split_threads(monkeypatch, module=fsqnet.data) -> list[int]:
+    """Per split call of the module (the data path's by default) from now on, the
+    number of threads its ranges ran on."""
+    split, counts = module._split, []
 
-    def recording(n, size, work):
+    def recording(n, size, work, **kwargs):
         threads = set()
 
         def traced(lo, hi):
             threads.add(threading.current_thread())
             work(lo, hi)
 
-        split(n, size, traced)
+        split(n, size, traced, **kwargs)
         counts.append(len(threads))
 
-    monkeypatch.setattr(fsqnet.data, "_split", recording)
+    monkeypatch.setattr(module, "_split", recording)
     return counts
 
 
@@ -793,3 +797,60 @@ class TestSplitByImage:
         with pytest.raises(DataError, match="'b' has no decodable images"):
             resize_dataset(load_dataset(tmp_path), SPLIT_SIZE)
         assert len(capsys.readouterr().err.splitlines()) == 2
+
+
+class TestSetUpSplitsAtAnyBlasThreadCount:
+    @pytest.mark.parametrize("blas_threads", [2, None], ids=["two-blas-threads", "no-openblas"])
+    def test_resize_dataset_runs_its_file_ranges_on_every_worker(self, tmp_path, monkeypatch,
+                                                                 capsys, blas_threads):
+        # file 2 is in the second of three ranges, file 4 in the third
+        _write_split_sources(tmp_path, bad=(2, 4))
+        files = load_dataset(tmp_path)
+        runs = []
+        for workers in (1, 3):
+            _force_split(monkeypatch, workers)
+            monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: blas_threads)
+            threads = _record_split_threads(monkeypatch)
+            dataset = resize_dataset(files, SPLIT_SIZE)
+            runs.append((dataset.samples.tobytes(), dataset.labels.tolist(),
+                         dataset.channel_means, capsys.readouterr().err))
+            assert threads == [workers]
+        assert runs[0] == runs[1]
+        warnings = runs[0][3].splitlines()
+        assert len(warnings) == 2
+        assert "a/2.ppm" in warnings[0] and "b/4.ppm" in warnings[1]
+
+    def test_work_between_products_stays_on_the_caller(self, monkeypatch):
+        # at 182 px each of these splits with OpenBLAS on one thread
+        size = 182
+        pixels = np.random.default_rng(35).integers(0, 256, (3, size, size, 3), dtype=np.uint8)
+        dataset = Dataset(pixels, [0, 1, 0], ["a", "b"], compute_channel_means(pixels))
+        model = build_model(tiny_config(num_classes=2, input_size=size), 5)
+        x = normalize(pixels, dataset.channel_means)
+        weight = np.random.default_rng(36).standard_normal((64, 3, 3, 3), dtype=np.float32)
+        stem = ConvSpec(64, 3, 3, 3, stride=2)
+        _force_split(monkeypatch, 3)
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: 2)
+        data_threads = _record_split_threads(monkeypatch)
+        op_threads = _record_split_threads(monkeypatch, fsqnet.ops)
+        normalize(augment(pixels, True, _draws(37, 3)), dataset.channel_means)
+        assert data_threads == [1, 1]
+        conv2d_forward(x, weight, np.zeros(64, np.float32), stem)
+        assert op_threads == [1]
+        evaluate(model, dataset)
+        assert len(data_threads) > 2 and len(op_threads) > 1
+        assert set(data_threads) == set(op_threads) == {1}
+
+    @pytest.mark.parametrize("width, height, out_w, out_h", [
+        (272, 272, 244, 244), (300, 97, 244, 244), (300, 97, 250, 140), (640, 480, 182, 182),
+        (150, 120, 244, 244), (300, 97, 64, 64)])
+    def test_one_image_resize_splits_its_rows_into_one_calls_bytes(
+            self, monkeypatch, width, height, out_w, out_h):
+        image = _random_image(np.random.default_rng(width + height), width, height)
+        whole = resize_bilinear(image.pixels[None], out_w, out_h)[0]  # a batch never splits
+        for workers in (1, 3):
+            _force_split(monkeypatch, workers)
+            monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: 2)
+            threads = _record_split_threads(monkeypatch)
+            assert resize_bilinear(image, out_w, out_h).pixels.tobytes() == whole.tobytes()
+            assert threads == [workers if out_w * out_h >= WARP_PIXELS else 1]

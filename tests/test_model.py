@@ -1,9 +1,12 @@
+import math
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import fsqnet.model
+import fsqnet.ops
 from fsqnet.errors import ConfigError, ModelError, ShapeError, StateError
 from fsqnet.model import (
     TINY_FIRES,
@@ -32,7 +35,7 @@ from fsqnet.ops import (
     softmax,
 )
 from fsqnet.train import TrainConfig, cross_entropy, sgd_step
-from oracles import closed_form_param_count, gradient
+from oracles import closed_form_param_count, gradient, sequential_he_init
 
 
 def _tiny_model(seed=7, num_classes=3):
@@ -211,6 +214,38 @@ class TestBuildModel:
         shapes = expected_param_shapes(ModelConfig())
         total = sum(int(np.prod(s)) for s in shapes.values())
         assert total == 997464
+
+    @pytest.mark.parametrize("blas_threads", [1, 2, None], ids=["one", "two", "no-openblas"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("config", [ModelConfig(), tiny_config()], ids=["v11", "tiny"])
+    def test_equals_the_sequential_oracle(self, monkeypatch, config, workers, blas_threads):
+        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: workers)
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: blas_threads)
+        params = build_model(config, 42).params
+        want = sequential_he_init(expected_param_shapes(config), 42)
+        assert list(params) == list(want)
+        for name, tensor in want.items():
+            assert params[name].dtype == tensor.dtype
+            assert params[name].tobytes() == tensor.tobytes()
+
+    @pytest.mark.parametrize("blas_threads", [2, None], ids=["two-blas-threads", "no-openblas"])
+    def test_v11_builds_on_every_cpu_and_tiny_on_the_caller(self, monkeypatch, blas_threads):
+        monkeypatch.setattr(fsqnet.ops, "_cpus", lambda: 2)
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: blas_threads)
+        he_init, threads = fsqnet.model.he_init, {}
+
+        def recording(shape, fan_in, seed):
+            threads.setdefault(threading.current_thread(), []).append(math.prod(shape))
+            return he_init(shape, fan_in, seed)
+
+        monkeypatch.setattr(fsqnet.model, "he_init", recording)
+        build_model(ModelConfig(), 0)
+        # ranges of the cumulative element count: dense1 shares no CPU with fire1-7
+        drawn = [sum(sizes) for sizes in threads.values()]
+        assert len(drawn) == 2 and min(drawn) > 0.45 * sum(drawn)
+        threads.clear()
+        build_model(tiny_config(), 0)
+        assert list(threads) == [threading.current_thread()]
 
 
 class TestModelForward:

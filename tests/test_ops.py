@@ -845,6 +845,19 @@ class TestSplit:
                           lambda lo, hi: ranges.append((lo, hi, threading.current_thread())))
         assert ranges == [(0, n, threading.current_thread())]
 
+    @pytest.mark.parametrize("blas_threads", [1, 2, None], ids=["one", "two", "no-openblas"])
+    def test_setup_splits_by_size_alone(self, monkeypatch, blas_threads):
+        _force_split(monkeypatch, 3)
+        monkeypatch.setattr(fsqnet.ops, "_blas_threads", lambda: blas_threads)
+        ranges = []
+        fsqnet.ops._split(5, fsqnet.ops.SPLIT_ELEMENTS, lambda lo, hi: ranges.append((lo, hi)),
+                          setup=True)
+        assert sorted(ranges) == [(0, 1), (1, 3), (3, 5)]
+        ranges.clear()
+        fsqnet.ops._split(5, fsqnet.ops.SPLIT_ELEMENTS - 1,
+                          lambda lo, hi: ranges.append((lo, hi)), setup=True)
+        assert ranges == [(0, 5)]
+
     def test_worker_exception_reaches_the_caller_after_every_join(self, monkeypatch):
         _force_split(monkeypatch, 3)
         threads = threading.active_count()
